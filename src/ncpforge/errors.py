@@ -62,6 +62,10 @@ class ClassificationMismatch(NcpForgeError):
     """Primitive orbit <-> conjugacy class bijection failed."""
 
 
+class NonIntegralCount(NcpForgeError):
+    """A closed-form count evaluated to a non-integer."""
+
+
 class NonIntegralDegree(NcpForgeError):
     """Derived stratum degree is not a positive integer."""
 

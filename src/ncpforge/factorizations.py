@@ -14,7 +14,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import LedgerDisagreement, NotAChain, RedCountMismatch
+from .errors import (
+    LedgerDisagreement,
+    NonIntegralCount,
+    NotAChain,
+    RedCountMismatch,
+)
 from .group import ReflectionGroup
 from .ncp import NcpLattice, fuss_catalan
 
@@ -38,7 +43,9 @@ def composition_of(group: ReflectionGroup, factors: tuple[int, ...]) -> tuple[in
 def red_count_formula(group: ReflectionGroup) -> int:
     n, h = group.n, group.h
     value = Fraction(factorial(n) * h ** n, group.size)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise NonIntegralCount(
+            f"{group.spec.label}: n! h^n / |W| is {value}")
     return value.numerator
 
 
@@ -150,7 +157,10 @@ def fact_count_zeta(degrees, p: int) -> int:
     coeffs = zeta_polynomial(degrees)
     value = sum((-1) ** (p - k) * comb(p, k) * eval_poly(coeffs, k)
                 for k in range(p + 1))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise NonIntegralCount(
+            f"fact_{p} from the zeta polynomial of degrees "
+            f"{tuple(degrees)} is {value}")
     return value.numerator
 
 
@@ -182,7 +192,10 @@ def fact_count_stirling(degrees, order: int, blocks: int) -> int:
         (-1) ** (p - j) * sigma[p - j] * stirling2(n - p + j, n - p) * h ** j
         for j in range(p + 1))
     value = Fraction(factorial(n - p) * h ** (n - p) * total, order)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise NonIntegralCount(
+            f"Stirling form of fact_{blocks} for degrees {tuple(degrees)} "
+            f"is {value}")
     return value.numerator
 
 

@@ -1,11 +1,19 @@
 """Catalog-built reflection groups.
 
-A group is enumerated once by breadth-first closure over its generator
-matrices, with canonical-hash deduplication.  Elements are then re-indexed
-in canonical digest order, so the indexing is identical across runs.  All
-downstream computation works on integer indices against a full
-multiplication table; exact matrices are kept around for fixed spaces,
-flats and the regularity check.
+A group is built without multiplying two exact matrices.  The orbit V of the
+standard basis vectors e_1..e_n under the generators is computed once with
+exact `Matrix.apply`, and each generator becomes an integer permutation of
+V.  Since V holds a basis, an element is determined by the permutation it
+induces on V, so breadth-first closure runs over permutations keyed by their
+bytes.  The closure records each generator's left-multiplication map, from
+which the full multiplication table follows by index arithmetic.  Each
+element's exact matrix is assembled from its columns g(e_j), which are
+vectors of V, and elements are re-indexed in canonical digest order of those
+matrices, so the indexing is identical across runs.  Fixed-space dimensions
+come from averaging the character over each cyclic subgroup.  All
+downstream computation works on integer indices against the multiplication
+table; exact matrices are kept for fixed spaces, flats and the regularity
+check.
 """
 
 from __future__ import annotations
@@ -44,32 +52,37 @@ class ReflectionGroup:
         self.degrees = degrees_of(spec)
         self.n = spec.n
         self.h = self.degrees[-1]
-        expected_order = order_of(spec)
-        if expected_order > order_cap:
-            raise OrderCapExceeded(
-                f"{spec.label}: order {expected_order} exceeds cap {order_cap}")
+        expected_order = _check_order_cap(spec, order_cap)
 
         gens = generators_of(spec)
-        matrices = self._closure(gens, expected_order * 2)
-        matrices.sort(key=lambda mat: mat.digest())
-        self.matrices: list[Matrix] = matrices
-        self.size = len(matrices)
-        self._index = {mat.key(): i for i, mat in enumerate(matrices)}
-        if self.size != expected_order:
+        vectors, gen_perms = self._vector_orbit(gens, self.n * expected_order)
+        perms, left = self._closure(gen_perms, expected_order * 2)
+        if len(perms) != expected_order:
             raise CoxeterValidationFailed(
-                f"{spec.label}: closure has {self.size} elements, "
+                f"{spec.label}: closure has {len(perms)} elements, "
                 f"product of degrees is {expected_order}")
-        self.identity = self._index[Matrix.identity(self.n, self.conductor).key()]
-        self.generators = [self._index[g.key()] for g in gens]
+        # column j of an element's matrix is its image of e_j, a vector of V
+        matrices = [Matrix(self.n, self.conductor,
+                           zip(*(vectors[k] for k in perm[:self.n])))
+                    for perm in perms.tolist()]
+        order = sorted(range(len(matrices)), key=lambda i: matrices[i].digest())
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order), dtype=np.int32)
+        self.matrices: list[Matrix] = [matrices[i] for i in order]
+        self.size = len(self.matrices)
+        self._index = {mat.key(): i for i, mat in enumerate(self.matrices)}
+        # the closure starts from the identity permutation, element 0
+        self.identity = int(rank[0])
+        left = rank[left[:, order]]
+        self.generators = [int(row[self.identity]) for row in left]
 
-        self.mult = self._build_mult_table(gens)
+        self.mult = self._build_mult_table(left)
         self.inv = np.empty(self.size, dtype=np.int32)
         rows, cols = np.nonzero(self.mult == self.identity)
         self.inv[rows] = cols
+        self.class_id, self.classes = self._conjugacy_classes()
 
-        self.fixed_dim = np.array(
-            [kernel(mat.minus_identity()).dim for mat in matrices],
-            dtype=np.int32)
+        self.fixed_dim = self._fixed_dims()
         self.reflections = [
             i for i in range(self.size)
             if i != self.identity and self.fixed_dim[i] == self.n - 1
@@ -78,9 +91,14 @@ class ReflectionGroup:
             raise CoxeterValidationFailed(
                 f"{spec.label}: found {len(self.reflections)} reflections, "
                 f"expected {sum(d - 1 for d in self.degrees)}")
+        for r in self.reflections:
+            if self.fixed_space(r).dim != self.n - 1:
+                raise CoxeterValidationFailed(
+                    f"{spec.label}: element {r} has character fixed "
+                    f"dimension {self.n - 1} but a fixed space of dimension "
+                    f"{self.fixed_space(r).dim}")
 
         self.length = self._length_table()
-        self.class_id, self.classes = self._conjugacy_classes()
 
         cox = coxeter_matrix_of(spec)
         key = cox.key()
@@ -92,33 +110,64 @@ class ReflectionGroup:
 
     # -- construction ----------------------------------------------------
 
-    def _closure(self, gens: list[Matrix], hard_cap: int) -> list[Matrix]:
-        ident = Matrix.identity(self.n, self.conductor)
-        seen = {ident.key(): ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for mat in frontier:
-                for g in gens:
-                    prod = g @ mat
-                    k = prod.key()
-                    if k not in seen:
-                        seen[k] = prod
-                        nxt.append(prod)
-            frontier = nxt
-            if len(seen) > hard_cap:
-                raise OrderCapExceeded("closure blew past the expected order")
-        return list(seen.values())
+    def _vector_orbit(self, gens: list[Matrix], cap: int
+                      ) -> tuple[list[tuple], np.ndarray]:
+        """The orbit V of e_1..e_n under the generators (basis vectors
+        first) and each generator as a permutation of V:
+        gen_perms[s, i] is the index of gens[s](V[i])."""
+        one, zero = CycNum.one(self.conductor), CycNum.zero(self.conductor)
+        vectors = [tuple(one if i == j else zero for i in range(self.n))
+                   for j in range(self.n)]
+        index = {v: i for i, v in enumerate(vectors)}
+        gen_perms: list[list[int]] = [[] for _ in gens]
+        pos = 0
+        while pos < len(vectors):
+            v = vectors[pos]
+            for g, perm in zip(gens, gen_perms):
+                image = g.apply(v)
+                k = index.get(image)
+                if k is None:
+                    k = index[image] = len(vectors)
+                    vectors.append(image)
+                    if len(vectors) > cap:
+                        raise OrderCapExceeded(
+                            f"{self.spec.label}: basis-vector orbit blew "
+                            f"past {cap} vectors")
+                perm.append(k)
+            pos += 1
+        return vectors, np.array(gen_perms, dtype=np.int32)
 
-    def _build_mult_table(self, gen_mats: list[Matrix]) -> np.ndarray:
+    @staticmethod
+    def _closure(gen_perms: np.ndarray, hard_cap: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Breadth-first closure over permutations of V, from the identity.
+        Returns the elements (one permutation per row, identity first) and
+        left[s, w], the index of generator s times element w."""
+        ident = np.arange(gen_perms.shape[1], dtype=np.int32)
+        perms = [ident]
+        seen = {ident.tobytes(): 0}
+        left: list[list[int]] = [[] for _ in gen_perms]
+        pos = 0
+        while pos < len(perms):
+            w = perms[pos]
+            for s, row in zip(gen_perms, left):
+                prod = s[w]
+                key = prod.tobytes()
+                k = seen.get(key)
+                if k is None:
+                    k = seen[key] = len(perms)
+                    perms.append(prod)
+                    if len(perms) > hard_cap:
+                        raise OrderCapExceeded(
+                            "closure blew past the expected order")
+                row.append(k)
+            pos += 1
+        return np.array(perms), np.array(left, dtype=np.int32)
+
+    def _build_mult_table(self, left: np.ndarray) -> np.ndarray:
+        """Full table from the generators' left-multiplication maps:
+        row s*w is left[s] applied to row w."""
         size = self.size
-        # left-multiplication permutation of each generator
-        gen_perm = {}
-        for gi, g in zip(self.generators, gen_mats):
-            perm = np.empty(size, dtype=np.int32)
-            for j, mat in enumerate(self.matrices):
-                perm[j] = self._index[(g @ mat).key()]
-            gen_perm[gi] = perm
         mult = np.empty((size, size), dtype=np.int32)
         mult[self.identity] = np.arange(size, dtype=np.int32)
         done = np.zeros(size, dtype=bool)
@@ -127,15 +176,42 @@ class ReflectionGroup:
         while frontier:
             nxt = []
             for w in frontier:
-                for gi, perm in gen_perm.items():
+                for perm in left:
                     target = perm[w]
                     if not done[target]:
                         mult[target] = perm[mult[w]]
                         done[target] = True
                         nxt.append(int(target))
             frontier = nxt
-        assert done.all()
+        if not done.all():
+            raise CoxeterValidationFailed(
+                f"{self.spec.label}: generators do not reach every element")
         return mult
+
+    def _fixed_dims(self) -> np.ndarray:
+        """dim Ker(w - 1) = (1/ord w) sum_{k < ord w} tr(w^k) for every
+        element, the multiplicity of the trivial character on <w>; it is
+        constant on conjugacy classes, so one representative per class."""
+        zero = CycNum.zero(self.conductor)
+        dims = np.empty(len(self.classes), dtype=np.int32)
+        for cid, members in enumerate(self.classes):
+            w = members[0]
+            total, k, acc = zero, 0, self.identity
+            while True:
+                rows = self.matrices[acc].rows
+                for i in range(self.n):
+                    total = total + rows[i][i]
+                k += 1
+                acc = int(self.mult[acc, w])
+                if acc == self.identity:
+                    break
+            dim = total.rational_value() / k if total.is_rational() else None
+            if dim is None or dim.denominator != 1 or not 0 <= dim <= self.n:
+                raise CoxeterValidationFailed(
+                    f"{self.spec.label}: character average of element {w} "
+                    f"is not a dimension in 0..{self.n}")
+            dims[cid] = dim.numerator
+        return dims[self.class_id]
 
     def _length_table(self) -> np.ndarray:
         dist = np.full(self.size, -1, dtype=np.int32)
@@ -149,7 +225,9 @@ class ReflectionGroup:
             new = reached[dist[reached] < 0]
             dist[new] = d
             frontier = new
-        assert (dist >= 0).all()
+        if (dist < 0).any():
+            raise CoxeterValidationFailed(
+                f"{self.spec.label}: reflections do not generate the group")
         return dist
 
     def _conjugacy_classes(self) -> tuple[np.ndarray, list[list[int]]]:
@@ -281,7 +359,23 @@ class ReflectionGroup:
         return f"ReflectionGroup({self.spec.label}, |W|={self.size})"
 
 
+def _check_order_cap(spec: GroupSpec, order_cap: int) -> int:
+    """The order of the spec's group, if it is within the cap."""
+    order = order_of(spec)
+    if order > order_cap:
+        raise OrderCapExceeded(
+            f"{spec.label}: order {order} exceeds cap {order_cap}")
+    return order
+
+
 @lru_cache(maxsize=None)
+def _cached_group(spec: GroupSpec) -> ReflectionGroup:
+    return ReflectionGroup(spec, order_cap=order_of(spec))
+
+
 def build_group(spec: GroupSpec, order_cap: int = DEFAULT_ORDER_CAP) -> ReflectionGroup:
-    """Build (and cache) the catalog group for a spec."""
-    return ReflectionGroup(spec, order_cap=order_cap)
+    """Build (and cache) the catalog group for a spec.  The cap only decides
+    whether the group may be built, so the cache is keyed on the spec alone
+    and every call form and cap returns the same object."""
+    _check_order_cap(spec, order_cap)
+    return _cached_group(spec)

@@ -7,7 +7,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CatalanMismatch, ElementNotInGroup, MeetJoinMissing
+from .errors import (
+    CatalanMismatch,
+    ElementNotInGroup,
+    MeetJoinMissing,
+    NonIntegralCount,
+)
 from .group import ReflectionGroup
 
 
@@ -17,7 +22,10 @@ def fuss_catalan(degrees, k: int = 1) -> int:
     value = Fraction(1)
     for d in degrees:
         value *= Fraction(d + k * h, d)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise NonIntegralCount(
+            f"Fuss-Catalan number for degrees {tuple(degrees)}, k = {k} "
+            f"is {value}")
     return value.numerator
 
 

@@ -20,6 +20,7 @@ from .catalog import GroupSpec
 from .cyclo import Subspace
 from .errors import (
     ClassificationMismatch,
+    NonIntegralCount,
     NonIntegralDegree,
     NotADivisor,
     TableMismatch,
@@ -78,9 +79,12 @@ def subgroup_closure(group: ReflectionGroup, gens) -> list[int]:
 
 
 def pointwise_fixator(group: ReflectionGroup, flat: Subspace) -> list[int]:
-    """All elements fixing every vector of the flat."""
+    """All elements fixing every vector of the flat.  An element whose fixed
+    space is smaller than the flat cannot fix it, so only the others are
+    tested exactly."""
     out = []
-    for i, mat in enumerate(group.matrices):
+    for i in np.nonzero(group.fixed_dim >= flat.dim)[0].tolist():
+        mat = group.matrices[i]
         if all(mat.apply(v) == tuple(v) for v in flat.basis):
             out.append(i)
     return out
@@ -179,7 +183,9 @@ def submax_total_formula(group: ReflectionGroup) -> int:
     n, h = group.n, group.h
     value = Fraction(factorial(n - 1) * h ** (n - 1), group.size) * (
         Fraction((n - 1) * (n - 2) * h, 2) + sum(group.degrees[:-1]))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise NonIntegralCount(
+            f"{group.spec.label}: |fact_(n-1)| closed form is {value}")
     return value.numerator
 
 

@@ -1,11 +1,12 @@
 """Block factorisations: enumeration, closed forms, chains."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from ncpforge.catalog import GroupSpec
-from ncpforge.errors import NotAChain
+from ncpforge.errors import NonIntegralCount, NotAChain
 from ncpforge.factorizations import (
     chain_to_factorisation,
     chapoton_identity,
@@ -26,12 +27,29 @@ from ncpforge.factorizations import (
 )
 from ncpforge.group import build_group
 from ncpforge.ncp import build_ncp, fuss_catalan
+from ncpforge.parabolic import submax_total_formula
+
+# Parameters that no reflection group has (degrees 2, 5 need |W| = 10).
+FAKE_GROUP = SimpleNamespace(spec=GroupSpec("A", 2), n=2, h=5, size=7,
+                             degrees=(2, 5))
 
 
 def test_red_count_formula_values(a3, b3):
     assert red_count_formula(a3) == 16
     assert red_count_formula(b3) == 27
     assert red_count_formula(build_group(GroupSpec("H3", 3))) == 50
+
+
+@pytest.mark.parametrize("closed_form", [
+    lambda: fuss_catalan((3, 5), 1),                    # 16/3
+    lambda: fact_count_zeta((3, 5), 2),                 # 10/3
+    lambda: fact_count_stirling((2, 3, 4), 25, 3),      # 384/25
+    lambda: red_count_formula(FAKE_GROUP),              # 50/7
+    lambda: submax_total_formula(FAKE_GROUP),           # 10/7
+], ids=["fuss_catalan", "zeta", "stirling", "red", "submax"])
+def test_non_integral_closed_forms_raise(closed_form):
+    with pytest.raises(NonIntegralCount):
+        closed_form()
 
 
 def test_enumerate_red_agrees_with_formula(a3_ncp, b3_ncp):

@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpforge.catalog import GroupSpec, degrees_of, order_of, parse_spec
+from ncpforge.cyclo import kernel
 from ncpforge.errors import (
     ConfigError,
     ElementNotInGroup,
     OrderCapExceeded,
 )
-from ncpforge.group import build_group
+from ncpforge.group import ReflectionGroup, build_group
+from reference_build import matmul_closure
 
 SMALL_SPECS = [
     GroupSpec("A", 1),
@@ -120,7 +122,31 @@ def test_regularity_check(a3):
 
 
 def test_determinism_of_element_indexing():
-    g1 = build_group.__wrapped__(GroupSpec("B", 3))
-    g2 = build_group.__wrapped__(GroupSpec("B", 3))
+    g1 = ReflectionGroup(GroupSpec("B", 3))
+    g2 = ReflectionGroup(GroupSpec("B", 3))
+    assert g1 is not g2
     assert g1.coxeter == g2.coxeter
     assert [m.key() for m in g1.matrices] == [m.key() for m in g2.matrices]
+
+
+def test_build_group_cache_ignores_call_form():
+    spec = GroupSpec("B", 2)
+    g = build_group(spec)
+    assert build_group(spec, 50_000) is g
+    assert build_group(spec, order_cap=50_000) is g
+    assert build_group(spec, order_cap=10 ** 18) is g
+    with pytest.raises(OrderCapExceeded):
+        build_group(spec, order_cap=7)
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec("A", 3), GroupSpec("B", 3), GroupSpec("D", 4),
+    GroupSpec("I2", 2, 5), GroupSpec("G", 3, 3), GroupSpec("H3", 3),
+], ids=lambda s: s.label)
+def test_build_matches_matmul_oracle(spec):
+    g = build_group(spec)
+    matrices, mult = matmul_closure(spec)
+    assert [m.key() for m in g.matrices] == [m.key() for m in matrices]
+    assert (g.mult == mult).all()
+    assert [int(d) for d in g.fixed_dim] == [
+        kernel(m.minus_identity()).dim for m in matrices]

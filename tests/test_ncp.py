@@ -1,11 +1,16 @@
 """Lattice structure of NCP: axioms, Brady-Watt flats, rank function."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncpforge
 from ncpforge.catalog import GroupSpec
-from ncpforge.errors import ElementNotInGroup
+from ncpforge.errors import ElementNotInGroup, NonIntegralCount
 from ncpforge.group import build_group
 from ncpforge.ncp import build_ncp, fuss_catalan
 
@@ -15,6 +20,17 @@ def test_fuss_catalan_values():
     assert fuss_catalan((2, 6, 10), 1) == 32
     assert fuss_catalan((2, 6, 8, 12), 1) == 105
     assert fuss_catalan((2, 3), 2) == 12
+
+
+def test_integrality_check_survives_optimised_interpreter():
+    src = os.path.dirname(os.path.dirname(ncpforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from ncpforge.ncp import fuss_catalan; fuss_catalan((3, 5), 1)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "NonIntegralCount" in proc.stderr
 
 
 def test_bottom_and_top(a3_ncp, a3):

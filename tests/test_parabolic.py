@@ -10,6 +10,7 @@ from ncpforge.parabolic import (
     EXCEPTIONAL_REFERENCE,
     length2_strata,
     parabolic_of,
+    pointwise_fixator,
     rank2_degrees,
     reference_row,
     submax_counts,
@@ -31,6 +32,18 @@ def test_parabolic_of_reflection(a3, a3_ncp):
     assert p.rank == 1
     assert set(p.elements) == {a3.identity, r}
     assert p.flat == a3.fixed_space(r)
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec("B", 3), GroupSpec("H3", 3), GroupSpec("G", 3, 3),
+], ids=lambda s: s.label)
+def test_pointwise_fixator_matches_full_scan(spec):
+    group = build_group(spec)
+    for w in build_ncp(group).members:
+        flat = group.fixed_space(w)
+        full = [i for i, mat in enumerate(group.matrices)
+                if all(mat.apply(v) == tuple(v) for v in flat.basis)]
+        assert pointwise_fixator(group, flat) == full
 
 
 def test_parabolic_of_rejects_non_divisors(a3, a3_ncp):
