@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -26,6 +25,7 @@ from .factorizations import (
     chapoton_identity,
     fact_counts,
     iter_fact_with_composition,
+    iter_factorisations,
     red_count_formula,
 )
 from .group import DEFAULT_ORDER_CAP, build_group
@@ -64,7 +64,53 @@ class _Parser(argparse.ArgumentParser):
 
 # -- verification suites -----------------------------------------------------
 
-def _suite_ncp(label, group, ncp):
+class GroupContext:
+    """The artefacts of one group that several suites read, each computed
+    at most once.  A context lives for one `run_group` call, so nothing is
+    cached across calls."""
+
+    def __init__(self, group, ncp):
+        self.group = group
+        self.ncp = ncp
+        self.label = group.spec.label
+
+    @cached_property
+    def facts(self) -> list[tuple[int, ...]]:
+        """Every block factorisation of c."""
+        return list(iter_factorisations(self.ncp))
+
+    @cached_property
+    def by_blocks(self) -> dict[int, list[tuple[int, ...]]]:
+        out = {p: [] for p in range(self.group.n + 1)}
+        for fact in self.facts:
+            out[len(fact)].append(fact)
+        return out
+
+    @cached_property
+    def ledger(self):
+        return fact_counts(self.group, self.facts)
+
+    @property
+    def red(self) -> list[tuple[int, ...]]:
+        return self.by_blocks[self.group.n]
+
+    def primitive(self, k: int) -> list[tuple[int, ...]]:
+        """Factorisations of shape k 1^(n-k): n-k+1 blocks, one of length k
+        (the others then have length 1), in any position."""
+        length = self.group.length
+        return [t for t in self.by_blocks[self.group.n - k + 1]
+                if any(int(length[w]) == k for w in t)]
+
+    @cached_property
+    def strata(self):
+        """Length-2 strata with their submaximal counts and degrees u."""
+        strata = length2_strata(self.ncp)
+        submax_counts(self.ncp, strata, self.by_blocks[self.group.n - 1])
+        return strata
+
+
+def _suite_ncp(ctx):
+    label, group, ncp = ctx.label, ctx.group, ctx.ncp
     rows = [CheckRow(label, "ncp", "catalan",
                      fuss_catalan(group.degrees, 1), ncp.size)]
     member_idx = np.array(ncp.members, dtype=np.int32)
@@ -83,7 +129,8 @@ def _suite_ncp(label, group, ncp):
     return rows
 
 
-def _suite_counts(label, group, ncp, ledger):
+def _suite_counts(ctx):
+    label, group, ledger = ctx.label, ctx.group, ctx.ledger
     n = group.n
     rows = [CheckRow(label, "counts", "red",
                      red_count_formula(group), ledger.fact_enumerated[n])]
@@ -96,27 +143,28 @@ def _suite_counts(label, group, ncp, ledger):
     return rows
 
 
-def _suite_chapoton(label, group, ncp, ledger, nmax):
+def _suite_chapoton(ctx, nmax):
+    label, group = ctx.label, ctx.group
     rows = []
     for chain_length in range(1, nmax + 1):
-        res = chapoton_identity(group, ledger, chain_length)
+        res = chapoton_identity(group, ctx.ledger, chain_length)
         rows.append(CheckRow(label, "chapoton", f"identity_N{chain_length}",
                              res["rhs"], res["lhs"]))
         rows.append(CheckRow(label, "chapoton", f"multichain_N{chain_length}",
                              fuss_catalan(group.degrees, chain_length),
-                             ncp.multichain_count(chain_length)))
+                             ctx.ncp.multichain_count(chain_length)))
     return rows
 
 
-def _suite_hurwitz(label, group, ncp, orbit_cap):
-    n = group.n
-    red = list(iter_fact_with_composition(ncp, (1,) * n))
-    orbits = orbit_decomposition(group, red, cap=orbit_cap)
+def _suite_hurwitz(ctx, orbit_cap):
+    label, group, ncp = ctx.label, ctx.group, ctx.ncp
+    orbits = orbit_decomposition(group, ctx.red, cap=orbit_cap)
     rows = [CheckRow(label, "hurwitz", "red_orbits", 1, len(orbits)),
             CheckRow(label, "hurwitz", "red_orbit_size",
                      red_count_formula(group), orbits[0].size)]
-    for k in range(2, n + 1):
-        res = classify_primitive_orbits(ncp, k, cap=orbit_cap)
+    for k in range(2, group.n + 1):
+        res = classify_primitive_orbits(ncp, k, ctx.primitive(k),
+                                        cap=orbit_cap)
         expected = len({int(group.class_id[ncp.members[i]])
                         for i in range(ncp.size) if ncp.rank[i] == k})
         rows.append(CheckRow(label, "hurwitz", f"primitive_k{k}_orbits",
@@ -131,13 +179,13 @@ def _suite_hurwitz(label, group, ncp, orbit_cap):
     return rows
 
 
-def _suite_strata(label, group, ncp):
-    strata = length2_strata(ncp)
-    total = submax_counts(ncp, strata)
+def _suite_strata(ctx):
+    label, group, strata = ctx.label, ctx.group, ctx.strata
     rows = [CheckRow(label, "strata", "num_strata",
                      len(reference_row(group.spec)), len(strata)),
             CheckRow(label, "strata", "submax_total",
-                     submax_total_formula(group), total),
+                     submax_total_formula(group),
+                     sum(s.count for s in strata)),
             CheckRow(label, "strata", "r_is_order",
                      sorted(s.order for s in strata),
                      sorted(s.r for s in strata)),
@@ -147,9 +195,10 @@ def _suite_strata(label, group, ncp):
     return rows
 
 
-def _suite_table_a1(label, group, ncp):
+def _suite_table_a1(ctx):
+    label, group = ctx.label, ctx.group
     n, h = group.n, group.h
-    rep = table_a1_verify(ncp)
+    rep = table_a1_verify(ctx.ncp, ctx.strata)
     rows = [CheckRow(label, "table-a1", "ll_data",
                      rep["expected"], rep["computed"]),
             CheckRow(label, "table-a1", "degree_sum",
@@ -180,25 +229,21 @@ def run_group(spec, suites, order_cap, orbit_cap, nmax) -> GroupSection:
         label=label, order=group.size, degrees=list(group.degrees),
         h=group.h, num_reflections=len(group.reflections),
         ncp_size=ncp.size)
-    ledger = None
+    ctx = GroupContext(group, ncp)
     for suite in suites:
         try:
             if suite == "ncp":
-                section.checks.extend(_suite_ncp(label, group, ncp))
+                section.checks.extend(_suite_ncp(ctx))
             elif suite == "counts":
-                ledger = ledger or fact_counts(group, ncp, fuss_range=nmax)
-                section.checks.extend(_suite_counts(label, group, ncp, ledger))
+                section.checks.extend(_suite_counts(ctx))
             elif suite == "chapoton":
-                ledger = ledger or fact_counts(group, ncp, fuss_range=nmax)
-                section.checks.extend(
-                    _suite_chapoton(label, group, ncp, ledger, nmax))
+                section.checks.extend(_suite_chapoton(ctx, nmax))
             elif suite == "hurwitz":
-                section.checks.extend(
-                    _suite_hurwitz(label, group, ncp, orbit_cap))
+                section.checks.extend(_suite_hurwitz(ctx, orbit_cap))
             elif suite == "strata":
-                section.checks.extend(_suite_strata(label, group, ncp))
+                section.checks.extend(_suite_strata(ctx))
             elif suite == "table-a1":
-                section.checks.extend(_suite_table_a1(label, group, ncp))
+                section.checks.extend(_suite_table_a1(ctx))
         except (OrderCapExceeded, OrbitCapExceeded):
             raise
         except NcpForgeError as exc:
@@ -209,24 +254,15 @@ def run_group(spec, suites, order_cap, orbit_cap, nmax) -> GroupSection:
 
 # -- commands -----------------------------------------------------------------
 
-def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("NCPFORGE_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"bad NCPFORGE_THREADS value {env!r}") from None
-    return 1
-
-
 def _emit(text: str, output: str | None):
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {output}: {exc.strerror}") from None
 
 
 def cmd_catalog(args) -> int:
@@ -250,6 +286,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.nmax < 1:
+        raise ConfigError(f"--nmax must be at least 1, got {args.nmax}")
     if args.group:
         specs = [parse_spec(g) for g in args.group]
     else:
@@ -257,17 +295,8 @@ def cmd_verify(args) -> int:
                  if args.allow_large or order_of(s) <= args.order_cap]
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     order_cap = 10 ** 18 if args.allow_large else args.order_cap
-    threads = _thread_count(args)
-
-    def work(spec):
-        return run_group(spec, suites, order_cap, args.orbit_cap, args.nmax)
-
-    report = Report()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            report.sections = list(pool.map(work, specs))
-    else:
-        report.sections = [work(spec) for spec in specs]
+    report = Report([run_group(spec, suites, order_cap, args.orbit_cap,
+                               args.nmax) for spec in specs])
     _emit(RENDERERS[args.format](report), args.output)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 
@@ -337,7 +366,6 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
     p_ver.add_argument("--nmax", type=int, default=DEFAULT_NMAX,
                        help="largest multichain length for the Chapoton suite")
-    p_ver.add_argument("--threads", type=int, default=None)
     p_ver.add_argument("--allow-large", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 

@@ -9,7 +9,7 @@ pairwise mismatch raises LedgerDisagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -208,21 +208,15 @@ class CountLedger:
     fact_zeta: dict[int, int]
     fact_stirling: dict[int, int]
     by_composition: dict[tuple[int, ...], int]
-    zeta_coeffs: tuple[Fraction, ...]
-    fuss_catalan: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def fact(self) -> dict[int, int]:
-        return self.fact_enumerated
 
 
-def fact_counts(group: ReflectionGroup, ncp: NcpLattice,
-                fuss_range: int = 4) -> CountLedger:
-    """Fill the ledger three independent ways and require agreement."""
+def fact_counts(group: ReflectionGroup, facts) -> CountLedger:
+    """Fill the ledger three independent ways and require agreement; facts
+    are all block factorisations of c (`iter_factorisations`)."""
     n = group.n
     by_comp: dict[tuple[int, ...], int] = {}
     enumerated = {p: 0 for p in range(1, n + 1)}
-    for fact in iter_factorisations(ncp):
+    for fact in facts:
         comp = composition_of(group, fact)
         by_comp[comp] = by_comp.get(comp, 0) + 1
         enumerated[len(fact)] += 1
@@ -233,17 +227,13 @@ def fact_counts(group: ReflectionGroup, ncp: NcpLattice,
         raise LedgerDisagreement(
             f"{group.spec.label}: enumeration {enumerated}, "
             f"zeta {zeta}, stirling {stirling}")
-    ledger = CountLedger(
+    return CountLedger(
         group_label=group.spec.label,
         fact_enumerated=enumerated,
         fact_zeta=zeta,
         fact_stirling=stirling,
         by_composition=by_comp,
-        zeta_coeffs=zeta_polynomial(group.degrees),
-        fuss_catalan={k: fuss_catalan(group.degrees, k)
-                      for k in range(1, fuss_range + 1)},
     )
-    return ledger
 
 
 # -- chains <-> factorisations ----------------------------------------------

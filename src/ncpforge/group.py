@@ -45,8 +45,7 @@ DEFAULT_ORDER_CAP = 50_000
 class ReflectionGroup:
     """Fully enumerated well-generated irreducible reflection group."""
 
-    def __init__(self, spec: GroupSpec, order_cap: int = DEFAULT_ORDER_CAP,
-                 check_regularity: bool = True):
+    def __init__(self, spec: GroupSpec, order_cap: int = DEFAULT_ORDER_CAP):
         self.spec = spec
         self.conductor = conductor_of(spec)
         self.degrees = degrees_of(spec)
@@ -106,7 +105,7 @@ class ReflectionGroup:
             raise CoxeterValidationFailed(
                 f"{spec.label}: catalog Coxeter matrix not in the group")
         self.coxeter = self._index[key]
-        self._validate_coxeter(check_regularity)
+        self._validate_coxeter()
 
     # -- construction ----------------------------------------------------
 
@@ -254,7 +253,7 @@ class ReflectionGroup:
             classes.append(sorted(orbit))
         return class_id, classes
 
-    def _validate_coxeter(self, check_regularity: bool) -> None:
+    def _validate_coxeter(self) -> None:
         c = self.coxeter
         if self.element_order(c) != self.h:
             raise CoxeterValidationFailed(
@@ -267,7 +266,7 @@ class ReflectionGroup:
             raise CoxeterValidationFailed(
                 f"{self.spec.label}: reflection length of c is "
                 f"{int(self.length[c])}, expected {self.n}")
-        if check_regularity and not self.coxeter_regularity_check():
+        if not self.coxeter_regularity_check():
             raise CoxeterValidationFailed(
                 f"{self.spec.label}: catalog Coxeter element is not "
                 f"zeta_h-regular")
@@ -328,9 +327,6 @@ class ReflectionGroup:
     def fixed_space(self, w: int) -> Subspace:
         """Ker(w - 1), exact."""
         return kernel(self.matrices[w].minus_identity())
-
-    def reflection_hyperplanes(self) -> list[Subspace]:
-        return [self.fixed_space(r) for r in self.reflections]
 
     def coxeter_regularity_check(self, w: int | None = None) -> bool:
         """True iff w (default: the catalog c) has a zeta_h-eigenvector

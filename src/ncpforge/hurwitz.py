@@ -95,27 +95,6 @@ def orbit_decomposition(group: ReflectionGroup,
     return orbits
 
 
-def primitive_shape_tuples(ncp: NcpLattice, k: int) -> list[tuple[int, ...]]:
-    """All factorisations of shape k 1^(n-k), any position of the long factor."""
-    from .factorizations import iter_fact_with_composition
-
-    group = ncp.group
-    n = group.n
-    tuples: list[tuple[int, ...]] = []
-    if k == n:
-        compositions = [(n,)]
-    else:
-        compositions = []
-        parts = n - k + 1
-        for pos in range(parts):
-            comp = [1] * parts
-            comp[pos] = k
-            compositions.append(tuple(comp))
-    for comp in compositions:
-        tuples.extend(iter_fact_with_composition(ncp, comp))
-    return tuples
-
-
 def long_factor(group: ReflectionGroup, factors: tuple[int, ...], k: int) -> int:
     for w in factors:
         if int(group.length[w]) == k:
@@ -123,14 +102,14 @@ def long_factor(group: ReflectionGroup, factors: tuple[int, ...], k: int) -> int
     raise ValueError("no factor of the requested length")
 
 
-def classify_primitive_orbits(ncp: NcpLattice, k: int,
+def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
                               cap: int = DEFAULT_ORBIT_CAP) -> dict:
     """Orbit decomposition of the primitive shape k 1^(n-k), with the
-    orbit <-> long-factor-conjugacy-class bijection enforced."""
+    orbit <-> long-factor-conjugacy-class bijection enforced; tuples are
+    all factorisations of c of that shape, the long factor anywhere."""
     group = ncp.group
     if k < 2 or k > group.n:
         raise ValueError("primitive shapes need 2 <= k <= n")
-    tuples = primitive_shape_tuples(ncp, k)
     orbits = orbit_decomposition(group, tuples, cap=cap)
     class_of_orbit = []
     for orbit in orbits:

@@ -95,7 +95,6 @@ class NcpLattice:
                 f"{self.group.spec.label}: no {what} for the pair")
         return int(best)
 
-    @lru_cache(maxsize=None)
     def flat(self, w: int):
         """Brady-Watt flat Ker(w - 1) of a member."""
         self.member_index(w)

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .factorizations import (
     iter_fact_with_composition,
-    iter_factorisations,
     red_count_formula,
     two_reflection_factorisations,
 )
@@ -189,15 +188,16 @@ def submax_total_formula(group: ReflectionGroup) -> int:
     return value.numerator
 
 
-def submax_counts(ncp: NcpLattice, strata: list[Stratum2]) -> int:
-    """Enumerate fact_{n-1}, classify by the stratum of the length-2
-    factor, derive each u and check the total; returns the total."""
+def submax_counts(ncp: NcpLattice, strata: list[Stratum2], facts) -> int:
+    """Classify fact_{n-1} (facts: the factorisations of c with n-1
+    blocks) by the stratum of the length-2 factor, derive each u and check
+    the total; returns the total."""
     group = ncp.group
     n, h = group.n, group.h
     counts = {s.class_id: 0 for s in strata}
     fibers = {s.class_id: 0 for s in strata}
     total = 0
-    for fact in iter_factorisations(ncp, blocks=n - 1):
+    for fact in facts:
         cid = None
         for w in fact:
             if int(group.length[w]) == 2:
@@ -281,9 +281,10 @@ def reference_row(spec: GroupSpec) -> list[tuple[int, int]]:
     return sorted((p, u) for p, u in pairs if u > 0)
 
 
-def table_a1_verify(ncp: NcpLattice) -> dict:
-    """Compute the multiset {(r, u)} from strata + counting and compare it
-    with the reference row; also check the degree and fiber identities."""
+def table_a1_verify(ncp: NcpLattice, strata: list[Stratum2]) -> dict:
+    """Compare the multiset {(r, u)} of the counted strata (after
+    `submax_counts`) with the reference row; also check the degree and
+    fiber identities."""
     group = ncp.group
     n, h = group.n, group.h
     expected = reference_row(group.spec)
@@ -294,8 +295,6 @@ def table_a1_verify(ncp: NcpLattice) -> dict:
         return {"group": group.spec.label, "expected": [], "computed": [],
                 "strata": [], "degree_sum": 0, "fiber_total": 0,
                 "red_count": red_count_formula(group), "pass": True}
-    strata = length2_strata(ncp)
-    submax_counts(ncp, strata)
     computed = sorted((s.r, s.u) for s in strata)
     if computed != expected:
         raise TableMismatch(

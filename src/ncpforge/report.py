@@ -2,7 +2,7 @@
 
 Every check carries an expected value, a computed value and a pass flag.
 Rendering is deliberately free of wall-clock data so that reports are
-byte-identical across runs and thread counts for a fixed configuration.
+byte-identical across runs for a fixed configuration.
 """
 
 from __future__ import annotations

@@ -5,13 +5,14 @@ failure) and asserts the corresponding exact identity.
 """
 
 from ncpforge.catalog import GroupSpec
-from ncpforge.cli import main as cli_main
+from ncpforge.cli import GroupContext, main as cli_main
 from ncpforge.factorizations import (
     chapoton_identity,
     fact_count_stirling,
     fact_count_zeta,
     fact_counts,
     iter_fact_with_composition,
+    iter_factorisations,
     red_count_formula,
 )
 from ncpforge.group import build_group
@@ -73,7 +74,8 @@ def _line(num: int, ok: bool, desc: str):
 
 def _ledger(spec):
     group = build_group(spec)
-    return group, build_ncp(group), fact_counts(group, build_ncp(group))
+    ncp = build_ncp(group)
+    return group, ncp, fact_counts(group, iter_factorisations(ncp))
 
 
 def test_criterion_01_catalan_counts():
@@ -141,7 +143,8 @@ def test_criterion_05_hurwitz_transitivity_and_classification():
         orbit = hurwitz_orbit(group, red[0])
         ok &= orbit.size == len(red) and set(orbit.members) == set(red)
         for k in range(2, group.n + 1):
-            res = classify_primitive_orbits(ncp, k)
+            res = classify_primitive_orbits(
+                ncp, k, GroupContext(group, ncp).primitive(k))
             ok &= len(res["orbits"]) == len(set(res["orbit_classes"]))
     _line(5, ok, "Hurwitz transitivity on Red and orbit <-> class bijection "
                  "for primitive shapes")
@@ -178,12 +181,15 @@ def test_criterion_07_strong_conjugacy():
 def test_criterion_08_table_reproduction():
     ok = True
     for spec in TABLE_LIST:
-        rep = table_a1_verify(build_ncp(build_group(spec)))
         group = build_group(spec)
+        ncp = build_ncp(group)
+        rep = table_a1_verify(ncp, GroupContext(group, ncp).strata)
         ok &= rep["pass"] and rep["computed"] == reference_row(spec)
         ok &= rep["degree_sum"] == group.n * (group.n - 1) * group.h
         ok &= rep["fiber_total"] == red_count_formula(group)
-    d4 = table_a1_verify(build_ncp(build_group(GroupSpec("D", 4))))
+    d4_group = build_group(GroupSpec("D", 4))
+    d4_ncp = build_ncp(d4_group)
+    d4 = table_a1_verify(d4_ncp, GroupContext(d4_group, d4_ncp).strata)
     ok &= d4["fiber_total"] == 162
     _line(8, ok, "Table reproduction {(r,u)} + degree sum + fiber identity")
 
@@ -194,7 +200,8 @@ def test_criterion_09_submaximal_totals():
         group = build_group(spec)
         ncp = build_ncp(group)
         strata = length2_strata(ncp)
-        total = submax_counts(ncp, strata)
+        total = submax_counts(
+            ncp, strata, iter_factorisations(ncp, blocks=group.n - 1))
         ok &= total == submax_total_formula(group)
     spots = {"A3": 12, "B3": 18, "H3": 30, "D4": 189}
     for label, value in spots.items():
@@ -239,13 +246,13 @@ def test_criterion_10_structural_properties(capsys):
                 group, hurwitz_act(group, t, BraidGen(i)),
                 BraidGen(i, inverse=True))
             ok &= undone == t
-    # report determinism across thread counts
+    # report determinism across runs
     argv = ["verify", "--group", "A3", "--group", "I2:5", "--suite", "all",
             "--format", "json"]
-    code1 = cli_main(argv + ["--threads", "1"])
+    code1 = cli_main(argv)
     out1 = capsys.readouterr().out
-    code4 = cli_main(argv + ["--threads", "4"])
-    out4 = capsys.readouterr().out
-    ok &= code1 == code4 == 0 and out1 == out4
+    code2 = cli_main(argv)
+    out2 = capsys.readouterr().out
+    ok &= code1 == code2 == 0 and out1 == out2
     _line(10, ok, "lattice axioms, Brady-Watt, kernel decomposition, braid "
                   "relations, deterministic reports")

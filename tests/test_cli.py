@@ -6,7 +6,15 @@ import json
 
 import pytest
 
-from ncpforge.cli import main
+from ncpforge.catalog import parse_spec
+from ncpforge.cli import (
+    DEFAULT_NMAX,
+    DEFAULT_ORBIT_CAP,
+    DEFAULT_ORDER_CAP,
+    SUITES,
+    main,
+    run_group,
+)
 from ncpforge.errors import TableMismatch
 
 
@@ -85,27 +93,30 @@ def test_verify_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["all_pass"] is True
 
 
-def test_verify_deterministic_across_threads(capsys):
-    argv = ["verify", "--group", "A3", "--group", "B2", "--suite", "all",
-            "--format", "json"]
-    _, out1, _ = run_cli(capsys, *argv, "--threads", "1")
-    _, out4, _ = run_cli(capsys, *argv, "--threads", "4")
-    assert out1 == out4
-
-
-def test_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("NCPFORGE_THREADS", "2")
-    code, out, _ = run_cli(capsys, "verify", "--group", "A2",
-                           "--suite", "ncp")
-    assert code == 0
-
-
-def test_bad_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("NCPFORGE_THREADS", "many")
+def test_verify_unwritable_output_is_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
     code, _, err = run_cli(capsys, "verify", "--group", "A2",
-                           "--suite", "ncp")
+                           "--suite", "ncp", "--output", str(target))
     assert code == 4
-    assert "config error" in err
+    assert "config error" in err and not target.exists()
+
+
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+def test_verify_nmax_below_one_is_config_error(nmax, capsys):
+    code, out, err = run_cli(capsys, "verify", "--group", "A2",
+                             "--nmax", nmax)
+    assert code == 4
+    assert out == "" and "--nmax" in err
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "B3", "I2:5", "G:3,3,3"])
+def test_each_suite_alone_matches_all_suites(label):
+    caps = (DEFAULT_ORDER_CAP, DEFAULT_ORBIT_CAP, DEFAULT_NMAX)
+    spec = parse_spec(label)
+    together = run_group(spec, list(SUITES), *caps).checks
+    for suite in SUITES:
+        alone = run_group(spec, [suite], *caps).checks
+        assert alone and alone == [r for r in together if r.suite == suite]
 
 
 def test_exit_code_config_error(capsys):
@@ -130,7 +141,7 @@ def test_allow_large_overrides_cap(capsys):
 def test_exit_code_check_failed(capsys, monkeypatch):
     import ncpforge.cli as cli
 
-    def broken(ncp):
+    def broken(ncp, strata):
         raise TableMismatch("forced mismatch for plumbing test")
 
     monkeypatch.setattr(cli, "table_a1_verify", broken)

@@ -82,7 +82,7 @@ def test_zeta_polynomial_interpolates_lattice_counts(a3, a3_ncp):
 ], ids=lambda v: v.label if isinstance(v, GroupSpec) else "")
 def test_ledger_triple_agreement(spec, expected):
     group = build_group(spec)
-    ledger = fact_counts(group, build_ncp(group))
+    ledger = fact_counts(group, iter_factorisations(build_ncp(group)))
     assert ledger.fact_enumerated == expected
     assert ledger.fact_zeta == expected
     assert ledger.fact_stirling == expected
@@ -97,7 +97,7 @@ def test_closed_forms_without_enumeration():
 
 def test_by_composition_marginals(b3):
     ncp = build_ncp(b3)
-    ledger = fact_counts(b3, ncp)
+    ledger = fact_counts(b3, iter_factorisations(ncp))
     totals = {}
     for comp, cnt in ledger.by_composition.items():
         totals[len(comp)] = totals.get(len(comp), 0) + cnt
@@ -116,7 +116,7 @@ def test_two_reflection_factorisations_of_short_elements(a3_ncp, a3):
 
 
 def test_chapoton_identity_small(a3, a3_ncp):
-    ledger = fact_counts(a3, a3_ncp)
+    ledger = fact_counts(a3, iter_factorisations(a3_ncp))
     for chain_length in range(1, 5):
         res = chapoton_identity(a3, ledger, chain_length)
         assert res["pass"]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpforge.catalog import GroupSpec
+from ncpforge.cli import GroupContext
 from ncpforge.errors import IndexOutOfRange, OrbitCapExceeded
 from ncpforge.factorizations import (
     enumerate_red,
@@ -101,8 +102,10 @@ def test_transitivity_on_red(a3, a3_red):
     (GroupSpec("A", 4), 3, [10, 10]),
 ], ids=lambda v: v.label if isinstance(v, GroupSpec) else str(v))
 def test_primitive_orbit_classification(spec, k, expected_orbit_sizes):
-    ncp = build_ncp(build_group(spec))
-    res = classify_primitive_orbits(ncp, k)
+    group = build_group(spec)
+    ncp = build_ncp(group)
+    res = classify_primitive_orbits(ncp, k,
+                                    GroupContext(group, ncp).primitive(k))
     assert sorted(o.size for o in res["orbits"]) == expected_orbit_sizes
     # one orbit per long-factor conjugacy class
     assert len(set(res["orbit_classes"])) == len(res["orbits"])

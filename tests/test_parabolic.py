@@ -3,7 +3,9 @@
 import pytest
 
 from ncpforge.catalog import GroupSpec
+from ncpforge.cli import GroupContext
 from ncpforge.errors import NonIntegralDegree, NotADivisor, TableMismatch
+from ncpforge.factorizations import iter_factorisations
 from ncpforge.group import build_group
 from ncpforge.ncp import build_ncp
 from ncpforge.parabolic import (
@@ -85,7 +87,8 @@ STRATA_CASES = [
 def test_length2_strata_and_counts(spec, order_r, counts):
     ncp = build_ncp(build_group(spec))
     strata = length2_strata(ncp)
-    total = submax_counts(ncp, strata)
+    total = submax_counts(ncp, strata,
+                          iter_factorisations(ncp, blocks=spec.n - 1))
     assert sorted((s.order, s.r) for s in strata) == sorted(order_r)
     assert sorted(s.count for s in strata) == sorted(counts)
     assert total == sum(counts) == submax_total_formula(ncp.group)
@@ -117,8 +120,12 @@ def test_reference_row_drops_vanishing_terms():
     assert len(reference_row(GroupSpec("B", 3))) == 3
 
 
+def counted_strata(group):
+    return GroupContext(group, build_ncp(group)).strata
+
+
 def test_table_a1_verify_full_report(b3):
-    rep = table_a1_verify(build_ncp(b3))
+    rep = table_a1_verify(build_ncp(b3), counted_strata(b3))
     assert rep["pass"]
     assert rep["computed"] == rep["expected"] == [(2, 4), (3, 4), (4, 4)]
     assert rep["degree_sum"] == 3 * 2 * 6
@@ -126,7 +133,8 @@ def test_table_a1_verify_full_report(b3):
 
 
 def test_table_a1_trivial_rank_one():
-    rep = table_a1_verify(build_ncp(build_group(GroupSpec("A", 1))))
+    a1 = build_group(GroupSpec("A", 1))
+    rep = table_a1_verify(build_ncp(a1), counted_strata(a1))
     assert rep["pass"] and rep["computed"] == []
 
 
@@ -134,7 +142,7 @@ def test_table_mismatch_is_detected(monkeypatch, a3):
     import ncpforge.parabolic as parabolic
     monkeypatch.setattr(parabolic, "reference_row", lambda spec: [(2, 99)])
     with pytest.raises(TableMismatch):
-        parabolic.table_a1_verify(build_ncp(a3))
+        parabolic.table_a1_verify(build_ncp(a3), counted_strata(a3))
 
 
 def test_exceptional_reference_is_well_formed():
