@@ -7,6 +7,7 @@ Exit codes: 0 all selected checks pass, 2 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from functools import cached_property
@@ -117,15 +118,8 @@ def _suite_ncp(ctx):
     codim = group.n - group.fixed_dim[member_idx]
     rows.append(CheckRow(label, "ncp", "length_is_codim",
                          0, int(np.sum(ncp.rank != codim))))
-    missing = 0
-    for i in range(ncp.size):
-        for j in range(i, ncp.size):
-            try:
-                ncp.meet(ncp.members[i], ncp.members[j])
-                ncp.join(ncp.members[i], ncp.members[j])
-            except NcpForgeError:
-                missing += 1
-    rows.append(CheckRow(label, "ncp", "meet_join_missing", 0, missing))
+    rows.append(CheckRow(label, "ncp", "meet_join_missing",
+                         0, ncp.missing_meets_joins()))
     return rows
 
 
@@ -254,18 +248,35 @@ def run_group(spec, suites, order_cap, orbit_cap, nmax) -> GroupSection:
 
 # -- commands -----------------------------------------------------------------
 
-def _emit(text: str, output: str | None):
-    if not output:
+def _open_output(path: str | None):
+    """The --output file, opened before any work so that a path that cannot
+    be written fails first.  Append mode leaves an existing file as it is
+    until the output is written."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "a", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _emit(text: str, out) -> None:
+    """Write the whole output to the opened --output file (replacing what
+    it held), or to stdout when there is none."""
+    if out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if out.seekable():
+            out.truncate(0)
+        out.write(text)
+        out.flush()
     except OSError as exc:
-        raise ConfigError(f"cannot write {output}: {exc.strerror}") from None
+        raise ConfigError(
+            f"cannot write {out.name}: {exc.strerror}") from None
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args, out) -> int:
     entries = []
     for spec in catalog_specs():
         order = order_of(spec)
@@ -281,11 +292,11 @@ def cmd_catalog(args) -> int:
         lines = [f"{e['group']:10s} |W|={e['order']:<7d} "
                  f"degrees={e['degrees']}" for e in entries]
         text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    _emit(text, out)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     if args.nmax < 1:
         raise ConfigError(f"--nmax must be at least 1, got {args.nmax}")
     if args.group:
@@ -297,11 +308,11 @@ def cmd_verify(args) -> int:
     order_cap = 10 ** 18 if args.allow_large else args.order_cap
     report = Report([run_group(spec, suites, order_cap, args.orbit_cap,
                                args.nmax) for spec in specs])
-    _emit(RENDERERS[args.format](report), args.output)
+    _emit(RENDERERS[args.format](report), out)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 
 
-def cmd_orbits(args) -> int:
+def cmd_orbits(args, out) -> int:
     spec = parse_spec(args.group)
     try:
         shape = tuple(sorted((int(p) for p in args.shape.split(",")),
@@ -339,7 +350,7 @@ def cmd_orbits(args) -> int:
         lines += [f"  orbit {i}: size {o.size}"
                   for i, o in enumerate(orbits)]
         text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    _emit(text, out)
     return EXIT_OK
 
 
@@ -385,7 +396,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _open_output(args.output) as out:
+            return args.func(args, out)
     except (OrderCapExceeded, OrbitCapExceeded) as exc:
         print(f"ncpforge: resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP

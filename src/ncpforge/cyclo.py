@@ -106,12 +106,13 @@ def _conductor(m: int) -> _Conductor:
 class CycNum:
     """Element of Q(zeta_m) in canonical reduced form."""
 
-    __slots__ = ("m", "coeffs", "_hash")
+    __slots__ = ("m", "coeffs", "_hash", "_key")
 
     def __init__(self, m: int, coeffs: tuple[Fraction, ...]):
         self.m = m
         self.coeffs = coeffs
         self._hash = None
+        self._key = None
 
     @classmethod
     def from_rational(cls, m: int, value) -> "CycNum":
@@ -241,7 +242,10 @@ class CycNum:
         return self._hash
 
     def key(self) -> tuple:
-        return tuple((c.numerator, c.denominator) for c in self.coeffs)
+        if self._key is None:
+            self._key = tuple((c.numerator, c.denominator)
+                              for c in self.coeffs)
+        return self._key
 
     def __repr__(self):
         return f"CycNum(m={self.m}, {list(self.coeffs)})"

@@ -82,6 +82,7 @@ class ReflectionGroup:
         self.class_id, self.classes = self._conjugacy_classes()
 
         self.fixed_dim = self._fixed_dims()
+        self._fixed_spaces: dict[int, Subspace] = {}
         self.reflections = [
             i for i in range(self.size)
             if i != self.identity and self.fixed_dim[i] == self.n - 1
@@ -323,10 +324,13 @@ class ReflectionGroup:
         if not 0 <= int(w) < self.size:
             raise ElementNotInGroup(f"index {w} outside 0..{self.size - 1}")
 
-    @lru_cache(maxsize=None)
     def fixed_space(self, w: int) -> Subspace:
-        """Ker(w - 1), exact."""
-        return kernel(self.matrices[w].minus_identity())
+        """Ker(w - 1), exact; cached on the group, so the cache dies with it."""
+        space = self._fixed_spaces.get(w)
+        if space is None:
+            space = self._fixed_spaces[w] = kernel(
+                self.matrices[w].minus_identity())
+        return space
 
     def coxeter_regularity_check(self, w: int | None = None) -> bool:
         """True iff w (default: the catalog c) has a zeta_h-eigenvector

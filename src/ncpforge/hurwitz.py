@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ClassificationMismatch, IndexOutOfRange, OrbitCapExceeded
 from .group import ReflectionGroup
 from .ncp import NcpLattice
@@ -183,26 +185,27 @@ def strong_conjugacy_classes(ncp: NcpLattice,
     x w in NCP and l(x w) = l(x) + l(w).
 
     Conjugators x range over NCP members (x <= xw <= c forces x into NCP);
-    with reflection_conjugators_only, over rank-1 members only.
+    with reflection_conjugators_only, over rank-1 members only.  All pairs
+    (x, w) are tested in one pass over the multiplication table.
     """
     group = ncp.group
-    length = group.length
+    mult, length = group.mult, group.length
+    members = np.array(ncp.members, dtype=np.int32)
+    pos = np.full(group.size, -1, dtype=np.int64)
+    pos[members] = np.arange(ncp.size)
+    xs = members[ncp.rank == 1] if reflection_conjugators_only else members
+    xw = mult[xs[:, None], members[None, :]]
+    keep = ((length[xw] == length[xs][:, None] + length[members][None, :])
+            & (pos[xw] >= 0))
+    rows, cols = np.nonzero(keep)
+    targets = pos[mult[xw[rows, cols], group.inv[xs[rows]]]]  # x w x^{-1}
+    if (targets < 0).any():
+        raise ClassificationMismatch(
+            f"{group.spec.label}: a strong conjugate of an NCP member lies "
+            f"outside NCP")
     uf = _UnionFind(ncp.size)
-    if reflection_conjugators_only:
-        conjugators = [ncp.members[i] for i in range(ncp.size)
-                       if ncp.rank[i] == 1]
-    else:
-        conjugators = ncp.members
-    for i, w in enumerate(ncp.members):
-        lw = int(length[w])
-        for x in conjugators:
-            xw = group.product(x, w)
-            if int(length[xw]) != int(length[x]) + lw:
-                continue
-            if xw not in ncp.pos:
-                continue
-            w_prime = group.product(xw, group.inverse(x))  # x w x^{-1}
-            uf.union(i, ncp.pos[w_prime])
+    for i, t in zip(cols.tolist(), targets.tolist()):
+        uf.union(i, t)
     buckets: dict[int, list[int]] = {}
     for i in range(ncp.size):
         buckets.setdefault(uf.find(i), []).append(ncp.members[i])

@@ -84,16 +84,39 @@ class NcpLattice:
         return self.members[self._extreme(above, upper=False, what="join")]
 
     def _extreme(self, candidates: np.ndarray, upper: bool, what: str) -> int:
-        ranks = self.rank[candidates]
-        best = candidates[int(np.argmax(ranks) if upper else np.argmin(ranks))]
-        if upper:
-            ok = self.leq[candidates, best].all()
-        else:
-            ok = self.leq[best, candidates].all()
-        if not ok:
-            raise MeetJoinMissing(
-                f"{self.group.spec.label}: no {what} for the pair")
-        return int(best)
+        if candidates.size:
+            ranks = self.rank[candidates]
+            best = candidates[int(np.argmax(ranks) if upper
+                                  else np.argmin(ranks))]
+            if upper:
+                ok = self.leq[candidates, best].all()
+            else:
+                ok = self.leq[best, candidates].all()
+            if ok:
+                return int(best)
+        raise MeetJoinMissing(
+            f"{self.group.spec.label}: no {what} for the pair")
+
+    def missing_meets_joins(self) -> int:
+        """Number of member pairs i <= j without a meet or a join, counted
+        as `meet` and `join` would find them: the candidate is the first
+        common lower (upper) bound of greatest (least) rank, and the pair
+        is missing when there is no bound or some bound is not below
+        (above) the candidate.  One whole-array pass per row i."""
+        leq, rank = self.leq, self.rank
+        below_all, above_all = rank.min() - 1, rank.max() + 1
+        missing = 0
+        for i in range(self.size):
+            # lower[k, j]: k <= i and k <= j, for the columns j >= i
+            lower = leq[:, i:] & leq[:, i, None]
+            best = np.argmax(np.where(lower, rank[:, None], below_all), axis=0)
+            bad = ~lower.any(axis=0) | (lower & ~leq[:, best]).any(axis=0)
+            # upper[j, k]: i <= k and j <= k, for the rows j >= i
+            upper = leq[i:, :] & leq[i]
+            best = np.argmin(np.where(upper, rank, above_all), axis=1)
+            bad |= ~upper.any(axis=1) | (upper & ~leq[best, :]).any(axis=1)
+            missing += int(np.count_nonzero(bad))
+        return missing
 
     def flat(self, w: int):
         """Brady-Watt flat Ker(w - 1) of a member."""

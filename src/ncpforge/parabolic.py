@@ -77,12 +77,21 @@ def subgroup_closure(group: ReflectionGroup, gens) -> list[int]:
     return [int(i) for i in np.nonzero(seen)[0]]
 
 
-def pointwise_fixator(group: ReflectionGroup, flat: Subspace) -> list[int]:
-    """All elements fixing every vector of the flat.  An element whose fixed
-    space is smaller than the flat cannot fix it, so only the others are
-    tested exactly."""
+def pointwise_fixator(group: ReflectionGroup, w: int) -> list[int]:
+    """All elements fixing every vector of the flat Ker(w - 1).
+
+    w fixes its own flat, so every element g of the fixator has w^k g in
+    the fixator too, and fixed_dim[w^k g] >= dim Ker(w - 1) for all k.
+    Elements failing that integer test for some power cannot fix the flat;
+    only the others are tested exactly."""
+    flat = group.fixed_space(w)
+    candidates = group.fixed_dim >= flat.dim
+    power = w
+    while power != group.identity:
+        candidates &= group.fixed_dim[group.mult[power]] >= flat.dim
+        power = int(group.mult[power, w])
     out = []
-    for i in np.nonzero(group.fixed_dim >= flat.dim)[0].tolist():
+    for i in np.nonzero(candidates)[0].tolist():
         mat = group.matrices[i]
         if all(mat.apply(v) == tuple(v) for v in flat.basis):
             out.append(i)
@@ -101,7 +110,7 @@ def parabolic_of(ncp: NcpLattice, w: int,
     if not group.divides(w, group.coxeter):
         raise NotADivisor(f"element {w} does not divide the Coxeter element")
     flat = group.fixed_space(w)
-    elements = pointwise_fixator(group, flat)
+    elements = pointwise_fixator(group, w)
     rank = group.n - flat.dim
     if rank != int(group.length[w]):
         raise ClassificationMismatch(

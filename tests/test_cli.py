@@ -101,6 +101,33 @@ def test_verify_unwritable_output_is_config_error(tmp_path, capsys):
     assert "config error" in err and not target.exists()
 
 
+def test_unwritable_output_fails_before_any_build(tmp_path, capsys,
+                                                  monkeypatch):
+    import ncpforge.cli as cli
+
+    def no_build(*args, **kwargs):
+        pytest.fail("a group was built before --output was checked")
+
+    monkeypatch.setattr(cli, "build_group", no_build)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--output", str(target))
+    assert code == 4
+    assert out == "" and "config error" in err
+
+
+def test_output_file_kept_when_run_ends_early(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("earlier report\n")
+    code, _, _ = run_cli(capsys, "verify", "--group", "F4",
+                         "--order-cap", "100", "--output", str(target))
+    assert code == 3
+    assert target.read_text() == "earlier report\n"
+    code, _, _ = run_cli(capsys, "verify", "--group", "A2", "--suite", "ncp",
+                         "--format", "json", "--output", str(target))
+    assert code == 0
+    assert json.loads(target.read_text())["all_pass"] is True
+
+
 @pytest.mark.parametrize("nmax", ["0", "-1"])
 def test_verify_nmax_below_one_is_config_error(nmax, capsys):
     code, out, err = run_cli(capsys, "verify", "--group", "A2",

@@ -1,5 +1,8 @@
 """Group construction invariants and element arithmetic."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +130,15 @@ def test_determinism_of_element_indexing():
     assert g1 is not g2
     assert g1.coxeter == g2.coxeter
     assert [m.key() for m in g1.matrices] == [m.key() for m in g2.matrices]
+
+
+def test_dropped_group_is_freed():
+    group = ReflectionGroup(GroupSpec("B", 3))
+    assert group.fixed_space(group.coxeter).dim == 0
+    ref = weakref.ref(group)
+    del group
+    gc.collect()
+    assert ref() is None
 
 
 def test_build_group_cache_ignores_call_form():

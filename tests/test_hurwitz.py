@@ -1,12 +1,18 @@
 """Hurwitz action: braid relations, orbits, strong conjugacy."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpforge.catalog import GroupSpec
 from ncpforge.cli import GroupContext
-from ncpforge.errors import IndexOutOfRange, OrbitCapExceeded
+from ncpforge.errors import (
+    ClassificationMismatch,
+    IndexOutOfRange,
+    OrbitCapExceeded,
+)
 from ncpforge.factorizations import (
     enumerate_red,
     iter_fact_with_composition,
@@ -135,6 +141,46 @@ def test_strong_conjugacy_equals_conjugacy(spec):
     # restricting conjugators to reflections changes nothing
     assert strong == strong_conjugacy_classes(
         ncp, reflection_conjugators_only=True)
+
+
+def reference_strong_conjugacy(ncp, reflection_conjugators_only=False):
+    """The strong-conjugacy partition by one product per (w, x) pair and
+    a plain merge of blocks."""
+    group = ncp.group
+    conjugators = [x for i, x in enumerate(ncp.members)
+                   if not reflection_conjugators_only or ncp.rank[i] == 1]
+    block = {w: {w} for w in ncp.members}
+    for w in ncp.members:
+        for x in conjugators:
+            xw = group.product(x, w)
+            if (xw in ncp.pos and int(group.length[xw])
+                    == int(group.length[x]) + int(group.length[w])):
+                merged = block[w] | block[group.product(xw, group.inverse(x))]
+                for u in merged:
+                    block[u] = merged
+    return sorted(sorted(b) for b in {id(b): b for b in block.values()}.values())
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("B", 3), GroupSpec("H3", 3),
+                                  GroupSpec("G", 3, 3)],
+                         ids=lambda s: s.label)
+@pytest.mark.parametrize("reflections_only", [False, True])
+def test_strong_conjugacy_matches_reference_loop(spec, reflections_only):
+    ncp = build_ncp(build_group(spec))
+    assert strong_conjugacy_classes(ncp, reflections_only) == \
+        reference_strong_conjugacy(ncp, reflections_only)
+
+
+def test_strong_conjugate_outside_ncp_is_a_mismatch(b3, b3_ncp):
+    # drop one reflection from the member list: some x w x^{-1} lands on it
+    dropped = next(w for i, w in enumerate(b3_ncp.members)
+                   if b3_ncp.rank[i] == 1)
+    keep = [i for i, w in enumerate(b3_ncp.members) if w != dropped]
+    truncated = SimpleNamespace(
+        group=b3, members=[b3_ncp.members[i] for i in keep],
+        size=len(keep), rank=b3_ncp.rank[keep])
+    with pytest.raises(ClassificationMismatch):
+        strong_conjugacy_classes(truncated)
 
 
 def test_strand_witness_tracks_a_factor(a3, a3_red):

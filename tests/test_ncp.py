@@ -3,16 +3,19 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 import ncpforge
 from ncpforge.catalog import GroupSpec
-from ncpforge.errors import ElementNotInGroup, NonIntegralCount
+from ncpforge.errors import ElementNotInGroup, MeetJoinMissing, NonIntegralCount
 from ncpforge.group import build_group
-from ncpforge.ncp import build_ncp, fuss_catalan
+from ncpforge.ncp import NcpLattice, build_ncp, fuss_catalan
 
 
 def test_fuss_catalan_values():
@@ -130,3 +133,62 @@ def test_self_duality_of_rank_counts(a3_ncp, a3):
     for i in range(a3_ncp.size):
         counts[int(a3_ncp.rank[i])] = counts.get(int(a3_ncp.rank[i]), 0) + 1
     assert all(counts[k] == counts[a3.n - k] for k in counts)
+
+
+def per_pair_missing(ncp) -> int:
+    """The lattice check as one meet and one join query per pair."""
+    missing = 0
+    for i in range(ncp.size):
+        for j in range(i, ncp.size):
+            try:
+                ncp.meet(ncp.members[i], ncp.members[j])
+                ncp.join(ncp.members[i], ncp.members[j])
+            except MeetJoinMissing:
+                missing += 1
+    return missing
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("A", 3), GroupSpec("B", 3),
+                                  GroupSpec("H3", 3), GroupSpec("I2", 2, 5),
+                                  GroupSpec("G", 3, 3)],
+                         ids=lambda s: s.label)
+def test_missing_meets_joins_matches_per_pair_queries(spec):
+    ncp = build_ncp(build_group(spec))
+    assert ncp.missing_meets_joins() == per_pair_missing(ncp) == 0
+
+
+def hand_built_order(rank, covers) -> NcpLattice:
+    """A lattice object over an arbitrary ranked order: members 0..len-1,
+    leq the reflexive-transitive closure of the (lower, upper) covers."""
+    size = len(rank)
+    leq = np.eye(size, dtype=bool)
+    for a, b in covers:
+        leq[a, b] = True
+    for k in range(size):
+        leq |= leq[:, k, None] & leq[k]
+    ncp = NcpLattice.__new__(NcpLattice)
+    ncp.group = SimpleNamespace(spec=SimpleNamespace(label="hand-built"))
+    ncp.members = list(range(size))
+    ncp.pos = {w: w for w in ncp.members}
+    ncp.size = size
+    ncp.rank = np.array(rank, dtype=np.int32)
+    ncp.leq = leq
+    return ncp
+
+
+def test_missing_meets_joins_detects_a_bowtie():
+    # bottom 0; a = 1 and b = 2 both below c = 3 and d = 4; top 5: a and b
+    # have no join, c and d no meet
+    bowtie = hand_built_order(
+        [0, 1, 1, 2, 2, 3],
+        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+    assert bowtie.missing_meets_joins() == per_pair_missing(bowtie) == 2
+
+
+def test_meet_without_lower_bound_is_missing():
+    # two minimal elements and no bottom: the candidate set is empty
+    vee = hand_built_order([0, 0, 1], [(0, 2), (1, 2)])
+    with pytest.raises(MeetJoinMissing):
+        vee.meet(0, 1)
+    assert vee.join(0, 1) == 2
+    assert vee.missing_meets_joins() == per_pair_missing(vee) == 1

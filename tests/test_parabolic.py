@@ -45,7 +45,7 @@ def test_pointwise_fixator_matches_full_scan(spec):
         flat = group.fixed_space(w)
         full = [i for i, mat in enumerate(group.matrices)
                 if all(mat.apply(v) == tuple(v) for v in flat.basis)]
-        assert pointwise_fixator(group, flat) == full
+        assert pointwise_fixator(group, w) == full
 
 
 def test_parabolic_of_rejects_non_divisors(a3, a3_ncp):
