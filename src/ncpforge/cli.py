@@ -312,6 +312,23 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 
 
+def _orbit_descriptor(group, orbit) -> list[list[int]]:
+    """The least, over the orbit's tuples, of the per-factor
+    [order, reflection length, class size]: invariants of the factors'
+    conjugacy classes, so the descriptor does not depend on how elements
+    are numbered."""
+    of_class: dict[int, list[int]] = {}
+
+    def describe(w: int) -> list[int]:
+        cid = int(group.class_id[w])
+        if cid not in of_class:
+            of_class[cid] = [group.element_order(w), int(group.length[w]),
+                             len(group.classes[cid])]
+        return of_class[cid]
+
+    return min([describe(w) for w in t] for t in orbit.members)
+
+
 def cmd_orbits(args, out) -> int:
     spec = parse_spec(args.group)
     try:
@@ -328,27 +345,23 @@ def cmd_orbits(args, out) -> int:
     for comp in sorted(set(permutations(shape))):
         tuples.extend(iter_fact_with_composition(ncp, comp))
     orbits = orbit_decomposition(group, tuples, cap=args.orbit_cap)
+    described = sorted((o.size, _orbit_descriptor(group, o)) for o in orbits)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "group": spec.label,
         "shape": list(shape),
         "total": len(tuples),
         "orbit_count": len(orbits),
-        "orbits": [
-            {"size": o.size,
-             "factor_classes": sorted({
-                 tuple(int(group.class_id[w]) for w in t) for t in o.members
-             })[0]}
-            for o in orbits
-        ],
+        "orbits": [{"size": size, "factor_classes": descriptor}
+                   for size, descriptor in described],
     }
     if args.format == "json":
         text = json.dumps(summary, indent=2, default=list) + "\n"
     else:
         lines = [f"group {spec.label}  shape {list(shape)}  "
                  f"tuples {len(tuples)}  orbits {len(orbits)}"]
-        lines += [f"  orbit {i}: size {o.size}"
-                  for i, o in enumerate(orbits)]
+        lines += [f"  orbit {i}: size {size}"
+                  for i, (size, _) in enumerate(described)]
         text = "\n".join(lines) + "\n"
     _emit(text, out)
     return EXIT_OK

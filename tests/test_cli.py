@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +212,16 @@ def test_argparse_errors_use_config_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--format", "yaml", "--group", "A2"])
     assert exc.value.code == 4
+
+
+@pytest.mark.parametrize("group", ["A3", "B3", "H3"])
+def test_orbits_json_matches_golden(tmp_path, group):
+    """Each orbit is described by class invariants of its factors and the
+    orbits are sorted by (size, descriptor), so the output does not depend
+    on how elements are numbered."""
+    golden = Path(__file__).parent / "data" / f"orbits_{group}_2-1.json"
+    target = tmp_path / "orbits.json"
+    code = main(["orbits", "--group", group, "--shape", "2,1",
+                 "--format", "json", "--output", str(target)])
+    assert code == 0
+    assert target.read_bytes() == golden.read_bytes()
