@@ -70,7 +70,7 @@ def iter_factorisations(ncp: NcpLattice, target: int | None = None,
         for u in ncp.divisors_of(w):
             if u == group.identity:
                 continue
-            quotient = group.product(group.inverse(u), w)
+            quotient = int(ncp.quotients[ncp.pos[u], ncp.pos[w]])
             prefix.append(u)
             yield from rec(quotient,
                            None if remaining is None else remaining - 1,

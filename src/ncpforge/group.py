@@ -1,25 +1,32 @@
-"""Catalog-built reflection groups.
+"""Catalog-built reflection groups, stored as permutations.
 
-A group is built without multiplying two exact matrices.  The orbit V of the
-standard basis vectors e_1..e_n under the generators is computed once with
-exact `Matrix.apply`, and each generator becomes an integer permutation of
-V.  Since V holds a basis, an element is determined by the permutation it
-induces on V, so breadth-first closure runs over permutations keyed by their
-bytes.  The closure records each generator's left-multiplication map, from
-which the full multiplication table follows by index arithmetic.  Each
-element's exact matrix is assembled from its columns g(e_j), which are
-vectors of V, and elements are re-indexed in canonical digest order of those
-matrices, so the indexing is identical across runs.  Fixed-space dimensions
-come from averaging the character over each cyclic subgroup.  All
-downstream computation works on integer indices against the multiplication
-table; exact matrices are kept for fixed spaces, flats and the regularity
-check.
+A group is built without multiplying two exact matrices.  The orbit V of
+the standard basis vectors e_1..e_n under the generators is computed once
+with exact `Matrix.apply`, and each generator becomes an integer
+permutation of V.  Since V holds a basis, an element is determined by the
+permutation it induces on V, and even by its basis images g(e_j), which
+are vectors of V.  That permutation is the only stored form of an element:
+`perms` holds one row per element, and each element is numbered by the
+rank of its code, the mixed-radix number sum_j perm[j] |V|^j of its basis
+images, so the indexing is identical across runs.  Breadth-first closure
+runs over whole frontiers of permutations at once.
+
+A product a*b is the row of a composed with the basis images of b; its
+code is found in the sorted `codes` array.  `mult` does this for index
+arrays of any shape, so it reads like an |W| x |W| table that is never
+built, and `product` does it for single elements with Python lists.
+Inverses, lengths, conjugacy classes and fixed-space dimensions (traces
+averaged over each cyclic subgroup) are computed from the permutations.
+An element's exact matrix is assembled from its columns only when asked
+for, for fixed spaces, flats and the regularity check.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 
 import numpy as np
 
@@ -40,6 +47,64 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 50_000
+_CODE_LIMIT = np.iinfo(np.int64).max
+
+
+class ProductView:
+    """The multiplication table of a group without the table.
+
+    `mult[a, b]` is the index of the product a*b for index arrays a and b
+    that broadcast together (so `np.ix_` works), and `mult[a]` is the row
+    of a.  Each product composes the row of a with the basis images of b
+    and looks the resulting code up in the sorted codes."""
+
+    def __init__(self, perms: np.ndarray, codes: np.ndarray,
+                 radix: np.ndarray):
+        self.perms = perms
+        self.codes = codes
+        self.radix = radix
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the element store behind the products."""
+        return self.perms.nbytes + self.codes.nbytes
+
+    def __getitem__(self, key) -> np.ndarray:
+        if not isinstance(key, tuple):
+            key = (np.asarray(key)[..., None], np.arange(len(self.codes)))
+        a, b = key
+        images = self.perms[np.asarray(a)[..., None],
+                            self.perms[b, :len(self.radix)]]
+        return self.locate(images)
+
+    def locate(self, images) -> np.ndarray:
+        """Element indices (int32) from basis images, an array whose last
+        axis runs over e_1..e_n; images of no element raise."""
+        code = np.asarray(images, dtype=np.int64) @ self.radix
+        idx = np.minimum(np.searchsorted(self.codes, code),
+                         len(self.codes) - 1)
+        if not np.all(self.codes[idx] == code):
+            raise ElementNotInGroup("basis images of no group element")
+        return idx.astype(np.int32)
+
+
+class ElementMatrices(Sequence):
+    """The exact matrix of each element, assembled on access: column j of
+    element w is the vector of V at perms[w, j]."""
+
+    def __init__(self, n: int, conductor: int, vectors: list[tuple],
+                 perms: np.ndarray):
+        self._n = n
+        self._conductor = conductor
+        self._vectors = vectors
+        self._perms = perms
+
+    def __len__(self) -> int:
+        return len(self._perms)
+
+    def __getitem__(self, w) -> Matrix:
+        columns = [self._vectors[k] for k in self._perms[w, :self._n].tolist()]
+        return Matrix(self._n, self._conductor, zip(*columns))
 
 
 class ReflectionGroup:
@@ -54,31 +119,36 @@ class ReflectionGroup:
         expected_order = _check_order_cap(spec, order_cap)
 
         gens = generators_of(spec)
-        vectors, gen_perms = self._vector_orbit(gens, self.n * expected_order)
-        perms, left = self._closure(gen_perms, expected_order * 2)
+        vectors, self._vector_index, gen_perms = self._vector_orbit(
+            gens, self.n * expected_order)
+        if len(vectors) ** self.n > _CODE_LIMIT:
+            raise OrderCapExceeded(
+                f"{spec.label}: codes of {len(vectors)}^{self.n} basis "
+                f"images do not fit in 64 bits")
+        radix = len(vectors) ** np.arange(self.n, dtype=np.int64)
+        perms, codes = self._closure(gen_perms, radix, expected_order * 2)
         if len(perms) != expected_order:
             raise CoxeterValidationFailed(
                 f"{spec.label}: closure has {len(perms)} elements, "
                 f"product of degrees is {expected_order}")
-        # column j of an element's matrix is its image of e_j, a vector of V
-        matrices = [Matrix(self.n, self.conductor,
-                           zip(*(vectors[k] for k in perm[:self.n])))
-                    for perm in perms.tolist()]
-        order = sorted(range(len(matrices)), key=lambda i: matrices[i].digest())
-        rank = np.empty(len(order), dtype=np.int32)
-        rank[order] = np.arange(len(order), dtype=np.int32)
-        self.matrices: list[Matrix] = [matrices[i] for i in order]
-        self.size = len(self.matrices)
-        self._index = {mat.key(): i for i, mat in enumerate(self.matrices)}
-        # the closure starts from the identity permutation, element 0
-        self.identity = int(rank[0])
-        left = rank[left[:, order]]
-        self.generators = [int(row[self.identity]) for row in left]
+        self.perms, self.codes = perms, codes
+        self.size = len(perms)
+        self.mult = ProductView(perms, codes, radix)
+        self.matrices = ElementMatrices(self.n, self.conductor, vectors, perms)
+        self._vectors = vectors
 
-        self.mult = self._build_mult_table(left)
-        self.inv = np.empty(self.size, dtype=np.int32)
-        rows, cols = np.nonzero(self.mult == self.identity)
-        self.inv[rows] = cols
+        # Python-side store for single products: row lists, a basis-image
+        # lookup and, per element b, a getter of row positions b(e_j)
+        self._rows = perms.tolist()
+        basis = itemgetter(*range(self.n))
+        self._lookup = {basis(row): i for i, row in enumerate(self._rows)}
+        self._basis_of = [itemgetter(*row[:self.n]) for row in self._rows]
+
+        self.identity = int(self.mult.locate(np.arange(self.n)))
+        self.generators = self.mult.locate(gen_perms[:, :self.n]).tolist()
+        # row w of argsort(perms) is the inverse permutation of w
+        self.inv = self.mult.locate(np.argsort(perms, axis=1)[:, :self.n])
+        self._inverses = self.inv.tolist()
         self.class_id, self.classes = self._conjugacy_classes()
 
         self.fixed_dim = self._fixed_dims()
@@ -100,21 +170,21 @@ class ReflectionGroup:
 
         self.length = self._length_table()
 
-        cox = coxeter_matrix_of(spec)
-        key = cox.key()
-        if key not in self._index:
+        try:
+            self.coxeter = self.index_of(coxeter_matrix_of(spec))
+        except ElementNotInGroup:
             raise CoxeterValidationFailed(
-                f"{spec.label}: catalog Coxeter matrix not in the group")
-        self.coxeter = self._index[key]
+                f"{spec.label}: catalog Coxeter matrix not in the group"
+            ) from None
         self._validate_coxeter()
 
     # -- construction ----------------------------------------------------
 
     def _vector_orbit(self, gens: list[Matrix], cap: int
-                      ) -> tuple[list[tuple], np.ndarray]:
+                      ) -> tuple[list[tuple], dict[tuple, int], np.ndarray]:
         """The orbit V of e_1..e_n under the generators (basis vectors
-        first) and each generator as a permutation of V:
-        gen_perms[s, i] is the index of gens[s](V[i])."""
+        first), the index of each vector in V, and each generator as a
+        permutation of V: gen_perms[s, i] is the index of gens[s](V[i])."""
         one, zero = CycNum.one(self.conductor), CycNum.zero(self.conductor)
         vectors = [tuple(one if i == j else zero for i in range(self.n))
                    for j in range(self.n)]
@@ -135,75 +205,56 @@ class ReflectionGroup:
                             f"past {cap} vectors")
                 perm.append(k)
             pos += 1
-        return vectors, np.array(gen_perms, dtype=np.int32)
+        dtype = np.min_scalar_type(len(vectors) - 1)
+        return vectors, index, np.array(gen_perms, dtype=dtype)
 
     @staticmethod
-    def _closure(gen_perms: np.ndarray, hard_cap: int
+    def _closure(gen_perms: np.ndarray, radix: np.ndarray, hard_cap: int
                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Breadth-first closure over permutations of V, from the identity.
-        Returns the elements (one permutation per row, identity first) and
-        left[s, w], the index of generator s times element w."""
-        ident = np.arange(gen_perms.shape[1], dtype=np.int32)
-        perms = [ident]
-        seen = {ident.tobytes(): 0}
-        left: list[list[int]] = [[] for _ in gen_perms]
-        pos = 0
-        while pos < len(perms):
-            w = perms[pos]
-            for s, row in zip(gen_perms, left):
-                prod = s[w]
-                key = prod.tobytes()
-                k = seen.get(key)
-                if k is None:
-                    k = seen[key] = len(perms)
-                    perms.append(prod)
-                    if len(perms) > hard_cap:
-                        raise OrderCapExceeded(
-                            "closure blew past the expected order")
-                row.append(k)
-            pos += 1
-        return np.array(perms), np.array(left, dtype=np.int32)
-
-    def _build_mult_table(self, left: np.ndarray) -> np.ndarray:
-        """Full table from the generators' left-multiplication maps:
-        row s*w is left[s] applied to row w."""
-        size = self.size
-        mult = np.empty((size, size), dtype=np.int32)
-        mult[self.identity] = np.arange(size, dtype=np.int32)
-        done = np.zeros(size, dtype=bool)
-        done[self.identity] = True
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for perm in left:
-                    target = perm[w]
-                    if not done[target]:
-                        mult[target] = perm[mult[w]]
-                        done[target] = True
-                        nxt.append(int(target))
-            frontier = nxt
-        if not done.all():
-            raise CoxeterValidationFailed(
-                f"{self.spec.label}: generators do not reach every element")
-        return mult
+        """Breadth-first closure over permutations of V from the identity,
+        one whole frontier per step.  Returns the elements (one permutation
+        per row) and their codes, sorted by code."""
+        n, width = len(radix), gen_perms.shape[1]
+        frontier = np.arange(width, dtype=gen_perms.dtype)[None, :]
+        seen = frontier[:, :n].astype(np.int64) @ radix
+        levels = [frontier]
+        total = 1
+        while len(frontier):
+            # products[s * k + i] = generator s composed with frontier[i]
+            products = gen_perms[:, frontier].reshape(-1, width)
+            codes, first = np.unique(products[:, :n].astype(np.int64) @ radix,
+                                     return_index=True)
+            new = ~np.isin(codes, seen, assume_unique=True)
+            frontier = products[first[new]]
+            total += len(frontier)
+            if total > hard_cap:
+                raise OrderCapExceeded("closure blew past the expected order")
+            seen = np.union1d(seen, codes[new])
+            levels.append(frontier)
+        perms = np.concatenate(levels)
+        codes = perms[:, :n].astype(np.int64) @ radix
+        order = np.argsort(codes)
+        return perms[order], codes[order]
 
     def _fixed_dims(self) -> np.ndarray:
         """dim Ker(w - 1) = (1/ord w) sum_{k < ord w} tr(w^k) for every
         element, the multiplicity of the trivial character on <w>; it is
-        constant on conjugacy classes, so one representative per class."""
+        constant on conjugacy classes, so one representative per class.
+        tr g = sum_j V[g(e_j)][j], read off the basis images of g."""
+        n, vectors = self.n, self._vectors
         zero = CycNum.zero(self.conductor)
+        start = list(range(n))
         dims = np.empty(len(self.classes), dtype=np.int32)
         for cid, members in enumerate(self.classes):
             w = members[0]
-            total, k, acc = zero, 0, self.identity
+            row = self._rows[w]
+            total, k, images = zero, 0, start
             while True:
-                rows = self.matrices[acc].rows
-                for i in range(self.n):
-                    total = total + rows[i][i]
+                for j in range(n):
+                    total = total + vectors[images[j]][j]
                 k += 1
-                acc = int(self.mult[acc, w])
-                if acc == self.identity:
+                images = [row[x] for x in images]  # basis images of w^k
+                if images == start:
                     break
             dim = total.rational_value() / k if total.is_rational() else None
             if dim is None or dim.denominator != 1 or not 0 <= dim <= self.n:
@@ -221,7 +272,7 @@ class ReflectionGroup:
         refl = np.array(self.reflections, dtype=np.int32)
         while frontier.size:
             d += 1
-            reached = np.unique(self.mult[np.ix_(refl, frontier)])
+            reached = np.unique(self.mult[refl[:, None], frontier])
             new = reached[dist[reached] < 0]
             dist[new] = d
             frontier = new
@@ -231,27 +282,29 @@ class ReflectionGroup:
         return dist
 
     def _conjugacy_classes(self) -> tuple[np.ndarray, list[list[int]]]:
-        class_id = np.full(self.size, -1, dtype=np.int32)
-        classes: list[list[int]] = []
-        gen_and_inv = list(self.generators) + [
-            int(self.inv[g]) for g in self.generators
-        ]
-        for start in range(self.size):
-            if class_id[start] >= 0:
-                continue
-            cid = len(classes)
-            orbit = [start]
-            class_id[start] = cid
-            queue = [start]
-            while queue:
-                w = queue.pop()
-                for g in gen_and_inv:
-                    conj = int(self.mult[g, self.mult[w, self.inv[g]]])
-                    if class_id[conj] < 0:
-                        class_id[conj] = cid
-                        orbit.append(conj)
-                        queue.append(conj)
-            classes.append(sorted(orbit))
+        """Classes by min-label propagation: each element's label falls to
+        the least label among its conjugates by the generators and their
+        inverses until nothing changes, leaving every element labelled
+        with the least element of its class.  Classes are numbered in the
+        order of their least elements."""
+        elements = np.arange(self.size)
+        maps = [self.mult[g, self.mult[elements, self.inv[g]]]  # g w g^-1
+                for g in self.generators
+                + [self._inverses[g] for g in self.generators]]
+        label = elements
+        while True:
+            new = label
+            for conj in maps:
+                new = np.minimum(new, new[conj])
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        _, class_id = np.unique(label, return_inverse=True)
+        class_id = class_id.astype(np.int32)
+        by_class = np.argsort(class_id, kind="stable")
+        bounds = np.cumsum(np.bincount(class_id))[:-1]
+        classes = [part.tolist() for part in np.split(by_class, bounds)]
         return class_id, classes
 
     def _validate_coxeter(self) -> None:
@@ -275,33 +328,48 @@ class ReflectionGroup:
     # -- queries ----------------------------------------------------------
 
     def index_of(self, mat: Matrix) -> int:
+        """Index of a matrix: each column must be a vector of V, and the
+        basis images they give must be those of an element."""
+        if not isinstance(mat, Matrix) or mat.n != self.n:
+            raise ElementNotInGroup(f"matrix not in {self.spec.label}")
+        images = [self._vector_index.get(col) for col in zip(*mat.rows)]
+        if None in images:
+            raise ElementNotInGroup(f"matrix not in {self.spec.label}")
         try:
-            return self._index[mat.key()]
-        except KeyError:
-            raise ElementNotInGroup(f"matrix not in {self.spec.label}") from None
+            return int(self.mult.locate(images))
+        except ElementNotInGroup:
+            raise ElementNotInGroup(
+                f"matrix not in {self.spec.label}") from None
 
     def element_from_permutation(self, perm: tuple[int, ...]) -> int:
         """Type A only: one-line permutation of 1..n+1 to element index."""
         return self.index_of(perm_to_element_matrix(self.spec, perm))
 
     def product(self, *elements: int) -> int:
-        acc = self.identity
-        for w in elements:
-            acc = int(self.mult[acc, w])
+        """Index of the product of the elements, left to right."""
+        if not elements:
+            return self.identity
+        acc = int(elements[0])
+        if not 0 <= acc < self.size:
+            raise ElementNotInGroup(f"index {acc} outside 0..{self.size - 1}")
+        rows, basis_of, lookup = self._rows, self._basis_of, self._lookup
+        for w in elements[1:]:
+            # the basis images of acc * w are acc's row at w(e_j)
+            acc = lookup[basis_of[w](rows[acc])]
         return acc
 
     def inverse(self, w: int) -> int:
-        return int(self.inv[w])
+        return self._inverses[w]
 
     def conjugate(self, w: int, by: int) -> int:
         """by^{-1} * w * by."""
-        return int(self.mult[self.inv[by], self.mult[w, by]])
+        return self.product(self._inverses[by], w, by)
 
     def element_order(self, w: int) -> int:
         self._check_member(w)
         k, acc = 1, w
         while acc != self.identity:
-            acc = int(self.mult[acc, w])
+            acc = self.product(acc, w)
             k += 1
         return k
 
@@ -313,7 +381,7 @@ class ReflectionGroup:
         """Absolute order: l(u) + l(u^{-1} v) = l(v)."""
         self._check_member(u)
         self._check_member(v)
-        quotient = self.mult[self.inv[u], v]
+        quotient = self.product(self._inverses[u], v)
         return int(self.length[u]) + int(self.length[quotient]) == int(self.length[v])
 
     def conjugacy_class(self, w: int) -> list[int]:
@@ -345,8 +413,11 @@ class ReflectionGroup:
         if eigenspace.dim == 0:
             return False
         # a regular eigenvector exists iff no hyperplane contains the
-        # whole eigenspace (the field is infinite)
-        for r in self.reflections:
+        # whole eigenspace (the field is infinite).  w maps its eigenspace
+        # E to itself and H_{w r w^-1} = w H_r, so E lies in H_r iff it
+        # lies in the hyperplane of every reflection in r's orbit under
+        # conjugation by w: one test per orbit.
+        for r in self._conjugation_orbit_representatives(w):
             hyper = self.fixed_space(r)
             lifted = Subspace(
                 hyper.n, big_m,
@@ -354,6 +425,21 @@ class ReflectionGroup:
             if lifted.contains_subspace(eigenspace):
                 return False
         return True
+
+    def _conjugation_orbit_representatives(self, w: int) -> list[int]:
+        """One reflection from each orbit of <w> acting on the reflections
+        by r -> w r w^-1."""
+        w_inv = self._inverses[w]
+        seen: set[int] = set()
+        reps = []
+        for r in self.reflections:
+            if r in seen:
+                continue
+            reps.append(r)
+            while r not in seen:
+                seen.add(r)
+                r = self.product(w, r, w_inv)
+        return reps
 
     def __repr__(self):
         return f"ReflectionGroup({self.spec.label}, |W|={self.size})"

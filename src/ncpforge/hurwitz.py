@@ -186,7 +186,7 @@ def strong_conjugacy_classes(ncp: NcpLattice,
 
     Conjugators x range over NCP members (x <= xw <= c forces x into NCP);
     with reflection_conjugators_only, over rank-1 members only.  All pairs
-    (x, w) are tested in one pass over the multiplication table.
+    (x, w) are tested in one whole-array pass through `group.mult`.
     """
     group = ncp.group
     mult, length = group.mult, group.length

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +40,7 @@ class NcpLattice:
         lc = int(length[c])
         quot = group.mult[inv, c]  # quot[w] = w^{-1} c
         member_mask = length + length[quot] == lc
-        # canonical hash order: element indices are already digest-sorted
+        # element indices are canonical (code order), so is this order
         self.members = [int(i) for i in np.nonzero(member_mask)[0]]
         expected = fuss_catalan(group.degrees, 1)
         if len(self.members) != expected:
@@ -55,10 +54,12 @@ class NcpLattice:
         self.bottom = self.pos[group.identity]
         self.top = self.pos[c]
 
+        # quotients[i, j] = members[i]^{-1} members[j] (element indices);
         # dense relation table: leq[i, j] iff members[i] divides members[j]
         idx = np.array(self.members, dtype=np.int32)
-        quotients = group.mult[np.ix_(inv[idx], idx)]
-        self.leq = (self.rank[:, None] + length[quotients]) == self.rank[None, :]
+        self.quotients = group.mult[np.ix_(inv[idx], idx)]
+        self.leq = ((self.rank[:, None] + length[self.quotients])
+                    == self.rank[None, :])
 
     # -- order structure ---------------------------------------------------
 
@@ -150,6 +151,10 @@ class NcpLattice:
         return f"NcpLattice({self.group.spec.label}, size={self.size})"
 
 
-@lru_cache(maxsize=None)
 def build_ncp(group: ReflectionGroup) -> NcpLattice:
-    return NcpLattice(group)
+    """The lattice of a group, built once and kept on the group, so that
+    it is freed with the group."""
+    ncp = getattr(group, "_ncp", None)
+    if ncp is None:
+        ncp = group._ncp = NcpLattice(group)
+    return ncp

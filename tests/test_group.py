@@ -2,19 +2,32 @@
 
 import gc
 import weakref
+from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpforge.catalog import GroupSpec, degrees_of, order_of, parse_spec
-from ncpforge.cyclo import kernel
+from ncpforge.catalog import (
+    GroupSpec,
+    catalog_specs,
+    conductor_of,
+    coxeter_matrix_of,
+    degrees_of,
+    order_of,
+    parse_spec,
+)
+from ncpforge.cyclo import CycNum, Matrix, Subspace, kernel
 from ncpforge.errors import (
     ConfigError,
     ElementNotInGroup,
     OrderCapExceeded,
 )
+from ncpforge import group as group_module
 from ncpforge.group import ReflectionGroup, build_group
+from ncpforge.ncp import build_ncp
 from reference_build import matmul_closure
 
 SMALL_SPECS = [
@@ -156,9 +169,113 @@ def test_build_group_cache_ignores_call_form():
     GroupSpec("I2", 2, 5), GroupSpec("G", 3, 3), GroupSpec("H3", 3),
 ], ids=lambda s: s.label)
 def test_build_matches_matmul_oracle(spec):
+    """The permutation store and the exact-matmul oracle number elements
+    differently; compare them through the bijection
+    pi: w -> oracle index of group.matrices[w]."""
     g = build_group(spec)
     matrices, mult = matmul_closure(spec)
-    assert [m.key() for m in g.matrices] == [m.key() for m in matrices]
-    assert (g.mult == mult).all()
-    assert [int(d) for d in g.fixed_dim] == [
-        kernel(m.minus_identity()).dim for m in matrices]
+    oracle_index = {m.key(): i for i, m in enumerate(matrices)}
+    pi = np.array([oracle_index[m.key()] for m in g.matrices])
+    assert sorted(pi.tolist()) == list(range(len(matrices)))
+    elements = np.arange(g.size)
+    ours = g.mult[elements[:, None], elements[None, :]]
+    assert (mult[pi[:, None], pi[None, :]] == pi[ours]).all()
+    oracle_dims = [kernel(m.minus_identity()).dim for m in matrices]
+    assert [int(d) for d in g.fixed_dim] == [oracle_dims[p] for p in pi]
+    identity = Matrix.identity(spec.n, conductor_of(spec))
+    assert pi[g.identity] == oracle_index[identity.key()]
+    assert pi[g.coxeter] == oracle_index[coxeter_matrix_of(spec).key()]
+
+
+def plain_regularity_check(group, w):
+    """Reference: the zeta_h-eigenspace of w tested against the hyperplane
+    of every reflection, one exact containment test each."""
+    big_m = lcm(group.conductor, group.h)
+    mat = group.matrices[w].embed(big_m)
+    eigenspace = kernel(mat.minus_scalar(CycNum.zeta(big_m, big_m // group.h)))
+    if eigenspace.dim == 0:
+        return False
+    for r in group.reflections:
+        hyper = group.fixed_space(r)
+        lifted = Subspace(hyper.n, big_m,
+                          [[e.embed(big_m) for e in v] for v in hyper.basis])
+        if lifted.contains_subspace(eigenspace):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("spec", catalog_specs(), ids=lambda s: s.label)
+def test_regularity_check_matches_all_reflection_loop(spec):
+    g = build_group(spec)
+    assert g.coxeter_regularity_check() is True
+    for w in [g.coxeter, g.identity] + [cls[0] for cls in g.classes]:
+        assert g.coxeter_regularity_check(w) == plain_regularity_check(g, w)
+
+
+@pytest.mark.parametrize("fixture", ["b3", "g333"])
+def test_product_view_broadcasts_and_agrees_with_product(fixture, request):
+    g = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, g.size, 40)
+    b = rng.integers(0, g.size, 40)
+    pairs = g.mult[a, b]
+    assert pairs.tolist() == [g.product(x, y) for x, y in zip(a, b)]
+    table = g.mult[np.ix_(a, b)]
+    assert table.shape == (40, 40)
+    assert (np.diagonal(table) == pairs).all()
+    assert (g.mult[a[:, None], b[None, :]] == table).all()
+    assert (g.mult[a[:3]] == g.mult[np.ix_(a[:3], np.arange(g.size))]).all()
+    for x, y in zip(a[:5].tolist(), b[:5].tolist()):
+        assert (g.mult[x] == g.mult[x, np.arange(g.size)]).all()
+        assert int(g.mult[x, y]) == g.product(x, y)
+        # the index convention agrees with exact matrix products
+        assert g.index_of(g.matrices[x] @ g.matrices[y]) == g.product(x, y)
+
+
+def test_index_of_rejects_matrices_outside_the_group(b3):
+    rows = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert b3.index_of(Matrix.from_rational_rows(1, rows)) == b3.identity
+    rows[0][0] = Fraction(2)  # a column that is no vector of the orbit
+    with pytest.raises(ElementNotInGroup):
+        b3.index_of(Matrix.from_rational_rows(1, rows))
+    # every column e_1: vectors of the orbit, but no element's images
+    ones = [[Fraction(int(i == 0)) for _ in range(3)] for i in range(3)]
+    with pytest.raises(ElementNotInGroup):
+        b3.index_of(Matrix.from_rational_rows(1, ones))
+    with pytest.raises(ElementNotInGroup):
+        b3.index_of(Matrix.identity(2, 1))
+
+
+def _held_arrays(*roots):
+    """Every numpy array reachable from the roots through instance
+    attributes, lists, tuples and dicts."""
+    seen, stack, found = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
+
+
+def test_no_quadratic_array_held_by_b5_group_or_lattice():
+    g = ReflectionGroup(GroupSpec("B", 5))
+    ncp = build_ncp(g)
+    arrays = _held_arrays(g, ncp)
+    assert any(a.size >= g.size for a in arrays)  # the walk sees the store
+    assert max(a.size for a in arrays) < g.size ** 2
+    assert g.mult.nbytes < 100_000
+
+
+def test_codes_that_overflow_64_bits_are_refused(monkeypatch):
+    monkeypatch.setattr(group_module, "_CODE_LIMIT", 1)
+    with pytest.raises(OrderCapExceeded):
+        ReflectionGroup(GroupSpec("A", 2))

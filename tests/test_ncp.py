@@ -1,8 +1,10 @@
 """Lattice structure of NCP: axioms, Brady-Watt flats, rank function."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +16,7 @@ import numpy as np
 import ncpforge
 from ncpforge.catalog import GroupSpec
 from ncpforge.errors import ElementNotInGroup, MeetJoinMissing, NonIntegralCount
-from ncpforge.group import build_group
+from ncpforge.group import ReflectionGroup, build_group
 from ncpforge.ncp import NcpLattice, build_ncp, fuss_catalan
 
 
@@ -192,3 +194,15 @@ def test_meet_without_lower_bound_is_missing():
         vee.meet(0, 1)
     assert vee.join(0, 1) == 2
     assert vee.missing_meets_joins() == per_pair_missing(vee) == 1
+
+
+def test_lattice_is_cached_on_its_group_and_freed_with_it():
+    refs = []
+    for _ in range(3):
+        group = ReflectionGroup(GroupSpec("B", 3))
+        ncp = build_ncp(group)
+        assert build_ncp(group) is ncp
+        refs.append(weakref.ref(group))
+    del group, ncp
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
