@@ -6,7 +6,7 @@ with exact `Matrix.apply`, and each generator becomes an integer
 permutation of V.  Since V holds a basis, an element is determined by the
 permutation it induces on V, and even by its basis images g(e_j), which
 are vectors of V.  That permutation is the only stored form of an element:
-`perms` holds one row per element, and each element is numbered by the
+`mult.perms` holds one row per element, and each element is numbered by the
 rank of its code, the mixed-radix number sum_j perm[j] |V|^j of its basis
 images, so the indexing is identical across runs.  Breadth-first closure
 runs over whole frontiers of permutations at once.
@@ -131,7 +131,6 @@ class ReflectionGroup:
             raise CoxeterValidationFailed(
                 f"{spec.label}: closure has {len(perms)} elements, "
                 f"product of degrees is {expected_order}")
-        self.perms, self.codes = perms, codes
         self.size = len(perms)
         self.mult = ProductView(perms, codes, radix)
         self.matrices = ElementMatrices(self.n, self.conductor, vectors, perms)
@@ -330,7 +329,7 @@ class ReflectionGroup:
     def index_of(self, mat: Matrix) -> int:
         """Index of a matrix: each column must be a vector of V, and the
         basis images they give must be those of an element."""
-        if not isinstance(mat, Matrix) or mat.n != self.n:
+        if mat.n != self.n:
             raise ElementNotInGroup(f"matrix not in {self.spec.label}")
         images = [self._vector_index.get(col) for col in zip(*mat.rows)]
         if None in images:
