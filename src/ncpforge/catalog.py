@@ -294,14 +294,12 @@ def coxeter_matrix_of(spec: GroupSpec) -> Matrix:
     return c
 
 
-def catalog_specs(max_i2: int = 12, include_large: bool = True) -> list[GroupSpec]:
+def catalog_specs() -> list[GroupSpec]:
     """Default desk-scale catalog listing (for the CLI catalog command)."""
     specs = [GroupSpec("A", n) for n in range(1, 6)]
     specs += [GroupSpec("B", n) for n in range(2, 5)]
     specs.append(GroupSpec("D", 4))
-    specs += [GroupSpec("I2", 2, e) for e in range(3, max_i2 + 1)]
+    specs += [GroupSpec("I2", 2, e) for e in range(3, 13)]
     specs += [GroupSpec("G", 3, 3), GroupSpec("G", 3, 4), GroupSpec("G", 4, 3)]
-    specs += [GroupSpec("H3", 3)]
-    if include_large:
-        specs.append(GroupSpec("F4", 4))
+    specs += [GroupSpec("H3", 3), GroupSpec("F4", 4)]
     return specs

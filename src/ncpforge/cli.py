@@ -304,6 +304,9 @@ def cmd_verify(args, out) -> int:
     else:
         specs = [s for s in catalog_specs()
                  if args.allow_large or order_of(s) <= args.order_cap]
+        if not specs:
+            raise ConfigError(
+                f"--order-cap {args.order_cap} selects no catalog group")
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     order_cap = 10 ** 18 if args.allow_large else args.order_cap
     report = Report([run_group(spec, suites, order_cap, args.orbit_cap,

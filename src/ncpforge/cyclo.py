@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, FieldMismatch
 
 Poly = tuple[int, ...]
 
@@ -68,7 +68,8 @@ def cyclotomic_polynomial(m: int) -> Poly:
     for d in range(1, m):
         if m % d == 0:
             num, rem = _poly_divmod_int(num, list(cyclotomic_polynomial(d)))
-            assert rem == [0]
+            if rem != [0]:
+                raise FieldMismatch(f"Phi_{d} does not divide x^{m} - 1")
     return tuple(num)
 
 
@@ -101,6 +102,13 @@ class _Conductor:
 @lru_cache(maxsize=None)
 def _conductor(m: int) -> _Conductor:
     return _Conductor(m)
+
+
+def _field_mismatch(a, b) -> FieldMismatch:
+    """The error for an operation on values of different fields or sizes
+    (`common_conductor` aligns the fields of two numbers)."""
+    return FieldMismatch(
+        f"operands over Q(zeta_{a.m}) and Q(zeta_{b.m}): {a!r}, {b!r}")
 
 
 class CycNum:
@@ -149,18 +157,21 @@ class CycNum:
         return not self.is_zero()
 
     def __add__(self, other: "CycNum") -> "CycNum":
-        assert self.m == other.m
+        if self.m != other.m:
+            raise _field_mismatch(self, other)
         return CycNum(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CycNum") -> "CycNum":
-        assert self.m == other.m
+        if self.m != other.m:
+            raise _field_mismatch(self, other)
         return CycNum(self.m, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "CycNum":
         return CycNum(self.m, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: "CycNum") -> "CycNum":
-        assert self.m == other.m
+        if self.m != other.m:
+            raise _field_mismatch(self, other)
         cond = _conductor(self.m)
         phi = cond.phi
         a, b = self.coeffs, other.coeffs
@@ -198,7 +209,8 @@ class CycNum:
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         # r0 is the gcd, a nonzero constant; s0 * a = r0 (mod Phi)
-        assert len(r0) == 1 and r0[0] != 0
+        if len(r0) != 1 or r0[0] == 0:
+            raise FieldMismatch(f"Phi_{self.m} and {self} are not coprime")
         c = r0[0]
         inv_coeffs = [x / c for x in s0]
         phi = _conductor(self.m).phi
@@ -318,7 +330,8 @@ class Matrix:
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        assert self.n == other.n and self.m == other.m
+        if self.n != other.n or self.m != other.m:
+            raise _field_mismatch(self, other)
         n = self.n
         zero = CycNum.zero(self.m)
         cols = list(zip(*other.rows))
@@ -437,7 +450,8 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Exact intersection, by solving for common linear combinations."""
-        assert self.n == other.n and self.m == other.m
+        if self.n != other.n or self.m != other.m:
+            raise _field_mismatch(self, other)
         if self.dim == 0 or other.dim == 0:
             return Subspace(self.n, self.m, [])
         if self.dim == self.n:

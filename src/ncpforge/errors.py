@@ -18,6 +18,11 @@ class DivisionByZero(NcpForgeError, ZeroDivisionError):
     """Inversion of zero in a cyclotomic field."""
 
 
+class FieldMismatch(NcpForgeError, ArithmeticError):
+    """Exact arithmetic on operands of different cyclotomic fields or
+    sizes, or a broken invariant of the field arithmetic."""
+
+
 class OrderCapExceeded(NcpForgeError):
     """Group order above the configured cap."""
 
@@ -38,16 +43,8 @@ class MeetJoinMissing(NcpForgeError):
     """A pair of lattice members has no meet or join."""
 
 
-class RedCountMismatch(NcpForgeError):
-    """Enumerated reduced decompositions differ from n! h^n / |W|."""
-
-
 class LedgerDisagreement(NcpForgeError):
     """The three independent fact_p computations disagree."""
-
-
-class NotAChain(NcpForgeError):
-    """Sequence is not weakly increasing under the absolute order."""
 
 
 class IndexOutOfRange(NcpForgeError):

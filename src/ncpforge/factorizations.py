@@ -14,30 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import (
-    LedgerDisagreement,
-    NonIntegralCount,
-    NotAChain,
-    RedCountMismatch,
-)
+from .errors import LedgerDisagreement, NonIntegralCount
 from .group import ReflectionGroup
 from .ncp import NcpLattice, fuss_catalan
-
-
-def is_factorisation(group: ReflectionGroup, factors: tuple[int, ...],
-                     target: int | None = None) -> bool:
-    if target is None:
-        target = group.coxeter
-    if any(w == group.identity for w in factors):
-        return False
-    if group.product(*factors) != target:
-        return False
-    total = sum(int(group.length[w]) for w in factors)
-    return total == int(group.length[target])
-
-
-def composition_of(group: ReflectionGroup, factors: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(int(group.length[w]) for w in factors)
 
 
 def red_count_formula(group: ReflectionGroup) -> int:
@@ -49,73 +28,43 @@ def red_count_formula(group: ReflectionGroup) -> int:
     return value.numerator
 
 
-def iter_factorisations(ncp: NcpLattice, target: int | None = None,
-                        blocks: int | None = None):
-    """All block factorisations of target (default c), optionally with a
-    fixed number of blocks; depth-first, canonical index order."""
-    group = ncp.group
-    if target is None:
-        target = ncp.c
-
-    def rec(w: int, remaining: int | None, prefix: list[int]):
-        lw = int(group.length[w])
-        if lw == 0:
-            if remaining in (None, 0):
-                yield tuple(prefix)
-            return
-        if remaining == 0:
-            return
-        if remaining is not None and remaining > lw:
-            return
-        for u in ncp.divisors_of(w):
-            if u == group.identity:
-                continue
-            quotient = int(ncp.quotients[ncp.pos[u], ncp.pos[w]])
-            prefix.append(u)
-            yield from rec(quotient,
-                           None if remaining is None else remaining - 1,
-                           prefix)
-            prefix.pop()
-
-    yield from rec(target, blocks, [])
+def iter_factorisations(ncp: NcpLattice):
+    """All block factorisations of c; depth-first, canonical index order."""
+    return _factorisations(ncp, ncp.c, None)
 
 
 def iter_fact_with_composition(ncp: NcpLattice, mu: tuple[int, ...],
                                target: int | None = None):
-    """Factorisations with the exact composition mu of l(target)."""
-    group = ncp.group
+    """Factorisations of target (default c) with the exact composition mu
+    of l(target)."""
     if target is None:
         target = ncp.c
-    if sum(mu) != int(group.length[target]) or any(p < 1 for p in mu):
+    if sum(mu) != int(ncp.group.length[target]) or any(p < 1 for p in mu):
         raise ValueError(f"{mu} is not a composition of l(target)")
+    return _factorisations(ncp, target, mu)
 
-    def rec(w: int, pos: int, prefix: list[int]):
-        if pos == len(mu):
-            if w == group.identity:
-                yield tuple(prefix)
+
+def _factorisations(ncp: NcpLattice, target: int, mu):
+    """Depth-first search over the divisors u of the remaining quotient w,
+    in member order, continuing with u^{-1} w.  Every block is a
+    nontrivial divisor; with mu, block k has length mu[k] (mu sums to
+    l(target), so the search ends exactly when mu is used up)."""
+    length, pos, quotients = ncp.group.length, ncp.pos, ncp.quotients
+
+    def rec(w: int, k: int, prefix: list[int]):
+        if length[w] == 0:
+            yield tuple(prefix)
             return
-        want = mu[pos]
+        j = pos[w]
         for u in ncp.divisors_of(w):
-            if int(group.length[u]) != want:
+            lu = int(length[u])
+            if lu == 0 or (mu is not None and lu != mu[k]):
                 continue
-            quotient = group.product(group.inverse(u), w)
             prefix.append(u)
-            yield from rec(quotient, pos + 1, prefix)
+            yield from rec(int(quotients[pos[u], j]), k + 1, prefix)
             prefix.pop()
 
-    yield from rec(target, 0, [])
-
-
-def enumerate_red(ncp: NcpLattice, check: bool = True) -> list[tuple[int, ...]]:
-    """All reduced decompositions of c; count must equal n! h^n / |W|."""
-    group = ncp.group
-    n = group.n
-    red = list(iter_fact_with_composition(ncp, (1,) * n))
-    if check and len(red) != red_count_formula(group):
-        raise RedCountMismatch(
-            f"{group.spec.label}: enumerated {len(red)}, "
-            f"formula gives {red_count_formula(group)}")
-    return red
+    return rec(target, 0, [])
 
 
 def two_reflection_factorisations(ncp: NcpLattice, w: int) -> list[tuple[int, int]]:
@@ -207,18 +156,14 @@ class CountLedger:
     fact_enumerated: dict[int, int]
     fact_zeta: dict[int, int]
     fact_stirling: dict[int, int]
-    by_composition: dict[tuple[int, ...], int]
 
 
 def fact_counts(group: ReflectionGroup, facts) -> CountLedger:
     """Fill the ledger three independent ways and require agreement; facts
     are all block factorisations of c (`iter_factorisations`)."""
     n = group.n
-    by_comp: dict[tuple[int, ...], int] = {}
     enumerated = {p: 0 for p in range(1, n + 1)}
     for fact in facts:
-        comp = composition_of(group, fact)
-        by_comp[comp] = by_comp.get(comp, 0) + 1
         enumerated[len(fact)] += 1
     zeta = {p: fact_count_zeta(group.degrees, p) for p in range(1, n + 1)}
     stirling = {p: fact_count_stirling(group.degrees, group.size, p)
@@ -232,68 +177,7 @@ def fact_counts(group: ReflectionGroup, facts) -> CountLedger:
         fact_enumerated=enumerated,
         fact_zeta=zeta,
         fact_stirling=stirling,
-        by_composition=by_comp,
     )
-
-
-# -- chains <-> factorisations ----------------------------------------------
-
-def chain_to_factorisation(ncp: NcpLattice, chain) -> tuple[int, ...]:
-    """Multichain (w_1 <= ... <= w_N, each <= c) to a block factorisation,
-    by erasing repeats and taking successive quotients up to c."""
-    group = ncp.group
-    for w in chain:
-        ncp.member_index(w)
-    for u, v in zip(chain, chain[1:]):
-        if not ncp.leq_elements(u, v):
-            raise NotAChain("sequence is not weakly increasing")
-    strict = [group.identity]
-    for w in list(chain) + [ncp.c]:
-        if w != strict[-1]:
-            strict.append(w)
-    factors = tuple(
-        group.product(group.inverse(u), v)
-        for u, v in zip(strict, strict[1:]))
-    return factors
-
-
-def factorisation_to_multichain(ncp: NcpLattice, factors, repeats) -> tuple[int, ...]:
-    """Inverse direction: repeats = (r_0, ..., r_p) with r_i >= 1 for
-    0 < i < p; produces the multichain with each partial product h_i
-    repeated r_i times (and r_0 leading identities)."""
-    group = ncp.group
-    p = len(factors)
-    if len(repeats) != p + 1:
-        raise ValueError("need p+1 repeat counts")
-    if any(r < 1 for r in repeats[1:p]) or any(r < 0 for r in repeats):
-        raise ValueError("interior repeat counts must be >= 1")
-    partials = [group.identity]
-    for f in factors:
-        partials.append(group.product(partials[-1], f))
-    if partials[-1] != ncp.c:
-        raise NotAChain("factors do not multiply to c")
-    chain: list[int] = []
-    for h, r in zip(partials, repeats):
-        chain.extend([h] * r)
-    return tuple(chain)
-
-
-def iter_multichains(ncp: NcpLattice, chain_length: int):
-    """All multichains w_1 <= ... <= w_N <= c (exhaustive; small N only)."""
-    size = ncp.size
-
-    def rec(start_candidates, depth, prefix):
-        if depth == 0:
-            yield tuple(prefix)
-            return
-        for j in start_candidates:
-            w = ncp.members[j]
-            above = [k for k in range(size) if ncp.leq[j, k]]
-            prefix.append(w)
-            yield from rec(above, depth - 1, prefix)
-            prefix.pop()
-
-    yield from rec(range(size), chain_length, [])
 
 
 def chapoton_identity(group: ReflectionGroup, ledger: CountLedger,

@@ -383,10 +383,6 @@ class ReflectionGroup:
         quotient = self.product(self._inverses[u], v)
         return int(self.length[u]) + int(self.length[quotient]) == int(self.length[v])
 
-    def conjugacy_class(self, w: int) -> list[int]:
-        self._check_member(w)
-        return self.classes[int(self.class_id[w])]
-
     def _check_member(self, w) -> None:
         if not 0 <= int(w) < self.size:
             raise ElementNotInGroup(f"index {w} outside 0..{self.size - 1}")

@@ -53,14 +53,6 @@ class HurwitzOrbit:
     def size(self) -> int:
         return len(self.members)
 
-    def __contains__(self, t):
-        return tuple(t) in self._member_set()
-
-    def _member_set(self):
-        if not hasattr(self, "_set"):
-            self._set = set(self.members)
-        return self._set
-
 
 def hurwitz_orbit(group: ReflectionGroup, seed: tuple[int, ...],
                   cap: int = DEFAULT_ORBIT_CAP) -> HurwitzOrbit:
@@ -179,26 +171,24 @@ class _UnionFind:
             self.parent[max(rx, ry)] = min(rx, ry)
 
 
-def strong_conjugacy_classes(ncp: NcpLattice,
-                             reflection_conjugators_only: bool = False) -> list[list[int]]:
+def strong_conjugacy_classes(ncp: NcpLattice) -> list[list[int]]:
     """Partition of NCP members under the closure of x w = w' x with
     x w in NCP and l(x w) = l(x) + l(w).
 
-    Conjugators x range over NCP members (x <= xw <= c forces x into NCP);
-    with reflection_conjugators_only, over rank-1 members only.  All pairs
-    (x, w) are tested in one whole-array pass through `group.mult`.
+    Conjugators x range over NCP members (x <= xw <= c forces x into NCP).
+    All pairs (x, w) are tested in one whole-array pass through
+    `group.mult`.
     """
     group = ncp.group
     mult, length = group.mult, group.length
     members = np.array(ncp.members, dtype=np.int32)
     pos = np.full(group.size, -1, dtype=np.int64)
     pos[members] = np.arange(ncp.size)
-    xs = members[ncp.rank == 1] if reflection_conjugators_only else members
-    xw = mult[xs[:, None], members[None, :]]
-    keep = ((length[xw] == length[xs][:, None] + length[members][None, :])
-            & (pos[xw] >= 0))
+    lm = length[members]
+    xw = mult[members[:, None], members[None, :]]
+    keep = (length[xw] == lm[:, None] + lm[None, :]) & (pos[xw] >= 0)
     rows, cols = np.nonzero(keep)
-    targets = pos[mult[xw[rows, cols], group.inv[xs[rows]]]]  # x w x^{-1}
+    targets = pos[mult[xw[rows, cols], group.inv[members[rows]]]]  # x w x^{-1}
     if (targets < 0).any():
         raise ClassificationMismatch(
             f"{group.spec.label}: a strong conjugate of an NCP member lies "
@@ -219,37 +209,3 @@ def conjugacy_partition_on_ncp(ncp: NcpLattice) -> list[list[int]]:
     for w in ncp.members:
         buckets.setdefault(int(group.class_id[w]), []).append(w)
     return sorted(sorted(b) for b in buckets.values())
-
-
-# -- strand tracking ----------------------------------------------------------
-
-def strand_witness(group: ReflectionGroup, seed: tuple[int, ...],
-                   target_first: int, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    """BFS with position tracking: is there a braid word sending the seed to
-    a tuple starting with target_first whose induced strand permutation
-    keeps the strand from position 1 at position 1?"""
-    p = len(seed)
-    gens = [BraidGen(i, inv) for i in range(1, p) for inv in (False, True)]
-    start = (tuple(seed), 1)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        t, pos = queue.popleft()
-        if pos == 1 and t[0] == target_first:
-            return True
-        for g in gens:
-            u = hurwitz_act(group, t, g)
-            # sigma_i^{+-1} swaps strand positions i and i+1
-            if pos == g.index:
-                new_pos = g.index + 1
-            elif pos == g.index + 1:
-                new_pos = g.index
-            else:
-                new_pos = pos
-            state = (u, new_pos)
-            if state not in seen:
-                if len(seen) >= cap:
-                    raise OrbitCapExceeded(f"tracked orbit exceeded cap {cap}")
-                seen.add(state)
-                queue.append(state)
-    return False

@@ -70,9 +70,6 @@ class NcpLattice:
             raise ElementNotInGroup(
                 f"element {w} is not a divisor of c") from None
 
-    def leq_elements(self, u: int, v: int) -> bool:
-        return bool(self.leq[self.member_index(u), self.member_index(v)])
-
     def meet(self, u: int, v: int) -> int:
         """Greatest lower bound (element indices in and out)."""
         i, j = self.member_index(u), self.member_index(v)

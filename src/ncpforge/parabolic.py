@@ -25,11 +25,7 @@ from .errors import (
     NotADivisor,
     TableMismatch,
 )
-from .factorizations import (
-    iter_fact_with_composition,
-    red_count_formula,
-    two_reflection_factorisations,
-)
+from .factorizations import red_count_formula, two_reflection_factorisations
 from .group import ReflectionGroup
 from .ncp import NcpLattice
 
@@ -52,14 +48,6 @@ class ParabolicSubgroup:
     def reflections(self) -> list[int]:
         refl = set(self.group.reflections)
         return [x for x in self.elements if x in refl]
-
-    def __contains__(self, x: int) -> bool:
-        return x in self._member_set()
-
-    def _member_set(self):
-        if not hasattr(self, "_set"):
-            self._set = set(self.elements)
-        return self._set
 
 
 def subgroup_closure(group: ReflectionGroup, gens) -> list[int]:
@@ -98,13 +86,11 @@ def pointwise_fixator(group: ReflectionGroup, w: int) -> list[int]:
     return out
 
 
-def parabolic_of(ncp: NcpLattice, w: int,
-                 check_generation: bool = True) -> ParabolicSubgroup:
+def parabolic_of(ncp: NcpLattice, w: int) -> ParabolicSubgroup:
     """The parabolic closure of an NCP member: the fixator of Ker(w - 1).
 
-    Verifies that the fixator is generated by its reflections, that its
-    rank equals the reflection length of w, and (optionally) that every
-    reduced decomposition of w generates it.
+    Verifies that the fixator is generated by its reflections and that its
+    rank equals the reflection length of w.
     """
     group = ncp.group
     if not group.divides(w, group.coxeter):
@@ -116,19 +102,11 @@ def parabolic_of(ncp: NcpLattice, w: int,
         raise ClassificationMismatch(
             f"{group.spec.label}: parabolic rank {rank} differs from "
             f"reflection length {int(group.length[w])}")
-    member_set = set(elements)
     refl_gens = [x for x in elements
                  if x != group.identity and group.fixed_dim[x] == group.n - 1]
-    if set(subgroup_closure(group, refl_gens)) != member_set:
+    if subgroup_closure(group, refl_gens) != elements:
         raise ClassificationMismatch(
             f"{group.spec.label}: fixator not generated by its reflections")
-    if check_generation and rank > 0:
-        for decomposition in iter_fact_with_composition(
-                ncp, (1,) * rank, target=w):
-            if set(subgroup_closure(group, decomposition)) != member_set:
-                raise ClassificationMismatch(
-                    f"{group.spec.label}: a reduced decomposition of {w} "
-                    f"generates a proper subgroup of its parabolic closure")
     return ParabolicSubgroup(group=group, w=w, flat=flat,
                              elements=elements, rank=rank)
 
@@ -176,7 +154,7 @@ def length2_strata(ncp: NcpLattice) -> list[Stratum2]:
         if r < 2:
             raise ClassificationMismatch(
                 f"{group.spec.label}: stratum of {rep} has r = {r} < 2")
-        closure = parabolic_of(ncp, rep, check_generation=False)
+        closure = parabolic_of(ncp, rep)
         d1, d2 = rank2_degrees(closure.size, len(closure.reflections))
         strata.append(Stratum2(
             class_id=cid, representative=rep,
@@ -238,20 +216,6 @@ def submax_counts(ncp: NcpLattice, strata: list[Stratum2], facts) -> int:
 
 
 # -- the reference table ------------------------------------------------------
-
-# Rows beyond desk scale, shipped for reference only (never verified here).
-EXCEPTIONAL_REFERENCE: dict[str, list[tuple[int, int]]] = {
-    "G24": [(3, 12), (4, 12)],
-    "G27": [(3, 12), (3, 12), (4, 12), (5, 12)],
-    "G29": [(2, 24), (3, 48), (4, 12)],
-    "G30": [(2, 60), (3, 40), (5, 24)],   # = H4
-    "G33": [(2, 60), (3, 80)],
-    "G34": [(2, 270), (3, 240)],
-    "E6": [(2, 90), (3, 60)],
-    "E7": [(2, 210), (3, 112)],
-    "E8": [(2, 504), (3, 224)],
-}
-
 
 def reference_row(spec: GroupSpec) -> list[tuple[int, int]]:
     """The (p, u) pairs of the embedded table, evaluated at (n, e); terms

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, formats, determinism."""
 
 import csv
+import importlib
 import io
 import json
 from pathlib import Path
@@ -225,3 +226,39 @@ def test_orbits_json_matches_golden(tmp_path, group):
                  "--format", "json", "--output", str(target)])
     assert code == 0
     assert target.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("cap", ["1", "0", "-5"])
+def test_verify_empty_selection_is_config_error(cap, capsys):
+    """An order cap below |A1| = 2 selects no catalog group; that is a
+    configuration error, not an empty ALL PASS report."""
+    code, out, err = run_cli(capsys, "verify", "--order-cap", cap,
+                             "--format", "json")
+    assert code == 4
+    assert out == "" and f"--order-cap {cap}" in err
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    """The benchmark's tracer (perfbench/tracing.py) patches ncpforge names
+    by hand; each must still exist, and uninstall restores them."""
+    import ncpforge.cli as cli
+    from ncpforge import factorizations
+    from ncpforge.group import ReflectionGroup
+
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+
+    def patched():
+        return (cli.main, factorizations.iter_factorisations,
+                vars(ReflectionGroup)["__init__"])
+
+    originals = patched()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert all(now is not orig
+                   for now, orig in zip(patched(), originals))
+    finally:
+        tracer.uninstall()
+    assert all(now is orig for now, orig in zip(patched(), originals))

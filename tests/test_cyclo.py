@@ -1,5 +1,9 @@
 """Exact cyclotomic arithmetic and rational linear algebra."""
 
+import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +20,8 @@ from ncpforge.cyclo import (
     kernel,
     rank,
 )
-from ncpforge.errors import DivisionByZero
+import ncpforge
+from ncpforge.errors import DivisionByZero, FieldMismatch
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 12]
 
@@ -113,6 +118,41 @@ def test_common_conductor_aligns_fields():
     assert a.m == b.m == 12
     prod = a * b  # zeta_4 * zeta_6 = zeta_12^5
     assert prod == CycNum.zeta(12, 5)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                         ids=["add", "sub", "mul"])
+def test_mixed_conductors_raise(op):
+    with pytest.raises(FieldMismatch):
+        op(CycNum.zeta(4, 1), CycNum.zeta(6, 1))
+
+
+def test_mixed_fields_and_sizes_raise_for_matrices_and_subspaces():
+    one4, one6 = CycNum.one(4), CycNum.one(6)
+    with pytest.raises(FieldMismatch):
+        Matrix.identity(2, 4) @ Matrix.identity(2, 6)
+    with pytest.raises(FieldMismatch):
+        Matrix.identity(2, 4) @ Matrix.identity(3, 4)
+    with pytest.raises(FieldMismatch):
+        Subspace(2, 4, [[one4, one4]]).intersect(Subspace(2, 6, [[one6, one6]]))
+
+
+def test_field_check_survives_optimised_interpreter():
+    """Under python -O, zip would pair the coefficients of Q(zeta_4) and
+    Q(zeta_6) and return a wrong number; the check must still raise."""
+    src = os.path.dirname(os.path.dirname(ncpforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from ncpforge.cyclo import CycNum\n"
+         "for op in ('__add__', '__mul__'):\n"
+         "    try:\n"
+         "        getattr(CycNum.zeta(4), op)(CycNum.zeta(6))\n"
+         "    except ArithmeticError as exc:\n"
+         "        print(type(exc).__name__)\n"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["FieldMismatch", "FieldMismatch"]
 
 
 def test_cos_pi_5_satisfies_golden_quadratic():

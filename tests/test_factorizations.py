@@ -6,20 +6,14 @@ from types import SimpleNamespace
 import pytest
 
 from ncpforge.catalog import GroupSpec
-from ncpforge.errors import NonIntegralCount, NotAChain
+from ncpforge.errors import NonIntegralCount
 from ncpforge.factorizations import (
-    chain_to_factorisation,
     chapoton_identity,
-    composition_of,
-    enumerate_red,
     fact_count_stirling,
     fact_count_zeta,
     fact_counts,
-    factorisation_to_multichain,
-    is_factorisation,
     iter_fact_with_composition,
     iter_factorisations,
-    iter_multichains,
     red_count_formula,
     two_reflection_factorisations,
     zeta_polynomial,
@@ -53,14 +47,23 @@ def test_non_integral_closed_forms_raise(closed_form):
 
 
 def test_enumerate_red_agrees_with_formula(a3_ncp, b3_ncp):
-    assert len(enumerate_red(a3_ncp)) == 16
-    assert len(enumerate_red(b3_ncp)) == 27
+    for ncp, count in ((a3_ncp, 16), (b3_ncp, 27)):
+        red = list(iter_fact_with_composition(ncp, (1,) * ncp.group.n))
+        assert len(red) == len(set(red)) == count
+        assert count == red_count_formula(ncp.group)
 
 
 def test_every_enumerated_tuple_is_a_factorisation(a3_ncp, a3):
     for fact in iter_factorisations(a3_ncp):
-        assert is_factorisation(a3, fact)
-        assert sum(composition_of(a3, fact)) == a3.n
+        assert a3.identity not in fact
+        assert a3.product(*fact) == a3.coxeter
+        assert sum(a3.reflection_length(w) for w in fact) == a3.n
+
+
+def test_composition_rejects_non_compositions(a3_ncp):
+    for mu in ((1, 1), (2, 2), (3, 0), (4, -1)):
+        with pytest.raises(ValueError):
+            iter_fact_with_composition(a3_ncp, mu)
 
 
 def test_zeta_polynomial_interpolates_lattice_counts(a3, a3_ncp):
@@ -97,14 +100,18 @@ def test_closed_forms_without_enumeration():
 
 def test_by_composition_marginals(b3):
     ncp = build_ncp(b3)
-    ledger = fact_counts(b3, iter_factorisations(ncp))
+    facts = list(iter_factorisations(ncp))
+    by_composition = {}
+    for fact in facts:
+        comp = tuple(b3.reflection_length(w) for w in fact)
+        by_composition.setdefault(comp, []).append(fact)
     totals = {}
-    for comp, cnt in ledger.by_composition.items():
-        totals[len(comp)] = totals.get(len(comp), 0) + cnt
-    assert totals == ledger.fact_enumerated
-    # each composition count matches a direct pass
-    for comp, cnt in ledger.by_composition.items():
-        assert len(list(iter_fact_with_composition(ncp, comp))) == cnt
+    for comp, group_facts in by_composition.items():
+        totals[len(comp)] = totals.get(len(comp), 0) + len(group_facts)
+    assert totals == fact_counts(b3, facts).fact_enumerated
+    # each composition's factorisations are exactly those of a direct pass
+    for comp, group_facts in by_composition.items():
+        assert list(iter_fact_with_composition(ncp, comp)) == group_facts
 
 
 def test_two_reflection_factorisations_of_short_elements(a3_ncp, a3):
@@ -123,30 +130,16 @@ def test_chapoton_identity_small(a3, a3_ncp):
         assert res["rhs"] == fuss_catalan(a3.degrees, chain_length)
 
 
-def test_chain_factorisation_round_trip(a3, a3_ncp):
-    for fact in iter_factorisations(a3_ncp):
-        p = len(fact)
-        repeats = (0,) + (1,) * (p - 1) + (0,)
-        chain = factorisation_to_multichain(a3_ncp, fact, repeats)
-        assert chain_to_factorisation(a3_ncp, chain) == fact
-
-
-def test_multichain_conversion_counts_repeats(a3, a3_ncp):
-    c = a3.coxeter
-    fact = (c,)
-    chain = factorisation_to_multichain(a3_ncp, fact, (2, 3))
-    assert chain == (a3.identity, a3.identity, c, c, c)
-
-
-def test_chain_errors(a3, a3_ncp):
-    c = a3.coxeter
-    r = a3_ncp.reflections_below(c)[0]
-    with pytest.raises(NotAChain):
-        chain_to_factorisation(a3_ncp, (c, r))   # not weakly increasing
-    with pytest.raises(ValueError):
-        factorisation_to_multichain(a3_ncp, (c,), (1,))
-    with pytest.raises(NotAChain):
-        factorisation_to_multichain(a3_ncp, (r,), (1, 1))  # r alone is not c
+def iter_multichains(ncp, chain_length):
+    """All multichains w_1 <= ... <= w_N <= c, by brute force."""
+    if chain_length == 0:
+        yield ()
+        return
+    for chain in iter_multichains(ncp, chain_length - 1):
+        last = ncp.pos[chain[-1]] if chain else None
+        for k, w in enumerate(ncp.members):
+            if last is None or ncp.leq[last, k]:
+                yield chain + (w,)
 
 
 def test_exhaustive_multichains_match_dp():

@@ -13,10 +13,7 @@ from ncpforge.errors import (
     IndexOutOfRange,
     OrbitCapExceeded,
 )
-from ncpforge.factorizations import (
-    enumerate_red,
-    iter_fact_with_composition,
-)
+from ncpforge.factorizations import iter_fact_with_composition
 from ncpforge.group import build_group
 from ncpforge.hurwitz import (
     BraidGen,
@@ -26,7 +23,6 @@ from ncpforge.hurwitz import (
     hurwitz_orbit,
     orbit_decomposition,
     p2_orbit_formula,
-    strand_witness,
     strong_conjugacy_classes,
 )
 from ncpforge.ncp import build_ncp
@@ -34,7 +30,7 @@ from ncpforge.ncp import build_ncp
 
 @pytest.fixture(scope="module")
 def a3_red(a3, a3_ncp):
-    return enumerate_red(a3_ncp)
+    return list(iter_fact_with_composition(a3_ncp, (1, 1, 1)))
 
 
 def apply_word(group, t, word):
@@ -139,7 +135,7 @@ def test_strong_conjugacy_equals_conjugacy(spec):
     strong = strong_conjugacy_classes(ncp)
     assert strong == conjugacy_partition_on_ncp(ncp)
     # restricting conjugators to reflections changes nothing
-    assert strong == strong_conjugacy_classes(
+    assert strong == reference_strong_conjugacy(
         ncp, reflection_conjugators_only=True)
 
 
@@ -166,8 +162,9 @@ def reference_strong_conjugacy(ncp, reflection_conjugators_only=False):
                          ids=lambda s: s.label)
 @pytest.mark.parametrize("reflections_only", [False, True])
 def test_strong_conjugacy_matches_reference_loop(spec, reflections_only):
+    """All conjugators, or reflections only: the same partition."""
     ncp = build_ncp(build_group(spec))
-    assert strong_conjugacy_classes(ncp, reflections_only) == \
+    assert strong_conjugacy_classes(ncp) == \
         reference_strong_conjugacy(ncp, reflections_only)
 
 
@@ -181,15 +178,6 @@ def test_strong_conjugate_outside_ncp_is_a_mismatch(b3, b3_ncp):
         size=len(keep), rank=b3_ncp.rank[keep])
     with pytest.raises(ClassificationMismatch):
         strong_conjugacy_classes(truncated)
-
-
-def test_strand_witness_tracks_a_factor(a3, a3_red):
-    seed = a3_red[0]
-    assert strand_witness(a3, seed, seed[0])
-    # all reflections of A3 are conjugate, and Red is transitive with
-    # strand tracking, so every reflection shows up in first position
-    for r in a3.reflections:
-        assert strand_witness(a3, seed, r)
 
 
 def test_s6_counterexample():
@@ -207,7 +195,7 @@ def test_s6_counterexample():
     assert group.class_id[u2] == group.class_id[v2]
     o1 = hurwitz_orbit(group, (u1, u2))
     o2 = hurwitz_orbit(group, (v1, v2))
-    assert (v1, v2) not in o1
+    assert (v1, v2) not in o1.members
     assert set(o1.members).isdisjoint(o2.members)
     assert set(o1.members) == p2_orbit_formula(group, u1, u2)
     assert set(o2.members) == p2_orbit_formula(group, v1, v2)

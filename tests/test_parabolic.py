@@ -5,17 +5,17 @@ import pytest
 from ncpforge.catalog import GroupSpec
 from ncpforge.cli import GroupContext
 from ncpforge.errors import NonIntegralDegree, NotADivisor, TableMismatch
-from ncpforge.factorizations import iter_factorisations
+from ncpforge.factorizations import iter_fact_with_composition
 from ncpforge.group import build_group
 from ncpforge.ncp import build_ncp
 from ncpforge.parabolic import (
-    EXCEPTIONAL_REFERENCE,
     length2_strata,
     parabolic_of,
     pointwise_fixator,
     rank2_degrees,
     reference_row,
     submax_counts,
+    subgroup_closure,
     submax_total_formula,
     table_a1_verify,
 )
@@ -24,7 +24,7 @@ from ncpforge.parabolic import (
 def test_parabolic_of_extremes(a3, a3_ncp):
     trivial = parabolic_of(a3_ncp, a3.identity)
     assert trivial.size == 1 and trivial.rank == 0
-    whole = parabolic_of(a3_ncp, a3.coxeter, check_generation=False)
+    whole = parabolic_of(a3_ncp, a3.coxeter)
     assert whole.size == a3.size and whole.rank == a3.n
 
 
@@ -56,12 +56,16 @@ def test_parabolic_of_rejects_non_divisors(a3, a3_ncp):
 
 @pytest.mark.parametrize("fixture", ["a3_ncp", "b3_ncp", "g333_ncp"])
 def test_every_member_is_parabolic_coxeter(fixture, request):
-    """rank = length and all reduced decompositions generate the closure
-    (parabolic_of raises otherwise)."""
+    """rank = length, and every reduced decomposition of w generates its
+    parabolic closure."""
     ncp = request.getfixturevalue(fixture)
+    group = ncp.group
     for w in ncp.members:
-        p = parabolic_of(ncp, w, check_generation=True)
-        assert p.rank == ncp.group.reflection_length(w)
+        p = parabolic_of(ncp, w)
+        assert p.rank == group.reflection_length(w)
+        for decomposition in iter_fact_with_composition(
+                ncp, (1,) * p.rank, target=w):
+            assert subgroup_closure(group, decomposition) == p.elements
 
 
 def test_rank2_degrees():
@@ -88,7 +92,7 @@ def test_length2_strata_and_counts(spec, order_r, counts):
     ncp = build_ncp(build_group(spec))
     strata = length2_strata(ncp)
     total = submax_counts(ncp, strata,
-                          iter_factorisations(ncp, blocks=spec.n - 1))
+                          GroupContext(ncp.group, ncp).by_blocks[spec.n - 1])
     assert sorted((s.order, s.r) for s in strata) == sorted(order_r)
     assert sorted(s.count for s in strata) == sorted(counts)
     assert total == sum(counts) == submax_total_formula(ncp.group)
@@ -143,15 +147,3 @@ def test_table_mismatch_is_detected(monkeypatch, a3):
     monkeypatch.setattr(parabolic, "reference_row", lambda spec: [(2, 99)])
     with pytest.raises(TableMismatch):
         parabolic.table_a1_verify(build_ncp(a3), counted_strata(a3))
-
-
-def test_exceptional_reference_is_well_formed():
-    assert set(EXCEPTIONAL_REFERENCE) == {
-        "G24", "G27", "G29", "G30", "G33", "G34", "E6", "E7", "E8"}
-    for rows in EXCEPTIONAL_REFERENCE.values():
-        assert all(p >= 2 and u >= 1 for p, u in rows)
-    # Coxeter-number sanity for the real types: sum p_i u_i = n(n-1)h
-    assert sum(p * u for p, u in EXCEPTIONAL_REFERENCE["E6"]) == 6 * 5 * 12
-    assert sum(p * u for p, u in EXCEPTIONAL_REFERENCE["E7"]) == 7 * 6 * 18
-    assert sum(p * u for p, u in EXCEPTIONAL_REFERENCE["E8"]) == 8 * 7 * 30
-    assert sum(p * u for p, u in EXCEPTIONAL_REFERENCE["G30"]) == 4 * 3 * 30
