@@ -30,25 +30,21 @@ def red_count_formula(group: ReflectionGroup) -> int:
 
 def iter_factorisations(ncp: NcpLattice):
     """All block factorisations of c; depth-first, canonical index order."""
-    return _factorisations(ncp, ncp.c, None)
+    return _factorisations(ncp, None)
 
 
-def iter_fact_with_composition(ncp: NcpLattice, mu: tuple[int, ...],
-                               target: int | None = None):
-    """Factorisations of target (default c) with the exact composition mu
-    of l(target)."""
-    if target is None:
-        target = ncp.c
-    if sum(mu) != int(ncp.group.length[target]) or any(p < 1 for p in mu):
-        raise ValueError(f"{mu} is not a composition of l(target)")
-    return _factorisations(ncp, target, mu)
+def iter_fact_with_composition(ncp: NcpLattice, mu: tuple[int, ...]):
+    """Factorisations of c with the exact composition mu of l(c)."""
+    if sum(mu) != int(ncp.group.length[ncp.c]) or any(p < 1 for p in mu):
+        raise ValueError(f"{mu} is not a composition of l(c)")
+    return _factorisations(ncp, mu)
 
 
-def _factorisations(ncp: NcpLattice, target: int, mu):
+def _factorisations(ncp: NcpLattice, mu):
     """Depth-first search over the divisors u of the remaining quotient w,
-    in member order, continuing with u^{-1} w.  Every block is a
-    nontrivial divisor; with mu, block k has length mu[k] (mu sums to
-    l(target), so the search ends exactly when mu is used up)."""
+    in member order, continuing with u^{-1} w, starting from c.  Every
+    block is a nontrivial divisor; with mu, block k has length mu[k] (mu
+    sums to l(c), so the search ends exactly when mu is used up)."""
     length, pos, quotients = ncp.group.length, ncp.pos, ncp.quotients
 
     def rec(w: int, k: int, prefix: list[int]):
@@ -64,7 +60,7 @@ def _factorisations(ncp: NcpLattice, target: int, mu):
             yield from rec(int(quotients[pos[u], j]), k + 1, prefix)
             prefix.pop()
 
-    return rec(target, 0, [])
+    return rec(ncp.c, 0, [])
 
 
 def two_reflection_factorisations(ncp: NcpLattice, w: int) -> list[tuple[int, int]]:

@@ -60,11 +60,17 @@ def test_every_member_is_parabolic_coxeter(fixture, request):
     parabolic closure."""
     ncp = request.getfixturevalue(fixture)
     group = ncp.group
+    # Every reduced decomposition of w <= c extends to one of c by a reduced
+    # decomposition of w^{-1} c, so those of w are the length-l(w) prefixes
+    # of Red(c) whose product is w.
+    red_c = list(iter_fact_with_composition(ncp, (1,) * group.n))
     for w in ncp.members:
         p = parabolic_of(ncp, w)
         assert p.rank == group.reflection_length(w)
-        for decomposition in iter_fact_with_composition(
-                ncp, (1,) * p.rank, target=w):
+        decompositions = {t[:p.rank] for t in red_c
+                          if group.product(*t[:p.rank]) == w}
+        assert decompositions
+        for decomposition in decompositions:
             assert subgroup_closure(group, decomposition) == p.elements
 
 
