@@ -215,14 +215,28 @@ def test_argparse_errors_use_config_exit_code(capsys):
     assert exc.value.code == 4
 
 
-@pytest.mark.parametrize("group", ["A3", "B3", "H3"])
-def test_orbits_json_matches_golden(tmp_path, group):
+ORBIT_GOLDENS = [("A3", "2,1"), ("B3", "2,1"), ("H3", "2,1"),
+                 ("D4", "2,1,1"), ("F4", "2,2"), ("G:3,3,4", "3,1"),
+                 ("B5", "2,1,1,1")]
+
+
+def golden_name(group: str, shape: str) -> str:
+    return (f"orbits_{group.replace(':', '').replace(',', '-')}_"
+            f"{shape.replace(',', '-')}.json")
+
+
+@pytest.mark.parametrize(
+    "group,shape", ORBIT_GOLDENS,
+    ids=[g if s == "2,1" else golden_name(g, s)[7:-5]
+         for g, s in ORBIT_GOLDENS])
+def test_orbits_json_matches_golden(tmp_path, group, shape):
     """Each orbit is described by class invariants of its factors and the
     orbits are sorted by (size, descriptor), so the output does not depend
-    on how elements are numbered."""
-    golden = Path(__file__).parent / "data" / f"orbits_{group}_2-1.json"
+    on how elements are numbered.  D4, F4, G(3,3,4) and B5 split into
+    several orbits, some of the same size."""
+    golden = Path(__file__).parent / "data" / golden_name(group, shape)
     target = tmp_path / "orbits.json"
-    code = main(["orbits", "--group", group, "--shape", "2,1",
+    code = main(["orbits", "--group", group, "--shape", shape,
                  "--format", "json", "--output", str(target)])
     assert code == 0
     assert target.read_bytes() == golden.read_bytes()
