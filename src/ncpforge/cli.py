@@ -296,9 +296,15 @@ def cmd_catalog(args, out) -> int:
     return EXIT_OK
 
 
+def _check_orbit_cap(cap: int) -> None:
+    if cap < 1:
+        raise ConfigError(f"--orbit-cap must be at least 1, got {cap}")
+
+
 def cmd_verify(args, out) -> int:
     if args.nmax < 1:
         raise ConfigError(f"--nmax must be at least 1, got {args.nmax}")
+    _check_orbit_cap(args.orbit_cap)
     if args.group:
         specs = [parse_spec(g) for g in args.group]
     else:
@@ -333,6 +339,7 @@ def _orbit_descriptor(group, orbit) -> list[list[int]]:
 
 
 def cmd_orbits(args, out) -> int:
+    _check_orbit_cap(args.orbit_cap)
     spec = parse_spec(args.group)
     try:
         shape = tuple(sorted((int(p) for p in args.shape.split(",")),

@@ -19,6 +19,12 @@ Inverses, lengths, conjugacy classes and fixed-space dimensions (traces
 averaged over each cyclic subgroup) are computed from the permutations.
 An element's exact matrix is assembled from its columns only when asked
 for, for fixed spaces, flats and the regularity check.
+
+V is also held as integers: `coords[i, j]` are the power-basis
+coefficients in Q(zeta_m) of coordinate j of V[i], scaled by `coord_den`,
+the least common denominator of all of them.  A sum of images of vectors
+of V under many elements is then one integer gather through `mult.perms`
+and one sum, which is how pointwise fixators are found.
 """
 
 from __future__ import annotations
@@ -134,7 +140,8 @@ class ReflectionGroup:
         self.size = len(perms)
         self.mult = ProductView(perms, codes, radix)
         self.matrices = ElementMatrices(self.n, self.conductor, vectors, perms)
-        self._vectors = vectors
+        self.vectors = vectors
+        self.coords, self.coord_den = self._coordinates()
 
         # Python-side store for single products: row lists, a basis-image
         # lookup and, per element b, a getter of row positions b(e_j)
@@ -235,12 +242,27 @@ class ReflectionGroup:
         order = np.argsort(codes)
         return perms[order], codes[order]
 
+    def _coordinates(self) -> tuple[np.ndarray, int]:
+        """V as an int64 array of shape (|V|, n, phi(m)) over one common
+        denominator.  A fixator test sums at most |W| of these entries, so
+        an entry whose |W|-fold multiple leaves int64 raises."""
+        den = lcm(*(c.denominator for v in self.vectors for x in v
+                    for c in x.coeffs))
+        coords = [[[c.numerator * (den // c.denominator) for c in x.coeffs]
+                   for x in v] for v in self.vectors]
+        largest = max(abs(c) for v in coords for x in v for c in x)
+        if largest * self.size > _CODE_LIMIT:
+            raise OrderCapExceeded(
+                f"{self.spec.label}: a coordinate numerator {largest} times "
+                f"|W| = {self.size} does not fit in 64 bits")
+        return np.array(coords, dtype=np.int64), den
+
     def _fixed_dims(self) -> np.ndarray:
         """dim Ker(w - 1) = (1/ord w) sum_{k < ord w} tr(w^k) for every
         element, the multiplicity of the trivial character on <w>; it is
         constant on conjugacy classes, so one representative per class.
         tr g = sum_j V[g(e_j)][j], read off the basis images of g."""
-        n, vectors = self.n, self._vectors
+        n, vectors = self.n, self.vectors
         zero = CycNum.zero(self.conductor)
         start = list(range(n))
         dims = np.empty(len(self.classes), dtype=np.int32)

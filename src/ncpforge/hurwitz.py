@@ -2,8 +2,11 @@
 
 The standard braid generator sigma_i sends (..., g_i, g_{i+1}, ...) to
 (..., g_{i+1}, g_{i+1}^{-1} g_i g_{i+1}, ...); its inverse conjugates the
-other way.  Orbits are closed by BFS over canonical index tuples, so
-membership listings are reproducible.
+other way.  `hurwitz_act` applies it to one tuple or to every row of an
+index array at once.  `orbit_decomposition` partitions a set of tuples
+into the connected components of the action on it, with one whole-array
+`hurwitz_act` per position; `hurwitz_orbit` closes a single seed by BFS.
+Orbits list their members sorted, so listings are reproducible.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .group import ReflectionGroup
 from .ncp import NcpLattice
 
 DEFAULT_ORBIT_CAP = 10_000_000
+_CODE_LIMIT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -26,20 +30,26 @@ class BraidGen:
     inverse: bool = False
 
 
-def hurwitz_act(group: ReflectionGroup, factors: tuple[int, ...],
-                gen: BraidGen) -> tuple[int, ...]:
+def hurwitz_act(group: ReflectionGroup, factors, gen: BraidGen):
+    """sigma_i^{+-1} of a tuple, or of every row of a 2-D index array (one
+    tuple per row); a tuple is acted on as a 1-row array."""
+    rows = np.atleast_2d(np.asarray(factors))
     i = gen.index
-    if len(factors) < 2 or not 1 <= i <= len(factors) - 1:
+    if rows.shape[1] < 2 or not 1 <= i <= rows.shape[1] - 1:
         raise IndexOutOfRange(
-            f"generator index {i} for a {len(factors)}-tuple")
-    a, b = factors[i - 1], factors[i]
+            f"generator index {i} for a {rows.shape[1]}-tuple")
+    mult, inv = group.mult, group.inv
+    a, b = rows[:, i - 1], rows[:, i]
+    out = rows.copy()
     if gen.inverse:
         # (a, b) -> (a b a^{-1}, a)
-        pair = (group.product(a, b, group.inverse(a)), a)
+        out[:, i - 1], out[:, i] = mult[mult[a, b], inv[a]], a
     else:
         # (a, b) -> (b, b^{-1} a b)
-        pair = (b, group.product(group.inverse(b), a, b))
-    return factors[:i - 1] + pair + factors[i + 1:]
+        out[:, i - 1], out[:, i] = b, mult[mult[inv[b], a], b]
+    if isinstance(factors, np.ndarray) and factors.ndim == 2:
+        return out
+    return tuple(out[0].tolist())
 
 
 class HurwitzOrbit:
@@ -56,6 +66,8 @@ class HurwitzOrbit:
 
 def hurwitz_orbit(group: ReflectionGroup, seed: tuple[int, ...],
                   cap: int = DEFAULT_ORBIT_CAP) -> HurwitzOrbit:
+    """The orbit of one seed, closed by breadth-first search; the
+    per-seed reference for `orbit_decomposition`."""
     seed = tuple(seed)
     p = len(seed)
     gens = [BraidGen(i, inv) for i in range(1, p) for inv in (False, True)]
@@ -73,20 +85,68 @@ def hurwitz_orbit(group: ReflectionGroup, seed: tuple[int, ...],
     return HurwitzOrbit(seed, sorted(seen))
 
 
-def orbit_decomposition(group: ReflectionGroup,
-                        tuples, cap: int = DEFAULT_ORBIT_CAP) -> list[HurwitzOrbit]:
-    """Partition a set of factorisation tuples into Hurwitz orbits."""
-    remaining = set(tuples)
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        orbit = hurwitz_orbit(group, seed, cap=cap)
-        if not remaining.issuperset(orbit.members):
+def orbit_decomposition(group: ReflectionGroup, tuples,
+                        cap: int = DEFAULT_ORBIT_CAP) -> list[HurwitzOrbit]:
+    """Partition a set of factorisation tuples, all of one length, into
+    Hurwitz orbits: the connected components of the braid action on it.
+
+    Each tuple is coded by the mixed-radix number of the ranks of its
+    entries among the set's distinct entries, so the sorted codes list the
+    distinct tuples in order.  Each sigma_i maps all of them at once and
+    its images are looked up among the codes; sigma_i^{-1} is the inverse
+    map.  Labels fall to the least label of their neighbours until nothing
+    changes, so each tuple ends labelled with the least member of its
+    orbit.  Orbits come in order of their least members, which are their
+    seeds; members are the caller's tuple objects, sorted."""
+    tuples = list(tuples)
+    if not tuples:
+        return []
+    given = np.array(tuples, dtype=np.int64)
+    entries = np.unique(given)
+    p = given.shape[1]
+    if len(entries) ** p > _CODE_LIMIT:
+        raise OrbitCapExceeded(
+            f"codes of {len(entries)}^{p} tuples do not fit in 64 bits")
+    radix = len(entries) ** np.arange(p - 1, -1, -1, dtype=np.int64)
+    codes, first = np.unique(np.searchsorted(entries, given) @ radix,
+                             return_index=True)
+    rows = given[first]
+    size = len(rows)
+
+    def locate(images: np.ndarray) -> np.ndarray:
+        ranks = np.minimum(np.searchsorted(entries, images), len(entries) - 1)
+        code = ranks @ radix
+        pos = np.minimum(np.searchsorted(codes, code), size - 1)
+        if not (np.all(entries[ranks] == images)
+                and np.all(codes[pos] == code)):
             raise ClassificationMismatch(
                 "orbit left the supplied tuple set; invariants violated")
-        remaining.difference_update(orbit.members)
-        orbits.append(orbit)
-    return orbits
+        return pos
+
+    maps = []
+    for i in range(1, p):
+        forward = locate(hurwitz_act(group, rows, BraidGen(i)))
+        backward = np.empty_like(forward)
+        backward[forward] = np.arange(size)
+        maps += [forward, backward]
+    label = np.arange(size)
+    while True:
+        new = label
+        for image in maps:
+            new = np.minimum(new, new[image])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, orbit_of, sizes = np.unique(label, return_inverse=True,
+                                   return_counts=True)
+    if sizes.max() > cap:
+        raise OrbitCapExceeded(f"orbit exceeded cap {cap}")
+    members = [tuples[k] for k in first[np.argsort(orbit_of, kind="stable")]
+               .tolist()]
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    return [HurwitzOrbit(members[lo], members[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def long_factor(group: ReflectionGroup, factors: tuple[int, ...], k: int) -> int:

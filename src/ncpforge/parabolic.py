@@ -66,24 +66,27 @@ def subgroup_closure(group: ReflectionGroup, gens) -> list[int]:
 
 
 def pointwise_fixator(group: ReflectionGroup, w: int) -> list[int]:
-    """All elements fixing every vector of the flat Ker(w - 1).
+    """All elements fixing every vector of the flat Ker(w - 1), in one
+    exact integer pass over W.
 
-    w fixes its own flat, so every element g of the fixator has w^k g in
-    the fixator too, and fixed_dim[w^k g] >= dim Ker(w - 1) for all k.
-    Elements failing that integer test for some power cannot fix the flat;
-    only the others are tested exactly."""
-    flat = group.fixed_space(w)
-    candidates = group.fixed_dim >= flat.dim
-    power = w
-    while power != group.identity:
-        candidates &= group.fixed_dim[group.mult[power]] >= flat.dim
-        power = int(group.mult[power, w])
-    out = []
-    for i in np.nonzero(candidates)[0].tolist():
-        mat = group.matrices[i]
-        if all(mat.apply(v) == tuple(v) for v in flat.basis):
-            out.append(i)
-    return out
+    With o the order of w, (1/o) sum_{k<o} w^k projects onto Ker(w - 1),
+    so the sums s_j = sum_k w^k(e_j) span the flat, and g fixes it
+    pointwise iff g(s_j) = s_j for every j.  Both sides are sums of
+    vectors of V, compared as integer coordinates (`group.coords`) for
+    every element at once, one power of w at a time."""
+    perms, coords = group.mult.perms, group.coords
+    start = np.arange(group.n)
+    images = start                  # basis images of w^k
+    # target[j] = s_j and moved[g, j] = g(s_j), as coordinate arrays
+    target = np.zeros((group.n, *coords.shape[1:]), dtype=np.int64)
+    moved = np.zeros((group.size, *target.shape), dtype=np.int64)
+    while True:
+        target += coords[images]
+        moved += coords[perms[:, images]]
+        images = perms[w, images]
+        if np.array_equal(images, start):
+            break
+    return np.nonzero((moved == target).all(axis=(1, 2, 3)))[0].tolist()
 
 
 def parabolic_of(ncp: NcpLattice, w: int) -> ParabolicSubgroup:

@@ -220,21 +220,22 @@ ORBIT_GOLDENS = [("A3", "2,1"), ("B3", "2,1"), ("H3", "2,1"),
                  ("B5", "2,1,1,1")]
 
 
-def golden_name(group: str, shape: str) -> str:
-    return (f"orbits_{group.replace(':', '').replace(',', '-')}_"
-            f"{shape.replace(',', '-')}.json")
+def golden_case(group: str, shape: str) -> str:
+    """'G:3,3,4', '3,1' -> 'G3-3-4_3-1', as in tests/data/orbits_*.json."""
+    return (f"{group.replace(':', '').replace(',', '-')}_"
+            f"{shape.replace(',', '-')}")
 
 
 @pytest.mark.parametrize(
     "group,shape", ORBIT_GOLDENS,
-    ids=[g if s == "2,1" else golden_name(g, s)[7:-5]
-         for g, s in ORBIT_GOLDENS])
+    ids=[g if s == "2,1" else golden_case(g, s) for g, s in ORBIT_GOLDENS])
 def test_orbits_json_matches_golden(tmp_path, group, shape):
     """Each orbit is described by class invariants of its factors and the
     orbits are sorted by (size, descriptor), so the output does not depend
     on how elements are numbered.  D4, F4, G(3,3,4) and B5 split into
     several orbits, some of the same size."""
-    golden = Path(__file__).parent / "data" / golden_name(group, shape)
+    golden = (Path(__file__).parent / "data"
+              / f"orbits_{golden_case(group, shape)}.json")
     target = tmp_path / "orbits.json"
     code = main(["orbits", "--group", group, "--shape", shape,
                  "--format", "json", "--output", str(target)])
@@ -250,6 +251,26 @@ def test_verify_empty_selection_is_config_error(cap, capsys):
                              "--format", "json")
     assert code == 4
     assert out == "" and f"--order-cap {cap}" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", [["verify", "--group", "A1"],
+                                     ["orbits", "--group", "A1",
+                                      "--shape", "1"]],
+                         ids=["verify", "orbits"])
+def test_orbit_cap_below_one_is_config_error(command, cap, capsys,
+                                             monkeypatch):
+    """No orbit fits under a cap below 1, even a single tuple; that is a
+    configuration error found before any group is built."""
+    import ncpforge.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("group built before --orbit-cap was checked")
+
+    monkeypatch.setattr(cli, "build_group", no_build)
+    code, out, err = run_cli(capsys, *command, "--orbit-cap", cap)
+    assert code == 4
+    assert out == "" and f"--orbit-cap must be at least 1, got {cap}" in err
 
 
 def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):

@@ -1,5 +1,6 @@
 """Group construction invariants and element arithmetic."""
 
+import copy
 import gc
 import weakref
 from fractions import Fraction
@@ -279,3 +280,26 @@ def test_codes_that_overflow_64_bits_are_refused(monkeypatch):
     monkeypatch.setattr(group_module, "_CODE_LIMIT", 1)
     with pytest.raises(OrderCapExceeded):
         ReflectionGroup(GroupSpec("A", 2))
+
+
+@pytest.mark.parametrize("spec,den,largest", [
+    (GroupSpec("H3", 3), 1, 2),     # golden-ratio coordinates
+    (GroupSpec("F4", 4), 2, 2),     # half-integer roots
+], ids=lambda v: v.label if isinstance(v, GroupSpec) else str(v))
+def test_coordinates_give_back_the_vector_orbit(spec, den, largest):
+    g = build_group(spec)
+    assert g.coords.dtype == np.int64
+    assert g.coords.shape == (len(g.vectors), g.n, len(g.vectors[0][0].coeffs))
+    assert g.coord_den == den and np.abs(g.coords).max() == largest
+    back = [tuple(CycNum(g.conductor, tuple(Fraction(int(c), g.coord_den)
+                                            for c in x)) for x in v)
+            for v in g.coords]
+    assert back == g.vectors
+
+
+def test_coordinates_too_large_for_int64_sums_are_refused(a3):
+    g = copy.copy(a3)
+    big = CycNum.from_rational(a3.conductor, 2 ** 62)
+    g.vectors = [(big,) * g.n] + a3.vectors[1:]
+    with pytest.raises(OrderCapExceeded, match="64 bits"):
+        g._coordinates()

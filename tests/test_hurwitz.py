@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,3 +212,62 @@ def test_orbit_decomposition_is_a_partition(b3, b3_ncp):
     for o in orbits:
         assert seen.isdisjoint(o.members)
         seen.update(o.members)
+
+
+def bfs_partition(group, tuples):
+    """Orbits by repeated per-seed BFS from the least tuple left."""
+    remaining = set(tuples)
+    orbits = []
+    while remaining:
+        orbit = hurwitz_orbit(group, min(remaining))
+        assert remaining.issuperset(orbit.members)
+        remaining.difference_update(orbit.members)
+        orbits.append(orbit)
+    return orbits
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec("A", 3), GroupSpec("B", 3), GroupSpec("D", 4),
+    GroupSpec("H3", 3), GroupSpec("G", 3, 3), GroupSpec("I2", 2, 6),
+], ids=lambda s: s.label)
+def test_orbit_decomposition_matches_per_seed_bfs(spec):
+    group = build_group(spec)
+    ctx = GroupContext(group, build_ncp(group))
+    for tuples in [ctx.red] + [ctx.primitive(k)
+                               for k in range(2, group.n + 1)]:
+        orbits = orbit_decomposition(group, tuples)
+        expected = bfs_partition(group, tuples)
+        assert [(o.seed, o.members) for o in orbits] == \
+            [(o.seed, o.members) for o in expected]
+        # members are the caller's own tuple objects
+        given = {id(t) for t in tuples}
+        assert all(id(t) in given for o in orbits for t in o.members)
+
+
+def test_orbit_decomposition_of_a_set_missing_a_tuple(b3, b3_ncp):
+    tuples = GroupContext(b3, b3_ncp).primitive(2)
+    for drop in (0, len(tuples) // 2, len(tuples) - 1):
+        with pytest.raises(ClassificationMismatch):
+            orbit_decomposition(b3, tuples[:drop] + tuples[drop + 1:])
+
+
+def test_orbit_decomposition_cap_is_the_largest_orbit():
+    group = build_group(GroupSpec("D", 4))
+    tuples = GroupContext(group, build_ncp(group)).primitive(2)
+    largest = max(o.size for o in orbit_decomposition(group, tuples))
+    assert largest == 108
+    assert len(orbit_decomposition(group, tuples, cap=largest)) == 4
+    with pytest.raises(OrbitCapExceeded):
+        orbit_decomposition(group, tuples, cap=largest - 1)
+
+
+def test_array_action_matches_tuple_action(b3, b3_ncp):
+    red = GroupContext(b3, b3_ncp).red
+    rows = np.array(red)
+    for i in range(1, b3.n):
+        for inverse in (False, True):
+            gen = BraidGen(i, inverse)
+            images = hurwitz_act(b3, rows, gen)
+            assert images.shape == rows.shape
+            assert [tuple(r) for r in images.tolist()] == \
+                [hurwitz_act(b3, t, gen) for t in red]

@@ -36,12 +36,21 @@ def test_parabolic_of_reflection(a3, a3_ncp):
     assert p.flat == a3.fixed_space(r)
 
 
-@pytest.mark.parametrize("spec", [
-    GroupSpec("B", 3), GroupSpec("H3", 3), GroupSpec("G", 3, 3),
-], ids=lambda s: s.label)
-def test_pointwise_fixator_matches_full_scan(spec):
+@pytest.mark.parametrize("spec,strata_only", [
+    pytest.param(GroupSpec("B", 3), False, id="B3"),
+    pytest.param(GroupSpec("H3", 3), False, id="H3"),
+    pytest.param(GroupSpec("G", 3, 3), False, id="G(3,3,3)"),
+    pytest.param(GroupSpec("D", 4), False, id="D4"),
+    pytest.param(GroupSpec("I2", 2, 8), False, id="I2(8)"),
+    # F4's vectors have denominator 2; its 105 members would take long
+    pytest.param(GroupSpec("F4", 4), True, id="F4-strata"),
+])
+def test_pointwise_fixator_matches_full_scan(spec, strata_only):
     group = build_group(spec)
-    for w in build_ncp(group).members:
+    ncp = build_ncp(group)
+    members = ([s.representative for s in length2_strata(ncp)]
+               if strata_only else ncp.members)
+    for w in members:
         flat = group.fixed_space(w)
         full = [i for i, mat in enumerate(group.matrices)
                 if all(mat.apply(v) == tuple(v) for v in flat.basis)]
