@@ -308,14 +308,12 @@ def cmd_verify(args, out) -> int:
     if args.group:
         specs = [parse_spec(g) for g in args.group]
     else:
-        specs = [s for s in catalog_specs()
-                 if args.allow_large or order_of(s) <= args.order_cap]
+        specs = [s for s in catalog_specs() if order_of(s) <= args.order_cap]
         if not specs:
             raise ConfigError(
                 f"--order-cap {args.order_cap} selects no catalog group")
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    order_cap = 10 ** 18 if args.allow_large else args.order_cap
-    report = Report([run_group(spec, suites, order_cap, args.orbit_cap,
+    report = Report([run_group(spec, suites, args.order_cap, args.orbit_cap,
                                args.nmax) for spec in specs])
     _emit(RENDERERS[args.format](report), out)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
@@ -400,7 +398,6 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
     p_ver.add_argument("--nmax", type=int, default=DEFAULT_NMAX,
                        help="largest multichain length for the Chapoton suite")
-    p_ver.add_argument("--allow-large", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 
     p_orb = sub.add_parser("orbits", help="Hurwitz orbit decomposition")

@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+import numpy as np
+
 from .errors import LedgerDisagreement, NonIntegralCount
 from .group import ReflectionGroup
 from .ncp import NcpLattice, fuss_catalan
@@ -46,18 +48,18 @@ def _factorisations(ncp: NcpLattice, mu):
     block is a nontrivial divisor; with mu, block k has length mu[k] (mu
     sums to l(c), so the search ends exactly when mu is used up)."""
     length, pos, quotients = ncp.group.length, ncp.pos, ncp.quotients
+    members, rank, below = ncp.members, ncp.rank.tolist(), ncp.below
 
     def rec(w: int, k: int, prefix: list[int]):
         if length[w] == 0:
             yield tuple(prefix)
             return
         j = pos[w]
-        for u in ncp.divisors_of(w):
-            lu = int(length[u])
-            if lu == 0 or (mu is not None and lu != mu[k]):
+        for i in below[j]:
+            if rank[i] == 0 or (mu is not None and rank[i] != mu[k]):
                 continue
-            prefix.append(u)
-            yield from rec(int(quotients[pos[u], j]), k + 1, prefix)
+            prefix.append(members[i])
+            yield from rec(int(quotients[i, j]), k + 1, prefix)
             prefix.pop()
 
     return rec(ncp.c, 0, [])
@@ -66,12 +68,10 @@ def _factorisations(ncp: NcpLattice, mu):
 def two_reflection_factorisations(ncp: NcpLattice, w: int) -> list[tuple[int, int]]:
     """Pairs (r1, r2) of reflections with r1 r2 = w (w of length 2)."""
     group = ncp.group
-    pairs = []
-    for r1 in ncp.reflections_below(w):
-        r2 = group.product(group.inverse(r1), w)
-        if int(group.length[r2]) == 1:
-            pairs.append((r1, r2))
-    return pairs
+    r1 = np.array(ncp.reflections_below(w), dtype=np.int32)
+    r2 = group.mult[group.inv[r1], w]
+    keep = group.length[r2] == 1
+    return list(zip(r1[keep].tolist(), r2[keep].tolist()))
 
 
 # -- closed-form counts ----------------------------------------------------

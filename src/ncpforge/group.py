@@ -14,11 +14,17 @@ runs over whole frontiers of permutations at once.
 A product a*b is the row of a composed with the basis images of b; its
 code is found in the sorted `codes` array.  `mult` does this for index
 arrays of any shape, so it reads like an |W| x |W| table that is never
-built, and `product` does it for single elements with Python lists.
-Inverses, lengths, conjugacy classes and fixed-space dimensions (traces
-averaged over each cyclic subgroup) are computed from the permutations.
-An element's exact matrix is assembled from its columns only when asked
-for, for fixed spaces, flats and the regularity check.
+built; `product`, `inverse` and `conjugate` are single-element lookups
+through `mult` and `inv`, and reject indices outside 0..|W|-1.
+
+Three traversals serve every search over W: `powers` lists the basis
+images of the powers of one element (orders, fixed-space dimensions and
+fixators), `word_lengths` is the breadth-first search from the identity
+(reflection length, generated subgroups), and the module-level
+`components` labels connected components (conjugacy classes, Hurwitz
+orbits, strong conjugacy).  An element's exact matrix is assembled from
+its columns only when asked for, for fixed spaces, flats and the
+regularity check.
 
 V is also held as integers: `coords[i, j]` are the power-basis
 coefficients in Q(zeta_m) of coordinate j of V[i], scaled by `coord_den`,
@@ -32,7 +38,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 from math import lcm
-from operator import itemgetter
 
 import numpy as np
 
@@ -54,6 +59,24 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 50_000
 _CODE_LIMIT = np.iinfo(np.int64).max
+
+
+def components(size: int, edges) -> np.ndarray:
+    """Connected components of the undirected graph on nodes 0..size-1
+    whose edges are given as a list of (src, dst) index-array pairs: each
+    node ends labelled with the least node of its component.  Labels fall
+    to the least label across every edge, both ways, then jump to their
+    label's label, until nothing changes."""
+    label = np.arange(size)
+    while True:
+        new = label.copy()
+        for src, dst in edges:
+            np.minimum.at(new, src, new[dst])
+            np.minimum.at(new, dst, new[src])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 class ProductView:
@@ -143,18 +166,10 @@ class ReflectionGroup:
         self.vectors = vectors
         self.coords, self.coord_den = self._coordinates()
 
-        # Python-side store for single products: row lists, a basis-image
-        # lookup and, per element b, a getter of row positions b(e_j)
-        self._rows = perms.tolist()
-        basis = itemgetter(*range(self.n))
-        self._lookup = {basis(row): i for i, row in enumerate(self._rows)}
-        self._basis_of = [itemgetter(*row[:self.n]) for row in self._rows]
-
         self.identity = int(self.mult.locate(np.arange(self.n)))
         self.generators = self.mult.locate(gen_perms[:, :self.n]).tolist()
         # row w of argsort(perms) is the inverse permutation of w
         self.inv = self.mult.locate(np.argsort(perms, axis=1)[:, :self.n])
-        self._inverses = self.inv.tolist()
         self.class_id, self.classes = self._conjugacy_classes()
 
         self.fixed_dim = self._fixed_dims()
@@ -174,7 +189,10 @@ class ReflectionGroup:
                     f"dimension {self.n - 1} but a fixed space of dimension "
                     f"{self.fixed_space(r).dim}")
 
-        self.length = self._length_table()
+        self.length = self.word_lengths(self.reflections)
+        if (self.length < 0).any():
+            raise CoxeterValidationFailed(
+                f"{spec.label}: reflections do not generate the group")
 
         try:
             self.coxeter = self.index_of(coxeter_matrix_of(spec))
@@ -262,22 +280,15 @@ class ReflectionGroup:
         element, the multiplicity of the trivial character on <w>; it is
         constant on conjugacy classes, so one representative per class.
         tr g = sum_j V[g(e_j)][j], read off the basis images of g."""
-        n, vectors = self.n, self.vectors
-        zero = CycNum.zero(self.conductor)
-        start = list(range(n))
+        vectors = self.vectors
         dims = np.empty(len(self.classes), dtype=np.int32)
         for cid, members in enumerate(self.classes):
             w = members[0]
-            row = self._rows[w]
-            total, k, images = zero, 0, start
-            while True:
-                for j in range(n):
-                    total = total + vectors[images[j]][j]
-                k += 1
-                images = [row[x] for x in images]  # basis images of w^k
-                if images == start:
-                    break
-            dim = total.rational_value() / k if total.is_rational() else None
+            powers = self.powers(w)
+            total = sum((vectors[images[j]][j] for images in powers
+                         for j in range(self.n)), CycNum.zero(self.conductor))
+            dim = (total.rational_value() / len(powers)
+                   if total.is_rational() else None)
             if dim is None or dim.denominator != 1 or not 0 <= dim <= self.n:
                 raise CoxeterValidationFailed(
                     f"{self.spec.label}: character average of element {w} "
@@ -285,42 +296,14 @@ class ReflectionGroup:
             dims[cid] = dim.numerator
         return dims[self.class_id]
 
-    def _length_table(self) -> np.ndarray:
-        dist = np.full(self.size, -1, dtype=np.int32)
-        dist[self.identity] = 0
-        frontier = np.array([self.identity], dtype=np.int32)
-        d = 0
-        refl = np.array(self.reflections, dtype=np.int32)
-        while frontier.size:
-            d += 1
-            reached = np.unique(self.mult[refl[:, None], frontier])
-            new = reached[dist[reached] < 0]
-            dist[new] = d
-            frontier = new
-        if (dist < 0).any():
-            raise CoxeterValidationFailed(
-                f"{self.spec.label}: reflections do not generate the group")
-        return dist
-
     def _conjugacy_classes(self) -> tuple[np.ndarray, list[list[int]]]:
-        """Classes by min-label propagation: each element's label falls to
-        the least label among its conjugates by the generators and their
-        inverses until nothing changes, leaving every element labelled
-        with the least element of its class.  Classes are numbered in the
-        order of their least elements."""
+        """Classes as the components of the graph joining each element w
+        to g w g^-1 for every generator g; they are numbered in the order
+        of their least elements."""
         elements = np.arange(self.size)
-        maps = [self.mult[g, self.mult[elements, self.inv[g]]]  # g w g^-1
-                for g in self.generators
-                + [self._inverses[g] for g in self.generators]]
-        label = elements
-        while True:
-            new = label
-            for conj in maps:
-                new = np.minimum(new, new[conj])
-            new = new[new]
-            if np.array_equal(new, label):
-                break
-            label = new
+        label = components(self.size, [
+            (elements, self.mult[g, self.mult[elements, self.inv[g]]])
+            for g in self.generators])
         _, class_id = np.unique(label, return_inverse=True)
         class_id = class_id.astype(np.int32)
         by_class = np.argsort(class_id, kind="stable")
@@ -368,31 +351,56 @@ class ReflectionGroup:
 
     def product(self, *elements: int) -> int:
         """Index of the product of the elements, left to right."""
+        for w in elements:
+            self._check_member(w)
         if not elements:
             return self.identity
         acc = int(elements[0])
-        if not 0 <= acc < self.size:
-            raise ElementNotInGroup(f"index {acc} outside 0..{self.size - 1}")
-        rows, basis_of, lookup = self._rows, self._basis_of, self._lookup
         for w in elements[1:]:
-            # the basis images of acc * w are acc's row at w(e_j)
-            acc = lookup[basis_of[w](rows[acc])]
+            acc = int(self.mult[acc, w])
         return acc
 
     def inverse(self, w: int) -> int:
-        return self._inverses[w]
+        self._check_member(w)
+        return int(self.inv[w])
 
     def conjugate(self, w: int, by: int) -> int:
         """by^{-1} * w * by."""
-        return self.product(self._inverses[by], w, by)
+        return self.product(self.inverse(by), w, by)
+
+    def powers(self, w: int) -> list[list[int]]:
+        """The basis images (positions in V) of w^0, w^1, ..., w^(o-1),
+        with o the order of w."""
+        self._check_member(w)
+        row = self.mult.perms[w].tolist()
+        start = list(range(self.n))
+        out, images = [], start
+        while True:
+            out.append(images)
+            images = [row[x] for x in images]
+            if images == start:
+                return out
 
     def element_order(self, w: int) -> int:
-        self._check_member(w)
-        k, acc = 1, w
-        while acc != self.identity:
-            acc = self.product(acc, w)
-            k += 1
-        return k
+        return len(self.powers(w))
+
+    def word_lengths(self, gens) -> np.ndarray:
+        """Distance of every element from the identity by left
+        multiplication with gens, breadth-first over whole frontiers; -1
+        where gens do not reach.  With gens the reflections this is the
+        reflection length, and the elements reached by any gens form the
+        subgroup they generate."""
+        gens = np.unique(np.array(gens, dtype=np.int32))
+        dist = np.full(self.size, -1, dtype=np.int32)
+        dist[self.identity] = 0
+        frontier = np.array([self.identity], dtype=np.int32)
+        d = 0
+        while frontier.size and gens.size:
+            d += 1
+            reached = np.unique(self.mult[gens[:, None], frontier])
+            frontier = reached[dist[reached] < 0]
+            dist[frontier] = d
+        return dist
 
     def reflection_length(self, w: int) -> int:
         self._check_member(w)
@@ -400,9 +408,7 @@ class ReflectionGroup:
 
     def divides(self, u: int, v: int) -> bool:
         """Absolute order: l(u) + l(u^{-1} v) = l(v)."""
-        self._check_member(u)
-        self._check_member(v)
-        quotient = self.product(self._inverses[u], v)
+        quotient = self.product(self.inverse(u), v)
         return int(self.length[u]) + int(self.length[quotient]) == int(self.length[v])
 
     def _check_member(self, w) -> None:
@@ -411,6 +417,7 @@ class ReflectionGroup:
 
     def fixed_space(self, w: int) -> Subspace:
         """Ker(w - 1), exact; cached on the group, so the cache dies with it."""
+        self._check_member(w)
         space = self._fixed_spaces.get(w)
         if space is None:
             space = self._fixed_spaces[w] = kernel(
@@ -423,6 +430,7 @@ class ReflectionGroup:
         conductor lcm(m, h)."""
         if w is None:
             w = self.coxeter
+        self._check_member(w)
         big_m = lcm(self.conductor, self.h)
         mat = self.matrices[w].embed(big_m)
         zeta_h = CycNum.zeta(big_m, big_m // self.h)
@@ -444,19 +452,12 @@ class ReflectionGroup:
         return True
 
     def _conjugation_orbit_representatives(self, w: int) -> list[int]:
-        """One reflection from each orbit of <w> acting on the reflections
-        by r -> w r w^-1."""
-        w_inv = self._inverses[w]
-        seen: set[int] = set()
-        reps = []
-        for r in self.reflections:
-            if r in seen:
-                continue
-            reps.append(r)
-            while r not in seen:
-                seen.add(r)
-                r = self.product(w, r, w_inv)
-        return reps
+        """The least reflection of each orbit of <w> acting on the
+        reflections by r -> w r w^-1."""
+        refl = np.array(self.reflections, dtype=np.int32)
+        label = components(self.size, [
+            (refl, self.mult[w, self.mult[refl, self.inv[w]]])])
+        return refl[label[refl] == refl].tolist()
 
     def __repr__(self):
         return f"ReflectionGroup({self.spec.label}, |W|={self.size})"

@@ -4,9 +4,12 @@ The standard braid generator sigma_i sends (..., g_i, g_{i+1}, ...) to
 (..., g_{i+1}, g_{i+1}^{-1} g_i g_{i+1}, ...); its inverse conjugates the
 other way.  `hurwitz_act` applies it to one tuple or to every row of an
 index array at once.  `orbit_decomposition` partitions a set of tuples
-into the connected components of the action on it, with one whole-array
-`hurwitz_act` per position; `hurwitz_orbit` closes a single seed by BFS.
-Orbits list their members sorted, so listings are reproducible.
+into Hurwitz orbits, the `group.components` of the graph joining each
+tuple to its image under each sigma_i, with one whole-array `hurwitz_act`
+per position; `hurwitz_orbit` closes a single seed by BFS and is the
+per-seed reference.  Strong conjugacy classes are the components of the
+graph joining w to x w x^-1, found the same way.  Orbits list their
+members sorted, so listings are reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassificationMismatch, IndexOutOfRange, OrbitCapExceeded
-from .group import ReflectionGroup
+from .group import ReflectionGroup, components
 from .ncp import NcpLattice
 
 DEFAULT_ORBIT_CAP = 10_000_000
@@ -93,11 +96,10 @@ def orbit_decomposition(group: ReflectionGroup, tuples,
     Each tuple is coded by the mixed-radix number of the ranks of its
     entries among the set's distinct entries, so the sorted codes list the
     distinct tuples in order.  Each sigma_i maps all of them at once and
-    its images are looked up among the codes; sigma_i^{-1} is the inverse
-    map.  Labels fall to the least label of their neighbours until nothing
-    changes, so each tuple ends labelled with the least member of its
-    orbit.  Orbits come in order of their least members, which are their
-    seeds; members are the caller's tuple objects, sorted."""
+    its images are looked up among the codes; the edges are undirected, so
+    sigma_i^{-1} adds nothing.  Orbits come in order of their least
+    members, which are their seeds; members are the caller's tuple
+    objects, sorted."""
     tuples = list(tuples)
     if not tuples:
         return []
@@ -123,21 +125,10 @@ def orbit_decomposition(group: ReflectionGroup, tuples,
                 "orbit left the supplied tuple set; invariants violated")
         return pos
 
-    maps = []
-    for i in range(1, p):
-        forward = locate(hurwitz_act(group, rows, BraidGen(i)))
-        backward = np.empty_like(forward)
-        backward[forward] = np.arange(size)
-        maps += [forward, backward]
-    label = np.arange(size)
-    while True:
-        new = label
-        for image in maps:
-            new = np.minimum(new, new[image])
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
+    nodes = np.arange(size)
+    label = components(size, [
+        (nodes, locate(hurwitz_act(group, rows, BraidGen(i))))
+        for i in range(1, p)])
     _, orbit_of, sizes = np.unique(label, return_inverse=True,
                                    return_counts=True)
     if sizes.max() > cap:
@@ -197,13 +188,11 @@ def p2_orbit_formula(group: ReflectionGroup, u1: int, u2: int) -> set:
     {(u1^{c^k}, u2^{c^k}), (u2^{c^{k+1}}, u1^{c^k})} over k in Z, where
     x^v denotes v x v^{-1} (the reading under which the second family
     multiplies back to c)."""
-    c = group.coxeter
+    c_powers = group.mult.locate(group.powers(group.coxeter)).tolist()
 
     def conj(x: int, k: int) -> int:
         # c^k x c^{-k}
-        ck = group.identity
-        for _ in range(k % group.h):
-            ck = group.product(ck, c)
+        ck = c_powers[k % len(c_powers)]
         return group.product(ck, x, group.inverse(ck))
 
     out = set()
@@ -215,29 +204,14 @@ def p2_orbit_formula(group: ReflectionGroup, u1: int, u2: int) -> set:
 
 # -- strong conjugacy --------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def strong_conjugacy_classes(ncp: NcpLattice) -> list[list[int]]:
     """Partition of NCP members under the closure of x w = w' x with
     x w in NCP and l(x w) = l(x) + l(w).
 
     Conjugators x range over NCP members (x <= xw <= c forces x into NCP).
     All pairs (x, w) are tested in one whole-array pass through
-    `group.mult`.
+    `group.mult`, and the classes are the components of the graph joining
+    each w to its conjugates x w x^{-1}.
     """
     group = ncp.group
     mult, length = group.mult, group.length
@@ -253,12 +227,10 @@ def strong_conjugacy_classes(ncp: NcpLattice) -> list[list[int]]:
         raise ClassificationMismatch(
             f"{group.spec.label}: a strong conjugate of an NCP member lies "
             f"outside NCP")
-    uf = _UnionFind(ncp.size)
-    for i, t in zip(cols.tolist(), targets.tolist()):
-        uf.union(i, t)
+    label = components(ncp.size, [(cols, targets)])
     buckets: dict[int, list[int]] = {}
-    for i in range(ncp.size):
-        buckets.setdefault(uf.find(i), []).append(ncp.members[i])
+    for w, root in zip(ncp.members, label.tolist()):
+        buckets.setdefault(root, []).append(w)
     return sorted(sorted(b) for b in buckets.values())
 
 

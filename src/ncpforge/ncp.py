@@ -60,6 +60,8 @@ class NcpLattice:
         self.quotients = group.mult[np.ix_(inv[idx], idx)]
         self.leq = ((self.rank[:, None] + length[self.quotients])
                     == self.rank[None, :])
+        # below[j]: positions i of the members that divide members[j]
+        self.below = [np.nonzero(col)[0].tolist() for col in self.leq.T]
 
     # -- order structure ---------------------------------------------------
 
@@ -128,21 +130,17 @@ class NcpLattice:
         if chain_length < 1:
             raise ValueError("chain length must be >= 1")
         counts = [1] * self.size
-        below = [np.nonzero(self.leq[:, j])[0] for j in range(self.size)]
         for _ in range(chain_length - 1):
-            counts = [sum(counts[int(i)] for i in below[j])
-                      for j in range(self.size)]
+            counts = [sum(counts[i] for i in below) for below in self.below]
         return sum(counts)
 
     def divisors_of(self, w: int) -> list[int]:
         """Members u with u <= w (element indices)."""
-        j = self.member_index(w)
-        return [self.members[int(i)] for i in np.nonzero(self.leq[:, j])[0]]
+        return [self.members[i] for i in self.below[self.member_index(w)]]
 
     def reflections_below(self, w: int) -> list[int]:
-        j = self.member_index(w)
-        return [self.members[int(i)]
-                for i in np.nonzero(self.leq[:, j] & (self.rank == 1))[0]]
+        return [self.members[i] for i in self.below[self.member_index(w)]
+                if self.rank[i] == 1]
 
     def __repr__(self):
         return f"NcpLattice({self.group.spec.label}, size={self.size})"

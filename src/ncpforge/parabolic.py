@@ -52,17 +52,7 @@ class ParabolicSubgroup:
 
 def subgroup_closure(group: ReflectionGroup, gens) -> list[int]:
     """Sorted element indices of the subgroup generated by gens."""
-    mult = group.mult
-    seen = np.zeros(group.size, dtype=bool)
-    seen[group.identity] = True
-    frontier = np.array([group.identity], dtype=np.int32)
-    gen_idx = np.array(sorted(set(int(g) for g in gens)), dtype=np.int32)
-    while frontier.size and gen_idx.size:
-        reached = np.unique(mult[np.ix_(gen_idx, frontier)])
-        new = reached[~seen[reached]]
-        seen[new] = True
-        frontier = new
-    return [int(i) for i in np.nonzero(seen)[0]]
+    return np.nonzero(group.word_lengths(gens) >= 0)[0].tolist()
 
 
 def pointwise_fixator(group: ReflectionGroup, w: int) -> list[int]:
@@ -75,17 +65,12 @@ def pointwise_fixator(group: ReflectionGroup, w: int) -> list[int]:
     vectors of V, compared as integer coordinates (`group.coords`) for
     every element at once, one power of w at a time."""
     perms, coords = group.mult.perms, group.coords
-    start = np.arange(group.n)
-    images = start                  # basis images of w^k
     # target[j] = s_j and moved[g, j] = g(s_j), as coordinate arrays
     target = np.zeros((group.n, *coords.shape[1:]), dtype=np.int64)
     moved = np.zeros((group.size, *target.shape), dtype=np.int64)
-    while True:
+    for images in group.powers(w):
         target += coords[images]
         moved += coords[perms[:, images]]
-        images = perms[w, images]
-        if np.array_equal(images, start):
-            break
     return np.nonzero((moved == target).all(axis=(1, 2, 3)))[0].tolist()
 
 

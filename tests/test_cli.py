@@ -160,11 +160,11 @@ def test_exit_code_resource_cap(capsys):
     assert "resource cap" in err
 
 
-def test_allow_large_overrides_cap(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--group", "B2",
-                           "--suite", "ncp", "--order-cap", "4",
-                           "--allow-large")
-    assert code == 0
+@pytest.mark.parametrize("cap,code", [("8", 0), ("7", 3)])
+def test_order_cap_boundary(capsys, cap, code):
+    # |B2| = 8: a cap of exactly |W| builds the group, one less refuses it
+    assert run_cli(capsys, "verify", "--group", "B2", "--suite", "ncp",
+                   "--order-cap", cap)[0] == code
 
 
 def test_exit_code_check_failed(capsys, monkeypatch):

@@ -8,7 +8,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncpforge.catalog import (
@@ -89,6 +89,28 @@ def test_out_of_range_element_rejected(a3):
         a3.reflection_length(a3.size)
     with pytest.raises(ElementNotInGroup):
         a3.element_order(-1)
+
+
+_ELEMENT_QUERIES = {
+    "product_first": lambda g, w: g.product(w, 0),
+    "product_last": lambda g, w: g.product(0, 1, w),
+    "inverse": lambda g, w: g.inverse(w),
+    "conjugate_w": lambda g, w: g.conjugate(w, 1),
+    "conjugate_by": lambda g, w: g.conjugate(1, w),
+    "powers": lambda g, w: g.powers(w),
+    "element_order": lambda g, w: g.element_order(w),
+    "fixed_space": lambda g, w: g.fixed_space(w),
+    "coxeter_regularity_check": lambda g, w: g.coxeter_regularity_check(w),
+}
+
+
+@pytest.mark.parametrize("query", sorted(_ELEMENT_QUERIES))
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_element_queries_reject_indices_outside_the_group(a3, query, offset):
+    # -1 would wrap to the last element and |W| would index past the end
+    w = -1 if offset < 0 else a3.size
+    with pytest.raises(ElementNotInGroup):
+        _ELEMENT_QUERIES[query](a3, w)
 
 
 def test_permutation_round_trip(a3):
@@ -247,18 +269,18 @@ def test_index_of_rejects_matrices_outside_the_group(b3):
         b3.index_of(Matrix.identity(2, 1))
 
 
-def _held_arrays(*roots):
-    """Every numpy array reachable from the roots through instance
-    attributes, lists, tuples and dicts."""
+def _held_objects(*roots):
+    """Every numpy array, list, tuple and dict reachable from the roots
+    through instance attributes, lists, tuples and dicts."""
     seen, stack, found = set(), list(roots), []
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
+        if isinstance(obj, (np.ndarray, dict, list, tuple)):
             found.append(obj)
-        elif isinstance(obj, dict):
+        if isinstance(obj, dict):
             stack.extend(obj.values())
         elif isinstance(obj, (list, tuple)):
             stack.extend(obj)
@@ -267,13 +289,88 @@ def _held_arrays(*roots):
     return found
 
 
-def test_no_quadratic_array_held_by_b5_group_or_lattice():
+@pytest.fixture(scope="module")
+def b5_held():
     g = ReflectionGroup(GroupSpec("B", 5))
-    ncp = build_ncp(g)
-    arrays = _held_arrays(g, ncp)
+    return g, _held_objects(g, build_ncp(g))
+
+
+def test_no_quadratic_array_held_by_b5_group_or_lattice(b5_held):
+    g, held = b5_held
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
     assert any(a.size >= g.size for a in arrays)  # the walk sees the store
     assert max(a.size for a in arrays) < g.size ** 2
     assert g.mult.nbytes < 100_000
+
+
+def test_no_python_container_of_w_size_held_by_b5_group_or_lattice(b5_held):
+    # elements are stored once, as numpy rows; a list, tuple or dict with
+    # an entry per element would be a second store
+    g, held = b5_held
+    containers = [len(c) for c in held if not isinstance(c, np.ndarray)]
+    assert containers and max(containers) < g.size
+
+
+def _bfs_components(size, pairs):
+    """Least node of each node's component, by plain breadth-first search
+    over the (a, b) pairs."""
+    neighbours = [[] for _ in range(size)]
+    for a, b in pairs:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    label = [None] * size
+    for root in range(size):
+        if label[root] is None:
+            label[root], queue = root, [root]
+            for node in queue:
+                for other in neighbours[node]:
+                    if label[other] is None:
+                        label[other] = root
+                        queue.append(other)
+    return label
+
+
+@settings(max_examples=150, deadline=None)
+@example((4, []))                       # no edge lists at all (A1's 1-tuples)
+@example((3, [[]]))                     # one empty edge list
+@example((5, [[(2, 2), (0, 3)]]))       # a self-loop; 1 and 4 isolated
+@given(st.integers(1, 40).flatmap(lambda size: st.tuples(
+    st.just(size),
+    st.lists(st.lists(st.tuples(st.integers(0, size - 1),
+                                st.integers(0, size - 1)), max_size=30),
+             max_size=3))))
+def test_components_match_breadth_first_search(case):
+    size, edge_lists = case
+    edges = [(np.array([a for a, _ in pairs], dtype=np.int64),
+              np.array([b for _, b in pairs], dtype=np.int64))
+             for pairs in edge_lists]
+    assert (group_module.components(size, edges).tolist()
+            == _bfs_components(size, [p for pairs in edge_lists
+                                      for p in pairs]))
+
+
+@pytest.mark.parametrize("fixture", ["b3", "g333"])
+def test_powers_match_repeated_products(request, fixture):
+    g = request.getfixturevalue(fixture)
+    for w in range(g.size):
+        acc = g.identity
+        for images in g.powers(w):
+            assert images == g.mult.perms[acc, :g.n].tolist()
+            acc = g.product(acc, w)
+        assert acc == g.identity
+        assert g.element_order(w) == len(g.powers(w))
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in catalog_specs() if order_of(s) <= 50_000],
+    ids=lambda s: s.label)
+def test_word_lengths_of_reflections_are_the_length_table(spec):
+    g = build_group(spec)
+    assert (g.word_lengths(g.reflections) == g.length).all()
+    assert (g.word_lengths(g.generators) >= 0).all()
+    only_identity = g.word_lengths([])
+    assert only_identity[g.identity] == 0
+    assert np.count_nonzero(only_identity >= 0) == 1
 
 
 def test_codes_that_overflow_64_bits_are_refused(monkeypatch):
