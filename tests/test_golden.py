@@ -1,17 +1,20 @@
-"""The catalog verification report is pinned byte for byte.
+"""The verification reports are pinned byte for byte.
 
 `tests/data/verify_catalog.json` is the output of
-`ncpforge verify --format json` over the default catalog.  Every value in
-it is a count, a boolean or an (r, u) list, so a refactor that changes no
-result leaves it unchanged.  Regenerate it only when a check is added or
-removed on purpose.
+`ncpforge verify --format json` over the default catalog, and
+`tests/data/verify_B5_G3-3-5.json` that of
+`ncpforge verify --group B5 --group G:3,3,5 --format json`, two groups
+outside it.  Every value in them is a count, a boolean or an (r, u) list,
+so a refactor that changes no result leaves them unchanged.  Regenerate
+them only when a check is added or removed on purpose.
 """
 
 from pathlib import Path
 
 from ncpforge.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "verify_catalog.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "verify_catalog.json"
 
 
 def test_catalog_report_matches_golden(tmp_path):
@@ -19,3 +22,11 @@ def test_catalog_report_matches_golden(tmp_path):
     code = main(["verify", "--format", "json", "--output", str(target)])
     assert code == 0
     assert target.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_groups_outside_the_catalog_match_golden(tmp_path):
+    target = tmp_path / "report.json"
+    code = main(["verify", "--group", "B5", "--group", "G:3,3,5",
+                 "--format", "json", "--output", str(target)])
+    assert code == 0
+    assert target.read_bytes() == (DATA / "verify_B5_G3-3-5.json").read_bytes()
