@@ -1,27 +1,26 @@
 """Catalog of supported well-generated irreducible reflection groups.
 
 Families shipped: A(n>=1), B(n>=2), D(n>=4) (= G(2,2,n)), I2(e>=3)
-(= G(e,e,2)), G(e,e,n) with e>=2 and n>=3, H3 and F4.  Each entry carries
-the smallest faithful exact matrix representation:
+(= G(e,e,2)), G(e,e,n) with e>=2 and n>=3, H3 and F4.  Every group is
+built from one of two generator rules, with entries in Z[zeta_m]:
 
-* type A: permutation matrices of S_{n+1} restricted to the sum-zero
-  subspace, realised over Q (conductor 1);
-* types B, D: signed permutation matrices over Q;
-* I2(e) and G(e,e,n): monomial matrices over Q(zeta_e);
-* H3: the geometric representation over Q(zeta_5);
-* F4: the crystallographic root-system representation over Q.
+* Cartan rule (A(n), H3, F4): s_i(alpha_j) = alpha_j - a_ij alpha_i in
+  the simple-root basis, with a_ij from the group's Cartan matrix.  Its
+  entries are integers, except zeta5^2 + zeta5^3 = -2cos(pi/5) on H3's
+  5-edge, so H3 lives over Q(zeta_5) and A and F4 over Q;
+* monomial rule (B, D, I2, G(e,e,n)): monomial matrices of G(e,p,n) over
+  Q(zeta_e), B being G(2,1,n) and D being G(2,2,n) over Q(zeta_2).
+
+The Coxeter element c is the product of the generators in order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclo import CycNum, Matrix
 from .errors import ConfigError
-
-Fr = Fraction
 
 
 @dataclass(frozen=True)
@@ -124,52 +123,30 @@ def order_of(spec: GroupSpec) -> int:
 
 
 def conductor_of(spec: GroupSpec) -> int:
-    if spec.family == "I2":
+    if spec.family in ("I2", "G"):
         return spec.e
-    if spec.family == "G":
-        return spec.e
-    if spec.family == "D":
+    if spec.family in ("B", "D"):
         return 2
     if spec.family == "H3":
         return 5
     return 1
 
 
-def _perm_matrix_sum_zero(perm: tuple[int, ...]) -> Matrix:
-    """Matrix of a permutation of {1..n+1} in the basis f_i = e_i - e_{i+1}."""
-    np1 = len(perm)
-    n = np1 - 1
-    cols = []
-    for i in range(1, n + 1):
-        a, b = perm[i - 1], perm[i]
-        col = [Fr(0)] * n
-        if a < b:
-            for k in range(a, b):
-                col[k - 1] = Fr(1)
-        else:
-            for k in range(b, a):
-                col[k - 1] = Fr(-1)
-        cols.append(col)
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return Matrix.from_rational_rows(1, rows)
-
-
 def perm_to_element_matrix(spec: GroupSpec, perm: tuple[int, ...]) -> Matrix:
     """Type-A helper: permutation of {1..n+1} (one-line notation, 1-based)
-    to its matrix in the sum-zero representation."""
+    to its matrix in the basis f_i = e_i - e_{i+1} of the sum-zero
+    subspace, which is the simple-root basis."""
+    n = spec.n
     if spec.family != "A":
         raise ConfigError("permutation input is only defined for type A")
-    if sorted(perm) != list(range(1, spec.n + 2)):
+    if sorted(perm) != list(range(1, n + 2)):
         raise ConfigError("not a permutation of 1..n+1")
-    return _perm_matrix_sum_zero(perm)
-
-
-def _signed_perm_matrix(images: list[tuple[int, int]]) -> Matrix:
-    """images[j] = (i, sign): e_{j+1} -> sign * e_i (1-based)."""
-    n = len(images)
-    rows = [[Fr(0)] * n for _ in range(n)]
-    for j, (i, sign) in enumerate(images):
-        rows[i - 1][j] = Fr(sign)
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n):
+        # f_{j+1} -> e_a - e_b = +-(f_k + ... + f_{l-1}), {k, l} = {a, b}
+        a, b = perm[j], perm[j + 1]
+        for k in range(min(a, b), max(a, b)):
+            rows[k - 1][j] = 1 if a < b else -1
     return Matrix.from_rational_rows(1, rows)
 
 
@@ -183,115 +160,35 @@ def _monomial_matrix(m: int, n: int, images: list[tuple[int, int]]) -> Matrix:
 
 
 def generators_of(spec: GroupSpec) -> list[Matrix]:
-    f, n, e = spec.family, spec.n, spec.e
-    if f == "A":
-        gens = []
-        for i in range(1, n + 1):
-            perm = list(range(1, n + 2))
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
-            gens.append(_perm_matrix_sum_zero(tuple(perm)))
-        return gens
-    if f == "B":
-        gens = [_signed_perm_matrix(
-            [(1, -1)] + [(i, 1) for i in range(2, n + 1)])]
-        for i in range(1, n):
-            images = [(j, 1) for j in range(1, n + 1)]
-            images[i - 1], images[i] = (i + 1, 1), (i, 1)
-            gens.append(_signed_perm_matrix(images))
-        return gens
-    if f in ("D", "G", "I2"):
-        m = conductor_of(spec)
-        rank = 2 if f == "I2" else n
-        # twisted transposition: e_1 -> zeta e_2, e_2 -> zeta^{-1} e_1
-        images = [(2, 1), (1, m - 1)] + [(j, 0) for j in range(3, rank + 1)]
-        gens = [_monomial_matrix(m, rank, images)]
-        for i in range(1, rank):
-            images = [(j, 0) for j in range(1, rank + 1)]
-            images[i - 1], images[i] = (i + 1, 0), (i, 0)
-            gens.append(_monomial_matrix(m, rank, images))
-        return gens
-    if f == "H3":
-        return _h3_generators()
-    if f == "F4":
-        return _f4_generators()
-    raise ConfigError(f"unknown family {f!r}")
-
-
-def _h3_generators() -> list[Matrix]:
-    # geometric representation from the Coxeter matrix (m12=5, m23=3, m13=2);
-    # cos(pi/5) = (1 + zeta5 + zeta5^4) / 2
-    m = 5
-    one = CycNum.one(m)
-    zero = CycNum.zero(m)
-    half = CycNum.from_rational(m, Fr(1, 2))
-    cos5 = (one + CycNum.zeta(m, 1) + CycNum.zeta(m, 4)) * half
-    coshalf = half  # cos(pi/3)
-    gram = [
-        [one, -cos5, zero],
-        [-cos5, one, -coshalf],
-        [zero, -coshalf, one],
-    ]
-    gens = []
-    two = CycNum.from_rational(m, 2)
-    for i in range(3):
-        rows = []
-        for k in range(3):
-            row = []
-            for j in range(3):
-                entry = one if k == j else zero
-                if k == i:
-                    entry = entry - two * gram[i][j]
-                row.append(entry)
-            rows.append(row)
-        gens.append(Matrix(3, m, rows))
+    """The generators s_1..s_n, in the order whose product is c."""
+    f, n, m = spec.family, spec.n, conductor_of(spec)
+    one, zero = CycNum.one(m), CycNum.zero(m)
+    if f in ("A", "H3", "F4"):
+        # Cartan rule: s_i(alpha_j) = alpha_j - a_ij alpha_i.  The three
+        # diagrams are paths; a 3-edge has a_ij = -1, F4's 4-edge has
+        # a_32 = -2, and H3's 5-edge a = zeta5^2 + zeta5^3 = -2cos(pi/5).
+        a = [[CycNum.from_rational(
+                  m, 2 if i == j else -1 if abs(i - j) == 1 else 0)
+              for j in range(n)] for i in range(n)]
+        if f == "H3":
+            a[0][1] = a[1][0] = CycNum.zeta(m, 2) + CycNum.zeta(m, 3)
+        if f == "F4":
+            a[2][1] = CycNum.from_rational(m, -2)
+        return [Matrix(n, m, [[(one if k == j else zero)
+                               - (a[i][j] if k == i else zero)
+                               for j in range(n)] for k in range(n)])
+                for i in range(n)]
+    # monomial rule, in G(e,p,n): B = G(2,1,n) starts with e_1 -> -e_1, the
+    # others with the twisted transposition e_1 -> zeta e_2,
+    # e_2 -> zeta^-1 e_1; then the transpositions (i, i+1)
+    first = [(1, 1)] if f == "B" else [(2, 1), (1, m - 1)]
+    gens = [_monomial_matrix(
+        m, n, first + [(j, 0) for j in range(len(first) + 1, n + 1)])]
+    for i in range(1, n):
+        images = [(j, 0) for j in range(1, n + 1)]
+        images[i - 1], images[i] = (i + 1, 0), (i, 0)
+        gens.append(_monomial_matrix(m, n, images))
     return gens
-
-
-def _f4_generators() -> list[Matrix]:
-    roots = [
-        (Fr(0), Fr(1), Fr(-1), Fr(0)),
-        (Fr(0), Fr(0), Fr(1), Fr(-1)),
-        (Fr(0), Fr(0), Fr(0), Fr(1)),
-        (Fr(1, 2), Fr(-1, 2), Fr(-1, 2), Fr(-1, 2)),
-    ]
-    gens = []
-    for alpha in roots:
-        norm = sum(a * a for a in alpha)
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                base = Fr(1) if i == j else Fr(0)
-                # s_alpha(e_j) = e_j - 2 (e_j, alpha)/(alpha,alpha) alpha
-                row.append(base - 2 * alpha[j] / norm * alpha[i])
-            rows.append(row)
-        gens.append(Matrix.from_rational_rows(1, rows))
-    return gens
-
-
-def coxeter_matrix_of(spec: GroupSpec) -> Matrix:
-    """Catalog Coxeter element; validated by post-checks at build time."""
-    f, n, e = spec.family, spec.n, spec.e
-    if f == "A":
-        return _perm_matrix_sum_zero(tuple(list(range(2, n + 2)) + [1]))
-    if f == "B":
-        # signed n-cycle e_1 -> e_2 -> ... -> e_n -> -e_1
-        images = [(i + 1, 1) for i in range(1, n)] + [(1, -1)]
-        return _signed_perm_matrix(images)
-    if f in ("D", "G", "I2"):
-        m = conductor_of(spec)
-        rank = 2 if f == "I2" else n
-        # e_i -> e_{i+1} (i < rank-1), e_{rank-1} -> zeta e_1,
-        # e_rank -> zeta^{-1} e_rank
-        images = [(i + 1, 0) for i in range(1, rank - 1)]
-        images.append((1, 1))
-        images.append((rank, m - 1))
-        return _monomial_matrix(m, rank, images)
-    gens = generators_of(spec)
-    c = gens[0]
-    for g in gens[1:]:
-        c = c @ g
-    return c
 
 
 def catalog_specs() -> list[GroupSpec]:

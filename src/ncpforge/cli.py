@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import stat
 import sys
 from functools import cached_property
 from itertools import permutations
@@ -262,12 +264,13 @@ def _open_output(path: str | None):
 
 def _emit(text: str, out) -> None:
     """Write the whole output to the opened --output file (replacing what
-    it held), or to stdout when there is none."""
+    a regular file held), or to stdout when there is none.  A device such
+    as /dev/null cannot be truncated, so it is only written to."""
     if out is None:
         sys.stdout.write(text)
         return
     try:
-        if out.seekable():
+        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
             out.truncate(0)
         out.write(text)
         out.flush()

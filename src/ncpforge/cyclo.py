@@ -7,10 +7,8 @@ sound.  No floating point anywhere.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .errors import DivisionByZero, FieldMismatch
 
@@ -106,7 +104,7 @@ def _conductor(m: int) -> _Conductor:
 
 def _field_mismatch(a, b) -> FieldMismatch:
     """The error for an operation on values of different fields or sizes
-    (`common_conductor` aligns the fields of two numbers)."""
+    (`CycNum.embed` and `Matrix.embed` move a value to a larger field)."""
     return FieldMismatch(
         f"operands over Q(zeta_{a.m}) and Q(zeta_{b.m}): {a!r}, {b!r}")
 
@@ -263,12 +261,6 @@ class CycNum:
         return f"CycNum(m={self.m}, {list(self.coeffs)})"
 
 
-def common_conductor(a: CycNum, b: CycNum) -> tuple[CycNum, CycNum]:
-    """Embed both operands into Q(zeta_lcm)."""
-    m = a.m * b.m // gcd(a.m, b.m)
-    return a.embed(m), b.embed(m)
-
-
 def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
     num = list(num)
     while len(den) > 1 and den[-1] == 0:
@@ -308,14 +300,13 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 class Matrix:
     """Square matrix over Q(zeta_m), column-vector convention."""
 
-    __slots__ = ("n", "m", "rows", "_key", "_digest")
+    __slots__ = ("n", "m", "rows", "_key")
 
     def __init__(self, n: int, m: int, rows):
         self.n = n
         self.m = m
         self.rows = tuple(tuple(r) for r in rows)
         self._key = None
-        self._digest = None
 
     @classmethod
     def identity(cls, n: int, m: int) -> "Matrix":
@@ -381,11 +372,6 @@ class Matrix:
                 e.key() for row in self.rows for e in row
             )
         return self._key
-
-    def digest(self) -> str:
-        if self._digest is None:
-            self._digest = hashlib.sha256(repr(self.key()).encode()).hexdigest()
-        return self._digest
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.key() == other.key()
@@ -519,7 +505,3 @@ def kernel(mat: Matrix) -> Subspace:
     """Exact kernel of a square matrix; dim kernel + rank = n."""
     sols = _nullspace([list(r) for r in mat.rows], mat.m, mat.n)
     return Subspace(mat.n, mat.m, sols)
-
-
-def rank(mat: Matrix) -> int:
-    return len(_rref([list(r) for r in mat.rows], mat.m))

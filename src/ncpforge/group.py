@@ -24,13 +24,17 @@ fixators), `word_lengths` is the breadth-first search from the identity
 `components` labels connected components (conjugacy classes, Hurwitz
 orbits, strong conjugacy).  An element's exact matrix is assembled from
 its columns only when asked for, for fixed spaces, flats and the
-regularity check.
+regularity check.  The Coxeter element c is the product of the generators
+in order, found by lookups like any other product; it is checked to have
+order h, no fixed vector, reflection length n and a zeta_h-eigenvector off
+every reflecting hyperplane.
 
 V is also held as integers: `coords[i, j]` are the power-basis
-coefficients in Q(zeta_m) of coordinate j of V[i], scaled by `coord_den`,
-the least common denominator of all of them.  A sum of images of vectors
-of V under many elements is then one integer gather through `mult.perms`
-and one sum, which is how pointwise fixators are found.
+coefficients in Q(zeta_m) of coordinate j of V[i].  The generators have
+entries in Z[zeta_m], so these coefficients are integers, with no common
+denominator.  A sum of images of vectors of V under many elements is then
+one integer gather through `mult.perms` and one sum, which is how
+pointwise fixators are found.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ import numpy as np
 from .catalog import (
     GroupSpec,
     conductor_of,
-    coxeter_matrix_of,
     degrees_of,
     generators_of,
     order_of,
@@ -164,7 +167,7 @@ class ReflectionGroup:
         self.mult = ProductView(perms, codes, radix)
         self.matrices = ElementMatrices(self.n, self.conductor, vectors, perms)
         self.vectors = vectors
-        self.coords, self.coord_den = self._coordinates()
+        self.coords = self._coordinates()
 
         self.identity = int(self.mult.locate(np.arange(self.n)))
         self.generators = self.mult.locate(gen_perms[:, :self.n]).tolist()
@@ -194,12 +197,7 @@ class ReflectionGroup:
             raise CoxeterValidationFailed(
                 f"{spec.label}: reflections do not generate the group")
 
-        try:
-            self.coxeter = self.index_of(coxeter_matrix_of(spec))
-        except ElementNotInGroup:
-            raise CoxeterValidationFailed(
-                f"{spec.label}: catalog Coxeter matrix not in the group"
-            ) from None
+        self.coxeter = self.product(*self.generators)
         self._validate_coxeter()
 
     # -- construction ----------------------------------------------------
@@ -260,20 +258,24 @@ class ReflectionGroup:
         order = np.argsort(codes)
         return perms[order], codes[order]
 
-    def _coordinates(self) -> tuple[np.ndarray, int]:
-        """V as an int64 array of shape (|V|, n, phi(m)) over one common
-        denominator.  A fixator test sums at most |W| of these entries, so
-        an entry whose |W|-fold multiple leaves int64 raises."""
-        den = lcm(*(c.denominator for v in self.vectors for x in v
-                    for c in x.coeffs))
-        coords = [[[c.numerator * (den // c.denominator) for c in x.coeffs]
-                   for x in v] for v in self.vectors]
+    def _coordinates(self) -> np.ndarray:
+        """V as an int64 array of shape (|V|, n, phi(m)).  The generators
+        have entries in Z[zeta_m], so a coordinate that is not an integer
+        raises.  A fixator test sums at most |W| of these entries, so an
+        entry whose |W|-fold multiple leaves int64 raises too."""
+        if any(c.denominator != 1
+               for v in self.vectors for x in v for c in x.coeffs):
+            raise CoxeterValidationFailed(
+                f"{self.spec.label}: a vector of the basis orbit has a "
+                f"coordinate that is not an integer")
+        coords = [[[c.numerator for c in x.coeffs] for x in v]
+                  for v in self.vectors]
         largest = max(abs(c) for v in coords for x in v for c in x)
         if largest * self.size > _CODE_LIMIT:
             raise OrderCapExceeded(
                 f"{self.spec.label}: a coordinate numerator {largest} times "
                 f"|W| = {self.size} does not fit in 64 bits")
-        return np.array(coords, dtype=np.int64), den
+        return np.array(coords, dtype=np.int64)
 
     def _fixed_dims(self) -> np.ndarray:
         """dim Ker(w - 1) = (1/ord w) sum_{k < ord w} tr(w^k) for every

@@ -16,7 +16,7 @@ from ncpforge.cyclo import Matrix
 
 
 def matmul_closure(spec: GroupSpec) -> tuple[list[Matrix], np.ndarray]:
-    """The group's matrices in digest order and its multiplication table
+    """The group's matrices in key order and its multiplication table
     (mult[a, b] = index of a @ b)."""
     gens = generators_of(spec)
     ident = Matrix.identity(spec.n, conductor_of(spec))
@@ -31,7 +31,7 @@ def matmul_closure(spec: GroupSpec) -> tuple[list[Matrix], np.ndarray]:
                     seen[prod.key()] = prod
                     nxt.append(prod)
         frontier = nxt
-    matrices = sorted(seen.values(), key=lambda mat: mat.digest())
+    matrices = sorted(seen.values(), key=Matrix.key)
     index = {mat.key(): i for i, mat in enumerate(matrices)}
 
     size = len(matrices)

@@ -4,6 +4,7 @@ import csv
 import importlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,13 @@ def test_output_file_kept_when_run_ends_early(tmp_path, capsys):
                          "--format", "json", "--output", str(target))
     assert code == 0
     assert json.loads(target.read_text())["all_pass"] is True
+
+
+@pytest.mark.parametrize("argv", [["verify", "--group", "A1"], ["catalog"]],
+                         ids=["verify", "catalog"])
+def test_output_to_a_device_that_cannot_be_truncated(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--output", os.devnull)
+    assert code == 0 and out == "" and err == ""
 
 
 @pytest.mark.parametrize("nmax", ["0", "-1"])

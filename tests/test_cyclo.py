@@ -14,11 +14,9 @@ from ncpforge.cyclo import (
     CycNum,
     Matrix,
     Subspace,
-    common_conductor,
     cyclotomic_polynomial,
     euler_phi,
     kernel,
-    rank,
 )
 import ncpforge
 from ncpforge.errors import DivisionByZero, FieldMismatch
@@ -113,13 +111,6 @@ def test_embedding_identifies_common_subfield():
     assert lifted6 * lifted6 == lifted3
 
 
-def test_common_conductor_aligns_fields():
-    a, b = common_conductor(CycNum.zeta(4, 1), CycNum.zeta(6, 1))
-    assert a.m == b.m == 12
-    prod = a * b  # zeta_4 * zeta_6 = zeta_12^5
-    assert prod == CycNum.zeta(12, 5)
-
-
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
                          ids=["add", "sub", "mul"])
 def test_mixed_conductors_raise(op):
@@ -177,7 +168,6 @@ def test_matrix_product_and_apply():
 def test_kernel_and_rank_of_projection():
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
     mat = Matrix.from_rational_rows(1, rows)
-    assert rank(mat) == 1
     ker = kernel(mat)
     assert ker.dim == 1
     assert ker.contains((CycNum.zero(1), CycNum.one(1)))

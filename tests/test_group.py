@@ -2,8 +2,10 @@
 
 import copy
 import gc
+import operator
 import weakref
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 import numpy as np
@@ -15,14 +17,15 @@ from ncpforge.catalog import (
     GroupSpec,
     catalog_specs,
     conductor_of,
-    coxeter_matrix_of,
     degrees_of,
+    generators_of,
     order_of,
     parse_spec,
 )
 from ncpforge.cyclo import CycNum, Matrix, Subspace, kernel
 from ncpforge.errors import (
     ConfigError,
+    CoxeterValidationFailed,
     ElementNotInGroup,
     OrderCapExceeded,
 )
@@ -207,7 +210,42 @@ def test_build_matches_matmul_oracle(spec):
     assert [int(d) for d in g.fixed_dim] == [oracle_dims[p] for p in pi]
     identity = Matrix.identity(spec.n, conductor_of(spec))
     assert pi[g.identity] == oracle_index[identity.key()]
-    assert pi[g.coxeter] == oracle_index[coxeter_matrix_of(spec).key()]
+    c = reduce(operator.matmul, generators_of(spec))
+    assert pi[g.coxeter] == oracle_index[c.key()]
+
+
+# Coxeter diagrams of the Cartan-built groups and of B, as the label m_ij of
+# each edge (i, j) of generator positions; no edge means m_ij = 2
+DIAGRAM_EDGES = {
+    "A": lambda n: {(i, i + 1): 3 for i in range(n - 1)},
+    "B": lambda n: {(0, 1): 4} | {(i, i + 1): 3 for i in range(1, n - 1)},
+    "H3": lambda n: {(0, 1): 5, (1, 2): 3},
+    "F4": lambda n: {(0, 1): 3, (1, 2): 4, (2, 3): 3},
+}
+
+
+def expected_pair_order(spec, i, j):
+    """The order of s_i s_j (i < j) for the catalog generators.  For D,
+    I2 and G(e,e,n) the generators are t, s_1, ..., s_{n-1}: t s_1 has
+    order e, t and s_1 each braid with s_2, adjacent s_i braid, and every
+    other pair commutes."""
+    if spec.family in ("D", "I2", "G"):
+        if (i, j) == (0, 1):
+            return 2 if spec.family == "D" else spec.e
+        return 3 if j == i + 1 or (i, j) == (0, 2) else 2
+    return DIAGRAM_EDGES[spec.family](spec.n).get((i, j), 2)
+
+
+@pytest.mark.parametrize("spec", catalog_specs(), ids=lambda s: s.label)
+def test_generators_are_reflections_with_the_diagram_orders(spec):
+    g = build_group(spec)
+    assert len(g.generators) == g.n
+    assert set(g.generators) <= set(g.reflections)
+    assert g.coxeter == g.product(*g.generators)
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            pair = g.product(g.generators[i], g.generators[j])
+            assert g.element_order(pair) == expected_pair_order(spec, i, j)
 
 
 def plain_regularity_check(group, w):
@@ -256,17 +294,18 @@ def test_product_view_broadcasts_and_agrees_with_product(fixture, request):
 
 
 def test_index_of_rejects_matrices_outside_the_group(b3):
+    # B3 is G(2,1,3), realised over Q(zeta_2)
     rows = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    assert b3.index_of(Matrix.from_rational_rows(1, rows)) == b3.identity
+    assert b3.index_of(Matrix.from_rational_rows(2, rows)) == b3.identity
     rows[0][0] = Fraction(2)  # a column that is no vector of the orbit
     with pytest.raises(ElementNotInGroup):
-        b3.index_of(Matrix.from_rational_rows(1, rows))
+        b3.index_of(Matrix.from_rational_rows(2, rows))
     # every column e_1: vectors of the orbit, but no element's images
     ones = [[Fraction(int(i == 0)) for _ in range(3)] for i in range(3)]
     with pytest.raises(ElementNotInGroup):
-        b3.index_of(Matrix.from_rational_rows(1, ones))
+        b3.index_of(Matrix.from_rational_rows(2, ones))
     with pytest.raises(ElementNotInGroup):
-        b3.index_of(Matrix.identity(2, 1))
+        b3.index_of(Matrix.identity(2, 2))
 
 
 def _held_objects(*roots):
@@ -379,19 +418,27 @@ def test_codes_that_overflow_64_bits_are_refused(monkeypatch):
         ReflectionGroup(GroupSpec("A", 2))
 
 
-@pytest.mark.parametrize("spec,den,largest", [
-    (GroupSpec("H3", 3), 1, 2),     # golden-ratio coordinates
-    (GroupSpec("F4", 4), 2, 2),     # half-integer roots
+@pytest.mark.parametrize("spec,largest", [
+    (GroupSpec("H3", 3), 2),     # golden-ratio coordinates
+    (GroupSpec("F4", 4), 4),     # the roots in the simple-root basis
 ], ids=lambda v: v.label if isinstance(v, GroupSpec) else str(v))
-def test_coordinates_give_back_the_vector_orbit(spec, den, largest):
+def test_coordinates_give_back_the_vector_orbit(spec, largest):
     g = build_group(spec)
     assert g.coords.dtype == np.int64
     assert g.coords.shape == (len(g.vectors), g.n, len(g.vectors[0][0].coeffs))
-    assert g.coord_den == den and np.abs(g.coords).max() == largest
-    back = [tuple(CycNum(g.conductor, tuple(Fraction(int(c), g.coord_den)
-                                            for c in x)) for x in v)
+    assert np.abs(g.coords).max() == largest
+    back = [tuple(CycNum(g.conductor, tuple(Fraction(int(c)) for c in x))
+                  for x in v)
             for v in g.coords]
     assert back == g.vectors
+
+
+def test_coordinates_that_are_not_integers_are_refused(a3):
+    g = copy.copy(a3)
+    half = CycNum.from_rational(a3.conductor, Fraction(1, 2))
+    g.vectors = [(half,) * g.n] + a3.vectors[1:]
+    with pytest.raises(CoxeterValidationFailed, match="not an integer"):
+        g._coordinates()
 
 
 def test_coordinates_too_large_for_int64_sums_are_refused(a3):
