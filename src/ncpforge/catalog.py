@@ -132,24 +132,6 @@ def conductor_of(spec: GroupSpec) -> int:
     return 1
 
 
-def perm_to_element_matrix(spec: GroupSpec, perm: tuple[int, ...]) -> Matrix:
-    """Type-A helper: permutation of {1..n+1} (one-line notation, 1-based)
-    to its matrix in the basis f_i = e_i - e_{i+1} of the sum-zero
-    subspace, which is the simple-root basis."""
-    n = spec.n
-    if spec.family != "A":
-        raise ConfigError("permutation input is only defined for type A")
-    if sorted(perm) != list(range(1, n + 2)):
-        raise ConfigError("not a permutation of 1..n+1")
-    rows = [[0] * n for _ in range(n)]
-    for j in range(n):
-        # f_{j+1} -> e_a - e_b = +-(f_k + ... + f_{l-1}), {k, l} = {a, b}
-        a, b = perm[j], perm[j + 1]
-        for k in range(min(a, b), max(a, b)):
-            rows[k - 1][j] = 1 if a < b else -1
-    return Matrix.from_rational_rows(1, rows)
-
-
 def _monomial_matrix(m: int, n: int, images: list[tuple[int, int]]) -> Matrix:
     """images[j] = (i, k): e_{j+1} -> zeta_m^k * e_i (1-based)."""
     zero = CycNum.zero(m)

@@ -313,13 +313,6 @@ class Matrix:
         one, zero = CycNum.one(m), CycNum.zero(m)
         return cls(n, m, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_rational_rows(cls, m: int, rows) -> "Matrix":
-        return cls(
-            len(rows), m,
-            [[CycNum.from_rational(m, v) for v in row] for row in rows],
-        )
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.n != other.n or self.m != other.m:
             raise _field_mismatch(self, other)
@@ -433,35 +426,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Exact intersection, by solving for common linear combinations."""
-        if self.n != other.n or self.m != other.m:
-            raise _field_mismatch(self, other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.n, self.m, [])
-        if self.dim == self.n:
-            return other
-        if other.dim == self.n:
-            return self
-        zero = CycNum.zero(self.m)
-        k1, k2 = self.dim, other.dim
-        # columns: basis1 vectors then negated basis2 vectors
-        rows = []
-        for i in range(self.n):
-            row = [self.basis[j][i] for j in range(k1)]
-            row += [-other.basis[j][i] for j in range(k2)]
-            rows.append(row)
-        sols = _nullspace(rows, self.m, k1 + k2)
-        vectors = []
-        for sol in sols:
-            v = [zero] * self.n
-            for j in range(k1):
-                if sol[j]:
-                    for i in range(self.n):
-                        v[i] = v[i] + sol[j] * self.basis[j][i]
-            vectors.append(v)
-        return Subspace(self.n, self.m, vectors)
 
     def __eq__(self, other):
         return (

@@ -23,11 +23,11 @@ fixators), `word_lengths` is the breadth-first search from the identity
 (reflection length, generated subgroups), and the module-level
 `components` labels connected components (conjugacy classes, Hurwitz
 orbits, strong conjugacy).  An element's exact matrix is assembled from
-its columns only when asked for, for fixed spaces, flats and the
-regularity check.  The Coxeter element c is the product of the generators
-in order, found by lookups like any other product; it is checked to have
-order h, no fixed vector, reflection length n and a zeta_h-eigenvector off
-every reflecting hyperplane.
+its columns only when asked for, for the fixed spaces of reflections and
+the zeta_h-regularity check.  The Coxeter element c is the product of the
+generators in order, found by lookups like any other product; it is
+checked to have order h, no fixed vector, reflection length n and a
+zeta_h-eigenvector off every reflecting hyperplane.
 
 V is also held as integers: `coords[i, j]` are the power-basis
 coefficients in Q(zeta_m) of coordinate j of V[i].  The generators have
@@ -51,7 +51,6 @@ from .catalog import (
     degrees_of,
     generators_of,
     order_of,
-    perm_to_element_matrix,
 )
 from .cyclo import CycNum, Matrix, Subspace, kernel
 from .errors import (
@@ -143,16 +142,15 @@ class ReflectionGroup:
     """Fully enumerated well-generated irreducible reflection group."""
 
     def __init__(self, spec: GroupSpec, order_cap: int = DEFAULT_ORDER_CAP):
+        expected_order = _check_order_cap(spec, order_cap)
         self.spec = spec
         self.conductor = conductor_of(spec)
         self.degrees = degrees_of(spec)
         self.n = spec.n
         self.h = self.degrees[-1]
-        expected_order = _check_order_cap(spec, order_cap)
 
         gens = generators_of(spec)
-        vectors, self._vector_index, gen_perms = self._vector_orbit(
-            gens, self.n * expected_order)
+        vectors, gen_perms = self._vector_orbit(gens, self.n * expected_order)
         if len(vectors) ** self.n > _CODE_LIMIT:
             raise OrderCapExceeded(
                 f"{spec.label}: codes of {len(vectors)}^{self.n} basis "
@@ -203,10 +201,10 @@ class ReflectionGroup:
     # -- construction ----------------------------------------------------
 
     def _vector_orbit(self, gens: list[Matrix], cap: int
-                      ) -> tuple[list[tuple], dict[tuple, int], np.ndarray]:
+                      ) -> tuple[list[tuple], np.ndarray]:
         """The orbit V of e_1..e_n under the generators (basis vectors
-        first), the index of each vector in V, and each generator as a
-        permutation of V: gen_perms[s, i] is the index of gens[s](V[i])."""
+        first), and each generator as a permutation of V: gen_perms[s, i]
+        is the index of gens[s](V[i])."""
         one, zero = CycNum.one(self.conductor), CycNum.zero(self.conductor)
         vectors = [tuple(one if i == j else zero for i in range(self.n))
                    for j in range(self.n)]
@@ -228,7 +226,7 @@ class ReflectionGroup:
                 perm.append(k)
             pos += 1
         dtype = np.min_scalar_type(len(vectors) - 1)
-        return vectors, index, np.array(gen_perms, dtype=dtype)
+        return vectors, np.array(gen_perms, dtype=dtype)
 
     @staticmethod
     def _closure(gen_perms: np.ndarray, radix: np.ndarray, hard_cap: int
@@ -332,24 +330,6 @@ class ReflectionGroup:
                 f"zeta_h-regular")
 
     # -- queries ----------------------------------------------------------
-
-    def index_of(self, mat: Matrix) -> int:
-        """Index of a matrix: each column must be a vector of V, and the
-        basis images they give must be those of an element."""
-        if mat.n != self.n:
-            raise ElementNotInGroup(f"matrix not in {self.spec.label}")
-        images = [self._vector_index.get(col) for col in zip(*mat.rows)]
-        if None in images:
-            raise ElementNotInGroup(f"matrix not in {self.spec.label}")
-        try:
-            return int(self.mult.locate(images))
-        except ElementNotInGroup:
-            raise ElementNotInGroup(
-                f"matrix not in {self.spec.label}") from None
-
-    def element_from_permutation(self, perm: tuple[int, ...]) -> int:
-        """Type A only: one-line permutation of 1..n+1 to element index."""
-        return self.index_of(perm_to_element_matrix(self.spec, perm))
 
     def product(self, *elements: int) -> int:
         """Index of the product of the elements, left to right."""
@@ -466,7 +446,17 @@ class ReflectionGroup:
 
 
 def _check_order_cap(spec: GroupSpec, order_cap: int) -> int:
-    """The order of the spec's group, if it is within the cap."""
+    """The order of the spec's group, if it is within the cap.  Every
+    catalog group of rank n has order at least n!, so a rank too large for
+    the cap is refused as soon as 2 * 3 * ... * k passes the cap, before
+    any degree is listed."""
+    bound = 1
+    for k in range(2, spec.n + 1):
+        bound *= k
+        if bound > order_cap:
+            raise OrderCapExceeded(
+                f"{spec.label}: order at least {k}! = {bound} exceeds cap "
+                f"{order_cap}")
     order = order_of(spec)
     if order > order_cap:
         raise OrderCapExceeded(

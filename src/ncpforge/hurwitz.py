@@ -151,7 +151,9 @@ def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
                               cap: int = DEFAULT_ORBIT_CAP) -> dict:
     """Orbit decomposition of the primitive shape k 1^(n-k), with the
     orbit <-> long-factor-conjugacy-class bijection enforced; tuples are
-    all factorisations of c of that shape, the long factor anywhere."""
+    all factorisations of c of that shape, the long factor anywhere.
+    "divisor_classes" is the set of conjugacy classes of the length-k
+    divisors of c."""
     group = ncp.group
     if k < 2 or k > group.n:
         raise ValueError("primitive shapes need 2 <= k <= n")
@@ -176,9 +178,9 @@ def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
             f"{group.spec.label}: orbit classes differ from the classes of "
             f"length-{k} divisors")
     return {
-        "shape_k": k,
         "orbits": orbits,
         "orbit_classes": class_of_orbit,
+        "divisor_classes": expected_classes,
         "total": len(tuples),
     }
 
@@ -235,7 +237,7 @@ def strong_conjugacy_classes(ncp: NcpLattice) -> list[list[int]]:
 
 
 def conjugacy_partition_on_ncp(ncp: NcpLattice) -> list[list[int]]:
-    """Ordinary W-conjugacy classes intersected with NCP."""
+    """Ordinary W-conjugacy classes, restricted to the NCP members."""
     group = ncp.group
     buckets: dict[int, list[int]] = {}
     for w in ncp.members:

@@ -29,7 +29,7 @@ def fuss_catalan(degrees, k: int = 1) -> int:
 
 
 class NcpLattice:
-    """Divisors of the Coxeter element, with rank, order table and flats."""
+    """Divisors of the Coxeter element, with rank and order table."""
 
     def __init__(self, group: ReflectionGroup):
         self.group = group
@@ -118,11 +118,6 @@ class NcpLattice:
             missing += int(np.count_nonzero(bad))
         return missing
 
-    def flat(self, w: int):
-        """Brady-Watt flat Ker(w - 1) of a member."""
-        self.member_index(w)
-        return self.group.fixed_space(w)
-
     # -- counting ----------------------------------------------------------
 
     def multichain_count(self, chain_length: int) -> int:
@@ -133,10 +128,6 @@ class NcpLattice:
         for _ in range(chain_length - 1):
             counts = [sum(counts[i] for i in below) for below in self.below]
         return sum(counts)
-
-    def divisors_of(self, w: int) -> list[int]:
-        """Members u with u <= w (element indices)."""
-        return [self.members[i] for i in self.below[self.member_index(w)]]
 
     def reflections_below(self, w: int) -> list[int]:
         return [self.members[i] for i in self.below[self.member_index(w)]

@@ -17,7 +17,6 @@ from math import factorial, isqrt
 import numpy as np
 
 from .catalog import GroupSpec
-from .cyclo import Subspace
 from .errors import (
     ClassificationMismatch,
     NonIntegralCount,
@@ -36,7 +35,6 @@ from .ncp import NcpLattice
 class ParabolicSubgroup:
     group: ReflectionGroup
     w: int                      # the NCP member it closes up
-    flat: Subspace              # Ker(w - 1)
     elements: list[int]         # sorted element indices
     rank: int
 
@@ -77,15 +75,15 @@ def pointwise_fixator(group: ReflectionGroup, w: int) -> list[int]:
 def parabolic_of(ncp: NcpLattice, w: int) -> ParabolicSubgroup:
     """The parabolic closure of an NCP member: the fixator of Ker(w - 1).
 
-    Verifies that the fixator is generated by its reflections and that its
-    rank equals the reflection length of w.
+    Its rank is n - dim Ker(w - 1), read from `group.fixed_dim`.  Verifies
+    that the fixator is generated by its reflections and that its rank
+    equals the reflection length of w.
     """
     group = ncp.group
     if not group.divides(w, group.coxeter):
         raise NotADivisor(f"element {w} does not divide the Coxeter element")
-    flat = group.fixed_space(w)
     elements = pointwise_fixator(group, w)
-    rank = group.n - flat.dim
+    rank = group.n - int(group.fixed_dim[w])
     if rank != int(group.length[w]):
         raise ClassificationMismatch(
             f"{group.spec.label}: parabolic rank {rank} differs from "
@@ -95,8 +93,7 @@ def parabolic_of(ncp: NcpLattice, w: int) -> ParabolicSubgroup:
     if subgroup_closure(group, refl_gens) != elements:
         raise ClassificationMismatch(
             f"{group.spec.label}: fixator not generated by its reflections")
-    return ParabolicSubgroup(group=group, w=w, flat=flat,
-                             elements=elements, rank=rank)
+    return ParabolicSubgroup(group=group, w=w, elements=elements, rank=rank)
 
 
 def rank2_degrees(order: int, num_reflections: int) -> tuple[int, int]:

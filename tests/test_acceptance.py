@@ -33,6 +33,7 @@ from ncpforge.parabolic import (
     submax_total_formula,
     table_a1_verify,
 )
+from conftest import element_of_permutation, fixed_spaces_meet_in
 
 MAIN_LIST = (
     [GroupSpec("A", n) for n in range(1, 6)]
@@ -152,11 +153,11 @@ def test_criterion_05_hurwitz_transitivity_and_classification():
 
 def test_criterion_06_s6_counterexample():
     group = build_group(GroupSpec("A", 5))
-    c = group.element_from_permutation((2, 3, 4, 5, 6, 1))
-    u1 = group.element_from_permutation((5, 3, 2, 4, 6, 1))  # (2 3)(1 5 6)
-    u2 = group.element_from_permutation((3, 2, 4, 1, 5, 6))  # (1 3 4)
-    v1 = group.element_from_permutation((5, 2, 4, 3, 6, 1))  # (3 4)(1 5 6)
-    v2 = group.element_from_permutation((2, 4, 3, 1, 5, 6))  # (1 2 4)
+    c = element_of_permutation(group, (2, 3, 4, 5, 6, 1))
+    u1 = element_of_permutation(group, (5, 3, 2, 4, 6, 1))  # (2 3)(1 5 6)
+    u2 = element_of_permutation(group, (3, 2, 4, 1, 5, 6))  # (1 3 4)
+    v1 = element_of_permutation(group, (5, 2, 4, 3, 6, 1))  # (3 4)(1 5 6)
+    v2 = element_of_permutation(group, (2, 4, 3, 1, 5, 6))  # (1 2 4)
     ok = (c == group.coxeter
           and group.product(u1, u2) == c and group.product(v1, v2) == c
           and group.class_id[u1] == group.class_id[v1]
@@ -216,7 +217,7 @@ def test_criterion_10_structural_properties(capsys):
     for spec in (GroupSpec("A", 3), GroupSpec("B", 3)):
         group = build_group(spec)
         ncp = build_ncp(group)
-        flats = [ncp.flat(w) for w in ncp.members]
+        flats = [group.fixed_space(w) for w in ncp.members]
         ok &= len(set(flats)) == ncp.size
         member_arr = list(ncp.members)
         for i, u in enumerate(member_arr):
@@ -228,8 +229,7 @@ def test_criterion_10_structural_properties(capsys):
                 ok &= bool(ncp.leq[i, j]) == flats[i].contains_subspace(flats[j])
                 if ncp.leq[i, j]:
                     quotient = group.product(group.inverse(u), v)
-                    ok &= flats[i].intersect(group.fixed_space(quotient)) \
-                        == flats[j]
+                    ok &= fixed_spaces_meet_in(group, u, quotient, v)
     # braid relations on a sample of Red(A3)
     group = build_group(GroupSpec("A", 3))
     ncp = build_ncp(group)

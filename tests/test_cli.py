@@ -168,6 +168,16 @@ def test_exit_code_resource_cap(capsys):
     assert "resource cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--group", "A1000000000", "--order-cap", "10"),
+    ("orbits", "--group", "B1000000000", "--shape", "1", "--order-cap", "10"),
+], ids=["verify", "orbits"])
+def test_huge_rank_hits_the_order_cap(capsys, no_huge_degrees, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "exceeds cap 10" in err
+
+
 @pytest.mark.parametrize("cap,code", [("8", 0), ("7", 3)])
 def test_order_cap_boundary(capsys, cap, code):
     # |B2| = 8: a cap of exactly |W| builds the group, one less refuses it

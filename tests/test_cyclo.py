@@ -119,13 +119,10 @@ def test_mixed_conductors_raise(op):
 
 
 def test_mixed_fields_and_sizes_raise_for_matrices_and_subspaces():
-    one4, one6 = CycNum.one(4), CycNum.one(6)
     with pytest.raises(FieldMismatch):
         Matrix.identity(2, 4) @ Matrix.identity(2, 6)
     with pytest.raises(FieldMismatch):
         Matrix.identity(2, 4) @ Matrix.identity(3, 4)
-    with pytest.raises(FieldMismatch):
-        Subspace(2, 4, [[one4, one4]]).intersect(Subspace(2, 6, [[one6, one6]]))
 
 
 def test_field_check_survives_optimised_interpreter():
@@ -156,9 +153,13 @@ def test_cos_pi_5_satisfies_golden_quadratic():
 
 # -- matrices and subspaces -------------------------------------------------
 
+def rational_matrix(rows):
+    return Matrix(len(rows), 1, [[CycNum.from_rational(1, v) for v in row]
+                                 for row in rows])
+
+
 def test_matrix_product_and_apply():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-    mat = Matrix.from_rational_rows(1, rows)
+    mat = rational_matrix([[1, 2], [0, 1]])
     sq = mat @ mat
     assert sq.rows[0][1].rational_value() == 4
     image = mat.apply((CycNum.one(1), CycNum.one(1)))
@@ -166,9 +167,7 @@ def test_matrix_product_and_apply():
 
 
 def test_kernel_and_rank_of_projection():
-    rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
-    mat = Matrix.from_rational_rows(1, rows)
-    ker = kernel(mat)
+    ker = kernel(rational_matrix([[1, 0], [0, 0]]))
     assert ker.dim == 1
     assert ker.contains((CycNum.zero(1), CycNum.one(1)))
     assert not ker.contains((CycNum.one(1), CycNum.zero(1)))
@@ -181,12 +180,3 @@ def test_subspace_equality_is_basis_independent():
     s2 = Subspace(2, 1, [[two, two]])
     assert s1 == s2
     assert s1.contains_subspace(s2)
-
-
-def test_subspace_intersection():
-    one, zero = CycNum.one(1), CycNum.zero(1)
-    plane1 = Subspace(3, 1, [[one, zero, zero], [zero, one, zero]])
-    plane2 = Subspace(3, 1, [[zero, one, zero], [zero, zero, one]])
-    line = plane1.intersect(plane2)
-    assert line.dim == 1
-    assert line.contains((zero, one, zero))

@@ -32,6 +32,7 @@ from ncpforge.errors import (
 from ncpforge import group as group_module
 from ncpforge.group import ReflectionGroup, build_group
 from ncpforge.ncp import build_ncp
+from conftest import element_of_permutation
 from reference_build import matmul_closure
 
 SMALL_SPECS = [
@@ -87,6 +88,16 @@ def test_order_cap_enforced():
         build_group(GroupSpec("F4", 4), order_cap=100)
 
 
+def test_order_cap_refuses_a_huge_rank_before_listing_degrees(
+        no_huge_degrees):
+    message = "A1000000000: order at least 4! = 24 exceeds cap 10"
+    with pytest.raises(OrderCapExceeded, match=message):
+        ReflectionGroup(GroupSpec("A", 10 ** 9), order_cap=10)
+    # 3! fits under the cap, so the order itself is compared, as before
+    with pytest.raises(OrderCapExceeded, match=r"A3: order 24 exceeds cap 10"):
+        ReflectionGroup(GroupSpec("A", 3), order_cap=10)
+
+
 def test_out_of_range_element_rejected(a3):
     with pytest.raises(ElementNotInGroup):
         a3.reflection_length(a3.size)
@@ -118,9 +129,9 @@ def test_element_queries_reject_indices_outside_the_group(a3, query, offset):
 
 def test_permutation_round_trip(a3):
     # adjacent transposition is a reflection; the (n+1)-cycle is c
-    t = a3.element_from_permutation((2, 1, 3, 4))
+    t = element_of_permutation(a3, (2, 1, 3, 4))
     assert a3.reflection_length(t) == 1
-    c = a3.element_from_permutation((2, 3, 4, 1))
+    c = element_of_permutation(a3, (2, 3, 4, 1))
     assert c == a3.coxeter
 
 
@@ -214,6 +225,13 @@ def test_build_matches_matmul_oracle(spec):
     assert pi[g.coxeter] == oracle_index[c.key()]
 
 
+def test_locate_rejects_images_of_no_element(b3):
+    assert int(b3.mult.locate([0, 1, 2])) == b3.identity
+    # every basis vector sent to e_1: vectors of V, but no element's images
+    with pytest.raises(ElementNotInGroup):
+        b3.mult.locate([0, 0, 0])
+
+
 # Coxeter diagrams of the Cartan-built groups and of B, as the label m_ij of
 # each edge (i, j) of generator positions; no edge means m_ij = 2
 DIAGRAM_EDGES = {
@@ -286,26 +304,13 @@ def test_product_view_broadcasts_and_agrees_with_product(fixture, request):
     assert (np.diagonal(table) == pairs).all()
     assert (g.mult[a[:, None], b[None, :]] == table).all()
     assert (g.mult[a[:3]] == g.mult[np.ix_(a[:3], np.arange(g.size))]).all()
+    index = {m.key(): i for i, m in enumerate(g.matrices)}
     for x, y in zip(a[:5].tolist(), b[:5].tolist()):
         assert (g.mult[x] == g.mult[x, np.arange(g.size)]).all()
         assert int(g.mult[x, y]) == g.product(x, y)
         # the index convention agrees with exact matrix products
-        assert g.index_of(g.matrices[x] @ g.matrices[y]) == g.product(x, y)
-
-
-def test_index_of_rejects_matrices_outside_the_group(b3):
-    # B3 is G(2,1,3), realised over Q(zeta_2)
-    rows = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    assert b3.index_of(Matrix.from_rational_rows(2, rows)) == b3.identity
-    rows[0][0] = Fraction(2)  # a column that is no vector of the orbit
-    with pytest.raises(ElementNotInGroup):
-        b3.index_of(Matrix.from_rational_rows(2, rows))
-    # every column e_1: vectors of the orbit, but no element's images
-    ones = [[Fraction(int(i == 0)) for _ in range(3)] for i in range(3)]
-    with pytest.raises(ElementNotInGroup):
-        b3.index_of(Matrix.from_rational_rows(2, ones))
-    with pytest.raises(ElementNotInGroup):
-        b3.index_of(Matrix.identity(2, 2))
+        assert index[(g.matrices[x] @ g.matrices[y]).key()] \
+            == g.product(x, y)
 
 
 def _held_objects(*roots):

@@ -27,6 +27,7 @@ from ncpforge.hurwitz import (
     strong_conjugacy_classes,
 )
 from ncpforge.ncp import build_ncp
+from conftest import element_of_permutation
 
 
 @pytest.fixture(scope="module")
@@ -185,12 +186,12 @@ def test_s6_counterexample():
     """Two 2-block factorisations with conjugate factors but distinct
     Hurwitz orbits."""
     group = build_group(GroupSpec("A", 5))
-    c = group.element_from_permutation((2, 3, 4, 5, 6, 1))
+    c = element_of_permutation(group, (2, 3, 4, 5, 6, 1))
     assert c == group.coxeter
-    u1 = group.element_from_permutation((5, 3, 2, 4, 6, 1))  # (2 3)(1 5 6)
-    u2 = group.element_from_permutation((3, 2, 4, 1, 5, 6))  # (1 3 4)
-    v1 = group.element_from_permutation((5, 2, 4, 3, 6, 1))  # (3 4)(1 5 6)
-    v2 = group.element_from_permutation((2, 4, 3, 1, 5, 6))  # (1 2 4)
+    u1 = element_of_permutation(group, (5, 3, 2, 4, 6, 1))  # (2 3)(1 5 6)
+    u2 = element_of_permutation(group, (3, 2, 4, 1, 5, 6))  # (1 3 4)
+    v1 = element_of_permutation(group, (5, 2, 4, 3, 6, 1))  # (3 4)(1 5 6)
+    v2 = element_of_permutation(group, (2, 4, 3, 1, 5, 6))  # (1 2 4)
     assert group.product(u1, u2) == c and group.product(v1, v2) == c
     assert group.class_id[u1] == group.class_id[v1]
     assert group.class_id[u2] == group.class_id[v2]

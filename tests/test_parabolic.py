@@ -31,9 +31,8 @@ def test_parabolic_of_extremes(a3, a3_ncp):
 def test_parabolic_of_reflection(a3, a3_ncp):
     r = a3.reflections[0]
     p = parabolic_of(a3_ncp, r)
-    assert p.rank == 1
+    assert p.rank == 1 == a3.n - a3.fixed_space(r).dim
     assert set(p.elements) == {a3.identity, r}
-    assert p.flat == a3.fixed_space(r)
 
 
 @pytest.mark.parametrize("spec,strata_only", [
