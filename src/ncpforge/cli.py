@@ -13,7 +13,6 @@ import os
 import stat
 import sys
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .errors import (
 from .factorizations import (
     chapoton_identity,
     fact_counts,
-    iter_fact_with_composition,
     iter_factorisations,
     red_count_formula,
 )
@@ -351,9 +349,9 @@ def cmd_orbits(args, out) -> int:
         raise ConfigError(
             f"shape {list(shape)} is not a partition of n = {group.n}")
     ncp = build_ncp(group)
-    tuples = []
-    for comp in sorted(set(permutations(shape))):
-        tuples.extend(iter_fact_with_composition(ncp, comp))
+    tuples = [t for t in GroupContext(group, ncp).by_blocks[len(shape)]
+              if tuple(sorted((int(group.length[w]) for w in t),
+                              reverse=True)) == shape]
     orbits = orbit_decomposition(group, tuples, cap=args.orbit_cap)
     described = sorted((o.size, _orbit_descriptor(group, o)) for o in orbits)
     summary = {

@@ -143,14 +143,6 @@ class CycNum:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coeffs)
 
-    def is_rational(self) -> bool:
-        return all(x == 0 for x in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational number")
-        return self.coeffs[0]
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 

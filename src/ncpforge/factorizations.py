@@ -32,37 +32,39 @@ def red_count_formula(group: ReflectionGroup) -> int:
 
 def iter_factorisations(ncp: NcpLattice):
     """All block factorisations of c; depth-first, canonical index order."""
-    return _factorisations(ncp, None)
+    return _factorisations(ncp)
 
 
 def iter_fact_with_composition(ncp: NcpLattice, mu: tuple[int, ...]):
-    """Factorisations of c with the exact composition mu of l(c)."""
+    """Factorisations of c with the exact composition mu of l(c), in the
+    order of `iter_factorisations`."""
     if sum(mu) != int(ncp.group.length[ncp.c]) or any(p < 1 for p in mu):
         raise ValueError(f"{mu} is not a composition of l(c)")
-    return _factorisations(ncp, mu)
+    length, mu = ncp.group.length, tuple(mu)
+    return (t for t in _factorisations(ncp)
+            if tuple(int(length[w]) for w in t) == mu)
 
 
-def _factorisations(ncp: NcpLattice, mu):
+def _factorisations(ncp: NcpLattice):
     """Depth-first search over the divisors u of the remaining quotient w,
     in member order, continuing with u^{-1} w, starting from c.  Every
-    block is a nontrivial divisor; with mu, block k has length mu[k] (mu
-    sums to l(c), so the search ends exactly when mu is used up)."""
+    block is a nontrivial divisor."""
     length, pos, quotients = ncp.group.length, ncp.pos, ncp.quotients
     members, rank, below = ncp.members, ncp.rank.tolist(), ncp.below
 
-    def rec(w: int, k: int, prefix: list[int]):
+    def rec(w: int, prefix: list[int]):
         if length[w] == 0:
             yield tuple(prefix)
             return
         j = pos[w]
         for i in below[j]:
-            if rank[i] == 0 or (mu is not None and rank[i] != mu[k]):
+            if rank[i] == 0:
                 continue
             prefix.append(members[i])
-            yield from rec(int(quotients[i, j]), k + 1, prefix)
+            yield from rec(int(quotients[i, j]), prefix)
             prefix.pop()
 
-    return rec(ncp.c, 0, [])
+    return rec(ncp.c, [])
 
 
 def two_reflection_factorisations(ncp: NcpLattice, w: int) -> list[tuple[int, int]]:

@@ -1,15 +1,19 @@
 """Catalog-built reflection groups, stored as permutations.
 
-A group is built without multiplying two exact matrices.  The orbit V of
-the standard basis vectors e_1..e_n under the generators is computed once
-with exact `Matrix.apply`, and each generator becomes an integer
-permutation of V.  Since V holds a basis, an element is determined by the
-permutation it induces on V, and even by its basis images g(e_j), which
-are vectors of V.  That permutation is the only stored form of an element:
-`mult.perms` holds one row per element, and each element is numbered by the
-rank of its code, the mixed-radix number sum_j perm[j] |V|^j of its basis
-images, so the indexing is identical across runs.  Breadth-first closure
-runs over whole frontiers of permutations at once.
+A group is built without multiplying two exact matrices.  Each generator
+becomes an integer matrix on the n * phi(m) power-basis coefficients of
+Z[zeta_m]^n, and the orbit V of the standard basis vectors e_1..e_n under
+these matrices is computed once, in plain integers.  `coords[i, j]` are
+the coefficients of coordinate j of V[i], and that is the only stored
+form of V.  A generator with an entry outside Z[zeta_m] fails the build.
+Each generator becomes an integer permutation of V.  Since V holds a
+basis, an element is determined by the permutation it induces on V, and
+even by its basis images g(e_j), which are vectors of V.  That
+permutation is the only stored form of an element: `mult.perms` holds one
+row per element, and each element is numbered by the rank of its code,
+the mixed-radix number sum_j perm[j] |V|^j of its basis images, so the
+indexing is identical across runs.  Breadth-first closure runs over whole
+frontiers of permutations at once.
 
 A product a*b is the row of a composed with the basis images of b; its
 code is found in the sorted `codes` array.  `mult` does this for index
@@ -22,24 +26,21 @@ images of the powers of one element (orders, fixed-space dimensions and
 fixators), `word_lengths` is the breadth-first search from the identity
 (reflection length, generated subgroups), and the module-level
 `components` labels connected components (conjugacy classes, Hurwitz
-orbits, strong conjugacy).  An element's exact matrix is assembled from
-its columns only when asked for, for the fixed spaces of reflections and
-the zeta_h-regularity check.  The Coxeter element c is the product of the
-generators in order, found by lookups like any other product; it is
-checked to have order h, no fixed vector, reflection length n and a
-zeta_h-eigenvector off every reflecting hyperplane.
-
-V is also held as integers: `coords[i, j]` are the power-basis
-coefficients in Q(zeta_m) of coordinate j of V[i].  The generators have
-entries in Z[zeta_m], so these coefficients are integers, with no common
-denominator.  A sum of images of vectors of V under many elements is then
-one integer gather through `mult.perms` and one sum, which is how
-pointwise fixators are found.
+orbits, strong conjugacy).  A sum of vectors of V, such as a trace or the
+images of a flat's spanning vectors under every element, is an integer
+gather from `coords` and one sum.  An element's exact matrix over
+Q(zeta_m) is assembled from its columns only when asked for, for the
+fixed spaces of reflections and the zeta_h-regularity check.  The Coxeter
+element c is the product of the generators in order, found by lookups like
+any other product; it is checked to have order h, no fixed vector,
+reflection length n and a zeta_h-eigenvector off every reflecting
+hyperplane.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -52,7 +53,7 @@ from .catalog import (
     generators_of,
     order_of,
 )
-from .cyclo import CycNum, Matrix, Subspace, kernel
+from .cyclo import CycNum, Matrix, Subspace, euler_phi, kernel
 from .errors import (
     CoxeterValidationFailed,
     ElementNotInGroup,
@@ -85,9 +86,9 @@ class ProductView:
     """The multiplication table of a group without the table.
 
     `mult[a, b]` is the index of the product a*b for index arrays a and b
-    that broadcast together (so `np.ix_` works), and `mult[a]` is the row
-    of a.  Each product composes the row of a with the basis images of b
-    and looks the resulting code up in the sorted codes."""
+    that broadcast together (so `np.ix_` works).  Each product composes
+    the row of a with the basis images of b and looks the resulting code
+    up in the sorted codes."""
 
     def __init__(self, perms: np.ndarray, codes: np.ndarray,
                  radix: np.ndarray):
@@ -101,8 +102,6 @@ class ProductView:
         return self.perms.nbytes + self.codes.nbytes
 
     def __getitem__(self, key) -> np.ndarray:
-        if not isinstance(key, tuple):
-            key = (np.asarray(key)[..., None], np.arange(len(self.codes)))
         a, b = key
         images = self.perms[np.asarray(a)[..., None],
                             self.perms[b, :len(self.radix)]]
@@ -123,19 +122,19 @@ class ElementMatrices(Sequence):
     """The exact matrix of each element, assembled on access: column j of
     element w is the vector of V at perms[w, j]."""
 
-    def __init__(self, n: int, conductor: int, vectors: list[tuple],
-                 perms: np.ndarray):
-        self._n = n
+    def __init__(self, conductor: int, coords: np.ndarray, perms: np.ndarray):
         self._conductor = conductor
-        self._vectors = vectors
+        self._coords = coords
         self._perms = perms
 
     def __len__(self) -> int:
         return len(self._perms)
 
     def __getitem__(self, w) -> Matrix:
-        columns = [self._vectors[k] for k in self._perms[w, :self._n].tolist()]
-        return Matrix(self._n, self._conductor, zip(*columns))
+        n, m = self._coords.shape[1], self._conductor
+        columns = self._coords[self._perms[w, :n]].tolist()
+        return Matrix(n, m, [[CycNum(m, tuple(map(Fraction, x))) for x in row]
+                             for row in zip(*columns)])
 
 
 class ReflectionGroup:
@@ -155,6 +154,14 @@ class ReflectionGroup:
             raise OrderCapExceeded(
                 f"{spec.label}: codes of {len(vectors)}^{self.n} basis "
                 f"images do not fit in 64 bits")
+        # a fixator test sums at most |W| coordinates
+        largest = max(abs(c) for v in vectors for c in v)
+        if largest * expected_order > _CODE_LIMIT:
+            raise OrderCapExceeded(
+                f"{spec.label}: a coordinate {largest} times |W| = "
+                f"{expected_order} does not fit in 64 bits")
+        self.coords = np.array(vectors, dtype=np.int64).reshape(
+            len(vectors), self.n, -1)
         radix = len(vectors) ** np.arange(self.n, dtype=np.int64)
         perms, codes = self._closure(gen_perms, radix, expected_order * 2)
         if len(perms) != expected_order:
@@ -163,9 +170,7 @@ class ReflectionGroup:
                 f"product of degrees is {expected_order}")
         self.size = len(perms)
         self.mult = ProductView(perms, codes, radix)
-        self.matrices = ElementMatrices(self.n, self.conductor, vectors, perms)
-        self.vectors = vectors
-        self.coords = self._coordinates()
+        self.matrices = ElementMatrices(self.conductor, self.coords, perms)
 
         self.identity = int(self.mult.locate(np.arange(self.n)))
         self.generators = self.mult.locate(gen_perms[:, :self.n]).tolist()
@@ -201,32 +206,56 @@ class ReflectionGroup:
     # -- construction ----------------------------------------------------
 
     def _vector_orbit(self, gens: list[Matrix], cap: int
-                      ) -> tuple[list[tuple], np.ndarray]:
+                      ) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """The orbit V of e_1..e_n under the generators (basis vectors
-        first), and each generator as a permutation of V: gen_perms[s, i]
-        is the index of gens[s](V[i])."""
-        one, zero = CycNum.one(self.conductor), CycNum.zero(self.conductor)
-        vectors = [tuple(one if i == j else zero for i in range(self.n))
+        first), each vector as its n * phi(m) integer coordinates, and each
+        generator as a permutation of V: gen_perms[s, i] is the index of
+        gens[s](V[i])."""
+        phi = euler_phi(self.conductor)
+        width = self.n * phi
+        columns = [self._integer_columns(g, phi) for g in gens]
+        vectors = [tuple(int(k == j * phi) for k in range(width))
                    for j in range(self.n)]
         index = {v: i for i, v in enumerate(vectors)}
         gen_perms: list[list[int]] = [[] for _ in gens]
-        pos = 0
-        while pos < len(vectors):
-            v = vectors[pos]
-            for g, perm in zip(gens, gen_perms):
-                image = g.apply(v)
-                k = index.get(image)
-                if k is None:
-                    k = index[image] = len(vectors)
+        for v in vectors:  # also visits the vectors appended below
+            for cols, perm in zip(columns, gen_perms):
+                out = [0] * width
+                for k, x in enumerate(v):
+                    if x:
+                        for row, c in cols[k]:
+                            out[row] += c * x
+                image = tuple(out)
+                i = index.get(image)
+                if i is None:
+                    i = index[image] = len(vectors)
                     vectors.append(image)
                     if len(vectors) > cap:
                         raise OrderCapExceeded(
                             f"{self.spec.label}: basis-vector orbit blew "
                             f"past {cap} vectors")
-                perm.append(k)
-            pos += 1
+                perm.append(i)
         dtype = np.min_scalar_type(len(vectors) - 1)
         return vectors, np.array(gen_perms, dtype=dtype)
+
+    def _integer_columns(self, g: Matrix, phi: int
+                         ) -> list[list[tuple[int, int]]]:
+        """g on the n * phi(m) coordinates, by columns: column j*phi + b
+        lists the nonzero (i*phi + a, coefficient a of g_ij zeta^b).  An
+        entry outside Z[zeta_m] raises."""
+        columns = []
+        for j in range(self.n):
+            for b in range(phi):
+                z = CycNum.zeta(self.conductor, b)
+                products = [(g.rows[i][j] * z).coeffs for i in range(self.n)]
+                if any(c.denominator != 1 for p in products for c in p):
+                    raise CoxeterValidationFailed(
+                        f"{self.spec.label}: a generator has an entry "
+                        f"outside Z[zeta_{self.conductor}]")
+                columns.append([(i * phi + a, c.numerator)
+                                for i, p in enumerate(products)
+                                for a, c in enumerate(p) if c])
+        return columns
 
     @staticmethod
     def _closure(gen_perms: np.ndarray, radix: np.ndarray, hard_cap: int
@@ -256,44 +285,24 @@ class ReflectionGroup:
         order = np.argsort(codes)
         return perms[order], codes[order]
 
-    def _coordinates(self) -> np.ndarray:
-        """V as an int64 array of shape (|V|, n, phi(m)).  The generators
-        have entries in Z[zeta_m], so a coordinate that is not an integer
-        raises.  A fixator test sums at most |W| of these entries, so an
-        entry whose |W|-fold multiple leaves int64 raises too."""
-        if any(c.denominator != 1
-               for v in self.vectors for x in v for c in x.coeffs):
-            raise CoxeterValidationFailed(
-                f"{self.spec.label}: a vector of the basis orbit has a "
-                f"coordinate that is not an integer")
-        coords = [[[c.numerator for c in x.coeffs] for x in v]
-                  for v in self.vectors]
-        largest = max(abs(c) for v in coords for x in v for c in x)
-        if largest * self.size > _CODE_LIMIT:
-            raise OrderCapExceeded(
-                f"{self.spec.label}: a coordinate numerator {largest} times "
-                f"|W| = {self.size} does not fit in 64 bits")
-        return np.array(coords, dtype=np.int64)
-
     def _fixed_dims(self) -> np.ndarray:
         """dim Ker(w - 1) = (1/ord w) sum_{k < ord w} tr(w^k) for every
         element, the multiplicity of the trivial character on <w>; it is
         constant on conjugacy classes, so one representative per class.
-        tr g = sum_j V[g(e_j)][j], read off the basis images of g."""
-        vectors = self.vectors
+        tr g = sum_j coordinate j of V[g(e_j)], a sum of power-basis
+        coefficients that is rational iff all past the first are zero."""
+        diagonal = np.arange(self.n)
         dims = np.empty(len(self.classes), dtype=np.int32)
         for cid, members in enumerate(self.classes):
             w = members[0]
             powers = self.powers(w)
-            total = sum((vectors[images[j]][j] for images in powers
-                         for j in range(self.n)), CycNum.zero(self.conductor))
-            dim = (total.rational_value() / len(powers)
-                   if total.is_rational() else None)
-            if dim is None or dim.denominator != 1 or not 0 <= dim <= self.n:
+            total = self.coords[powers, diagonal].sum(axis=(0, 1))
+            dim, rest = divmod(int(total[0]), len(powers))
+            if total[1:].any() or rest or not 0 <= dim <= self.n:
                 raise CoxeterValidationFailed(
                     f"{self.spec.label}: character average of element {w} "
                     f"is not a dimension in 0..{self.n}")
-            dims[cid] = dim.numerator
+            dims[cid] = dim
         return dims[self.class_id]
 
     def _conjugacy_classes(self) -> tuple[np.ndarray, list[list[int]]]:
@@ -420,26 +429,14 @@ class ReflectionGroup:
         if eigenspace.dim == 0:
             return False
         # a regular eigenvector exists iff no hyperplane contains the
-        # whole eigenspace (the field is infinite).  w maps its eigenspace
-        # E to itself and H_{w r w^-1} = w H_r, so E lies in H_r iff it
-        # lies in the hyperplane of every reflection in r's orbit under
-        # conjugation by w: one test per orbit.
-        for r in self._conjugation_orbit_representatives(w):
-            hyper = self.fixed_space(r)
-            lifted = Subspace(
-                hyper.n, big_m,
-                [[e.embed(big_m) for e in v] for v in hyper.basis])
-            if lifted.contains_subspace(eigenspace):
+        # whole eigenspace E (the field is infinite), and E lies in the
+        # hyperplane H_r = Ker(r - 1) iff r - 1 sends each basis vector of
+        # E to 0
+        for r in self.reflections:
+            moved = self.matrices[r].embed(big_m).minus_identity()
+            if not any(x for v in eigenspace.basis for x in moved.apply(v)):
                 return False
         return True
-
-    def _conjugation_orbit_representatives(self, w: int) -> list[int]:
-        """The least reflection of each orbit of <w> acting on the
-        reflections by r -> w r w^-1."""
-        refl = np.array(self.reflections, dtype=np.int32)
-        label = components(self.size, [
-            (refl, self.mult[w, self.mult[refl, self.inv[w]]])])
-        return refl[label[refl] == refl].tolist()
 
     def __repr__(self):
         return f"ReflectionGroup({self.spec.label}, |W|={self.size})"

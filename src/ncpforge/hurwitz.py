@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassificationMismatch, IndexOutOfRange, OrbitCapExceeded
-from .group import ReflectionGroup, components
+from .group import _CODE_LIMIT, ReflectionGroup, components
 from .ncp import NcpLattice
 
 DEFAULT_ORBIT_CAP = 10_000_000
-_CODE_LIMIT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)

@@ -36,16 +36,12 @@ class ParabolicSubgroup:
     group: ReflectionGroup
     w: int                      # the NCP member it closes up
     elements: list[int]         # sorted element indices
+    reflections: list[int]      # the elements that are reflections
     rank: int
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    @property
-    def reflections(self) -> list[int]:
-        refl = set(self.group.reflections)
-        return [x for x in self.elements if x in refl]
 
 
 def subgroup_closure(group: ReflectionGroup, gens) -> list[int]:
@@ -88,12 +84,13 @@ def parabolic_of(ncp: NcpLattice, w: int) -> ParabolicSubgroup:
         raise ClassificationMismatch(
             f"{group.spec.label}: parabolic rank {rank} differs from "
             f"reflection length {int(group.length[w])}")
-    refl_gens = [x for x in elements
-                 if x != group.identity and group.fixed_dim[x] == group.n - 1]
-    if subgroup_closure(group, refl_gens) != elements:
+    reflections = [x for x in elements if x != group.identity
+                   and group.fixed_dim[x] == group.n - 1]
+    if subgroup_closure(group, reflections) != elements:
         raise ClassificationMismatch(
             f"{group.spec.label}: fixator not generated by its reflections")
-    return ParabolicSubgroup(group=group, w=w, elements=elements, rank=rank)
+    return ParabolicSubgroup(group=group, w=w, elements=elements,
+                             reflections=reflections, rank=rank)
 
 
 def rank2_degrees(order: int, num_reflections: int) -> tuple[int, int]:

@@ -2,7 +2,7 @@ import pytest
 
 import ncpforge.catalog as catalog
 from ncpforge.catalog import GroupSpec
-from ncpforge.cyclo import CycNum, Subspace
+from ncpforge.cyclo import Subspace
 from ncpforge import group as group_module
 from ncpforge.group import build_group
 from ncpforge.ncp import build_ncp
@@ -12,14 +12,15 @@ def element_of_permutation(group, perm):
     """The element of A(n) given by a one-line permutation of 1..n+1.  It
     sends the simple root e_j - e_{j+1} to e_{perm(j)} - e_{perm(j+1)},
     whose simple-root coordinates are +-1 on the roots between the two
-    positions; that vector is looked up in `group.vectors`."""
-    one, zero = CycNum.one(group.conductor), CycNum.zero(group.conductor)
+    positions; that vector is looked up in `group.coords` (A(n) lives over
+    Q, so each coordinate is a single integer)."""
+    vectors = group.coords.tolist()
     images = []
     for a, b in zip(perm, perm[1:]):
-        sign = one if a < b else -one
-        root = tuple(sign if min(a, b) <= k < max(a, b) else zero
-                     for k in range(1, group.n + 1))
-        images.append(group.vectors.index(root))
+        sign = 1 if a < b else -1
+        root = [[sign if min(a, b) <= k < max(a, b) else 0]
+                for k in range(1, group.n + 1)]
+        images.append(vectors.index(root))
     return int(group.mult.locate(images))
 
 

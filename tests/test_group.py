@@ -1,6 +1,5 @@
 """Group construction invariants and element arithmetic."""
 
-import copy
 import gc
 import operator
 import weakref
@@ -303,10 +302,10 @@ def test_product_view_broadcasts_and_agrees_with_product(fixture, request):
     assert table.shape == (40, 40)
     assert (np.diagonal(table) == pairs).all()
     assert (g.mult[a[:, None], b[None, :]] == table).all()
-    assert (g.mult[a[:3]] == g.mult[np.ix_(a[:3], np.arange(g.size))]).all()
+    rows = g.mult[np.ix_(a[:3], np.arange(g.size))]
+    assert (g.mult[a[:3, None], np.arange(g.size)] == rows).all()
     index = {m.key(): i for i, m in enumerate(g.matrices)}
     for x, y in zip(a[:5].tolist(), b[:5].tolist()):
-        assert (g.mult[x] == g.mult[x, np.arange(g.size)]).all()
         assert int(g.mult[x, y]) == g.product(x, y)
         # the index convention agrees with exact matrix products
         assert index[(g.matrices[x] @ g.matrices[y]).key()] \
@@ -423,32 +422,87 @@ def test_codes_that_overflow_64_bits_are_refused(monkeypatch):
         ReflectionGroup(GroupSpec("A", 2))
 
 
+def exact_vector_orbit(spec):
+    """Reference: the orbit of e_1..e_n under the catalog generators by
+    exact `Matrix.apply`, breadth-first with the generators in order, and
+    each generator's permutation of it."""
+    gens = generators_of(spec)
+    m = conductor_of(spec)
+    one, zero = CycNum.one(m), CycNum.zero(m)
+    vectors = [tuple(one if i == j else zero for i in range(spec.n))
+               for j in range(spec.n)]
+    index = {v: i for i, v in enumerate(vectors)}
+    perms = [[] for _ in gens]
+    for v in vectors:
+        for g, perm in zip(gens, perms):
+            image = g.apply(v)
+            if image not in index:
+                index[image] = len(vectors)
+                vectors.append(image)
+            perm.append(index[image])
+    return vectors, perms
+
+
+def vectors_of_coords(group):
+    """V as tuples of `CycNum`, read back from the integer coordinates."""
+    return [tuple(CycNum(group.conductor, tuple(map(Fraction, x))) for x in v)
+            for v in group.coords.tolist()]
+
+
+@pytest.mark.parametrize(
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+    ids=lambda s: s.label)
+def test_integer_orbit_matches_exact_orbit(spec):
+    g = build_group(spec)
+    vectors, perms = exact_vector_orbit(spec)
+    assert vectors_of_coords(g) == vectors
+    for s, perm in zip(g.generators, perms):
+        assert g.mult.perms[s].tolist() == perm
+
+
+@pytest.mark.parametrize("spec", catalog_specs(), ids=lambda s: s.label)
+def test_fixed_dim_is_the_fixed_space_dimension(spec):
+    g = build_group(spec)
+    for w, *_ in g.classes:
+        assert g.fixed_dim[w] == g.fixed_space(w).dim
+
+
 @pytest.mark.parametrize("spec,largest", [
     (GroupSpec("H3", 3), 2),     # golden-ratio coordinates
     (GroupSpec("F4", 4), 4),     # the roots in the simple-root basis
 ], ids=lambda v: v.label if isinstance(v, GroupSpec) else str(v))
 def test_coordinates_give_back_the_vector_orbit(spec, largest):
     g = build_group(spec)
+    vectors, _ = exact_vector_orbit(spec)
     assert g.coords.dtype == np.int64
-    assert g.coords.shape == (len(g.vectors), g.n, len(g.vectors[0][0].coeffs))
+    assert g.coords.shape == (len(vectors), g.n, len(vectors[0][0].coeffs))
     assert np.abs(g.coords).max() == largest
-    back = [tuple(CycNum(g.conductor, tuple(Fraction(int(c)) for c in x))
-                  for x in v)
-            for v in g.coords]
-    assert back == g.vectors
+    assert vectors_of_coords(g) == vectors
 
 
-def test_coordinates_that_are_not_integers_are_refused(a3):
-    g = copy.copy(a3)
-    half = CycNum.from_rational(a3.conductor, Fraction(1, 2))
-    g.vectors = [(half,) * g.n] + a3.vectors[1:]
-    with pytest.raises(CoxeterValidationFailed, match="not an integer"):
-        g._coordinates()
+def rational_matrix(rows):
+    return Matrix(len(rows), 1, [[CycNum.from_rational(1, v) for v in row]
+                                 for row in rows])
 
 
-def test_coordinates_too_large_for_int64_sums_are_refused(a3):
-    g = copy.copy(a3)
-    big = CycNum.from_rational(a3.conductor, 2 ** 62)
-    g.vectors = [(big,) * g.n] + a3.vectors[1:]
+def test_coordinates_that_are_not_integers_are_refused(monkeypatch):
+    spec = GroupSpec("A", 2)
+    gens = generators_of(spec)
+    rows = [list(row) for row in gens[0].rows]
+    rows[0][1] = CycNum.from_rational(1, Fraction(1, 2))
+    monkeypatch.setattr(group_module, "generators_of",
+                        lambda _: [Matrix(2, 1, rows)] + gens[1:])
+    with pytest.raises(CoxeterValidationFailed, match="outside Z"):
+        ReflectionGroup(spec)
+
+
+def test_coordinates_too_large_for_int64_sums_are_refused(monkeypatch):
+    # conjugating by a unimodular matrix keeps the entries integers, but
+    # V then holds coordinates near 2^62, whose 6-fold sums leave int64
+    spec = GroupSpec("A", 2)
+    u = rational_matrix([[1, 2 ** 31], [0, 1]])
+    u_inv = rational_matrix([[1, -2 ** 31], [0, 1]])
+    monkeypatch.setattr(group_module, "generators_of", lambda _: [
+        u @ g @ u_inv for g in generators_of(spec)])
     with pytest.raises(OrderCapExceeded, match="64 bits"):
-        g._coordinates()
+        ReflectionGroup(spec)
