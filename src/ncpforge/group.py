@@ -28,13 +28,16 @@ fixators), `word_lengths` is the breadth-first search from the identity
 `components` labels connected components (conjugacy classes, Hurwitz
 orbits, strong conjugacy).  A sum of vectors of V, such as a trace or the
 images of a flat's spanning vectors under every element, is an integer
-gather from `coords` and one sum.  An element's exact matrix over
-Q(zeta_m) is assembled from its columns only when asked for, for the
-fixed spaces of reflections and the zeta_h-regularity check.  The Coxeter
-element c is the product of the generators in order, found by lookups like
-any other product; it is checked to have order h, no fixed vector,
-reflection length n and a zeta_h-eigenvector off every reflecting
-hyperplane.
+gather from `coords` and one sum, and so is the zeta_h-regularity check:
+the projector sum_k zeta_h^-k w^k onto the eigenspace, applied to the basis
+and moved by every reflection at once, in the integer power basis of
+Z[zeta_lcm(m, h)].  An element's exact matrix over Q(zeta_m) is assembled
+from its columns only when asked for; the build asks once per class of
+reflections, to cross-check that its fixed space is a hyperplane.  The
+Coxeter element c is the product of the generators in order, found by
+lookups like any other product; it is checked to have order h, no fixed
+vector, reflection length n and a zeta_h-eigenvector off every
+reflecting hyperplane.
 """
 
 from __future__ import annotations
@@ -154,12 +157,17 @@ class ReflectionGroup:
             raise OrderCapExceeded(
                 f"{spec.label}: codes of {len(vectors)}^{self.n} basis "
                 f"images do not fit in 64 bits")
-        # a fixator test sums at most |W| coordinates
+        # a regularity sum runs over k < ord w <= |W| and a < phi(m) and
+        # adds a difference of two coordinates times a table entry; a
+        # fixator test sums at most |W| coordinates
         largest = max(abs(c) for v in vectors for c in v)
-        if largest * expected_order > _CODE_LIMIT:
+        entry = int(np.abs(_projector_table(self.conductor, self.h)).max())
+        phi = euler_phi(self.conductor)
+        if largest * entry * expected_order * phi * 2 > _CODE_LIMIT:
             raise OrderCapExceeded(
-                f"{spec.label}: a coordinate {largest} times |W| = "
-                f"{expected_order} does not fit in 64 bits")
+                f"{spec.label}: a coordinate {largest} times a table entry "
+                f"{entry} times |W| = {expected_order} times 2 phi(m) = "
+                f"{2 * phi} does not fit in 64 bits")
         self.coords = np.array(vectors, dtype=np.int64).reshape(
             len(vectors), self.n, -1)
         radix = len(vectors) ** np.arange(self.n, dtype=np.int64)
@@ -174,8 +182,12 @@ class ReflectionGroup:
 
         self.identity = int(self.mult.locate(np.arange(self.n)))
         self.generators = self.mult.locate(gen_perms[:, :self.n]).tolist()
-        # row w of argsort(perms) is the inverse permutation of w
-        self.inv = self.mult.locate(np.argsort(perms, axis=1)[:, :self.n])
+        # the basis images of w^-1: w sends position x to perms[w, x], so
+        # w^-1 sends e_j back to the x where perms[w, x] = j
+        rows, cols = np.nonzero(perms < self.n)
+        preimages = np.empty((self.size, self.n), dtype=perms.dtype)
+        preimages[rows, perms[rows, cols]] = cols
+        self.inv = self.mult.locate(preimages)
         self.class_id, self.classes = self._conjugacy_classes()
 
         self.fixed_dim = self._fixed_dims()
@@ -188,8 +200,11 @@ class ReflectionGroup:
             raise CoxeterValidationFailed(
                 f"{spec.label}: found {len(self.reflections)} reflections, "
                 f"expected {sum(d - 1 for d in self.degrees)}")
-        for r in self.reflections:
-            if self.fixed_space(r).dim != self.n - 1:
+        # Fix(g r g^-1) = g Fix(r), so one exact kernel per class of
+        # reflections checks them all
+        for r, *_ in self.classes:
+            if self.fixed_dim[r] == self.n - 1 and \
+                    self.fixed_space(r).dim != self.n - 1:
                 raise CoxeterValidationFailed(
                     f"{spec.label}: element {r} has character fixed "
                     f"dimension {self.n - 1} but a fixed space of dimension "
@@ -407,7 +422,9 @@ class ReflectionGroup:
             raise ElementNotInGroup(f"index {w} outside 0..{self.size - 1}")
 
     def fixed_space(self, w: int) -> Subspace:
-        """Ker(w - 1), exact; cached on the group, so the cache dies with it."""
+        """Ker(w - 1), exact; cached on the group, so the cache dies with it.
+        The build computes it for one reflection of each class, since
+        Fix(g r g^-1) = g Fix(r)."""
         self._check_member(w)
         space = self._fixed_spaces.get(w)
         if space is None:
@@ -417,26 +434,28 @@ class ReflectionGroup:
 
     def coxeter_regularity_check(self, w: int | None = None) -> bool:
         """True iff w (default: the catalog c) has a zeta_h-eigenvector
-        avoiding every reflecting hyperplane.  Arithmetic is lifted to the
-        conductor lcm(m, h)."""
+        avoiding every reflecting hyperplane, in exact integer sums.
+
+        With o the order of w, zeta_h is an eigenvalue only if h divides
+        o, and then P = sum_{k<o} zeta_h^-k w^k maps onto the eigenspace E.
+        A regular eigenvector exists iff E != 0 and no hyperplane H_r =
+        Ker(r - 1) contains E (the field is infinite), that is iff some
+        P e_j != 0 and, for every reflection r, some (r - 1) P e_j != 0.
+        Both are sums of rows of `coords` times the table of zeta_m^a
+        zeta_h^-k in the power basis of Z[zeta_lcm(m, h)]."""
         if w is None:
             w = self.coxeter
-        self._check_member(w)
-        big_m = lcm(self.conductor, self.h)
-        mat = self.matrices[w].embed(big_m)
-        zeta_h = CycNum.zeta(big_m, big_m // self.h)
-        eigenspace = kernel(mat.minus_scalar(zeta_h))
-        if eigenspace.dim == 0:
+        powers = np.array(self.powers(w))
+        if len(powers) % self.h:
             return False
-        # a regular eigenvector exists iff no hyperplane contains the
-        # whole eigenspace E (the field is infinite), and E lies in the
-        # hyperplane H_r = Ker(r - 1) iff r - 1 sends each basis vector of
-        # E to 0
-        for r in self.reflections:
-            moved = self.matrices[r].embed(big_m).minus_identity()
-            if not any(x for v in eigenspace.basis for x in moved.apply(v)):
-                return False
-        return True
+        table = _projector_table(self.conductor, self.h)[
+            np.arange(len(powers)) % self.h]
+        images = self.coords[powers]
+        moved = self.coords[self.mult.perms[self.reflections][:, powers]]
+        eigen = np.einsum("kjia,kab->jib", images, table)
+        off = np.einsum("rkjia,kab->rjib", moved - images, table)
+        return bool(eigen.any()) and bool(
+            off.reshape(len(off), -1).any(axis=1).all())
 
     def __repr__(self):
         return f"ReflectionGroup({self.spec.label}, |W|={self.size})"
@@ -459,6 +478,17 @@ def _check_order_cap(spec: GroupSpec, order_cap: int) -> int:
         raise OrderCapExceeded(
             f"{spec.label}: order {order} exceeds cap {order_cap}")
     return order
+
+
+@lru_cache(maxsize=None)
+def _projector_table(m: int, h: int) -> np.ndarray:
+    """table[k, a, b] is coefficient b of zeta_m^a zeta_h^-k in the power
+    basis of Z[zeta_M], M = lcm(m, h), for k < h and a < phi(m).  Every
+    entry is an integer, since Phi_M is monic."""
+    big_m = lcm(m, h)
+    return np.array([[[int(c) for c in CycNum.zeta(
+        big_m, a * (big_m // m) - k * (big_m // h)).coeffs]
+        for a in range(euler_phi(m))] for k in range(h)], dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

@@ -282,12 +282,52 @@ def plain_regularity_check(group, w):
     return True
 
 
-@pytest.mark.parametrize("spec", catalog_specs(), ids=lambda s: s.label)
+# B5 and G(3,3,5) lift to the conductors lcm(m, h) = 10 and 12
+@pytest.mark.parametrize(
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+    ids=lambda s: s.label)
 def test_regularity_check_matches_all_reflection_loop(spec):
     g = build_group(spec)
     assert g.coxeter_regularity_check() is True
     for w in [g.coxeter, g.identity] + [cls[0] for cls in g.classes]:
         assert g.coxeter_regularity_check(w) == plain_regularity_check(g, w)
+
+
+def test_build_runs_one_exact_kernel_per_reflection_class_and_no_apply(
+        monkeypatch):
+    calls = {"kernel": 0, "apply": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(group_module, "kernel",
+                        counted("kernel", group_module.kernel))
+    monkeypatch.setattr(Matrix, "apply", counted("apply", Matrix.apply))
+    classes = {}
+    for spec in catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)]:
+        before = calls["kernel"]
+        g = ReflectionGroup(spec, order_cap=order_of(spec))
+        classes[spec.label] = sum(1 for w, *_ in g.classes
+                                  if g.fixed_dim[w] == g.n - 1)
+        assert calls["kernel"] - before == classes[spec.label], spec.label
+    assert calls["apply"] == 0
+    assert sum(classes[s.label] for s in catalog_specs()) == 33
+    assert (classes["B5"], classes["G(3,3,5)"]) == (2, 1)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+                         ids=lambda s: s.label)
+def test_inverse_rows_match_argsort(spec):
+    g = build_group(spec)
+    # row w of argsort(perms) is the inverse permutation of w
+    expected = g.mult.locate(np.argsort(g.mult.perms, axis=1)[:, :g.n])
+    assert g.inv.dtype == expected.dtype
+    assert np.array_equal(g.inv, expected)
+    assert np.array_equal(g.mult[np.arange(g.size), g.inv],
+                          np.full(g.size, g.identity))
 
 
 @pytest.mark.parametrize("fixture", ["b3", "g333"])
@@ -422,11 +462,11 @@ def test_codes_that_overflow_64_bits_are_refused(monkeypatch):
         ReflectionGroup(GroupSpec("A", 2))
 
 
-def exact_vector_orbit(spec):
-    """Reference: the orbit of e_1..e_n under the catalog generators by
-    exact `Matrix.apply`, breadth-first with the generators in order, and
-    each generator's permutation of it."""
-    gens = generators_of(spec)
+def exact_vector_orbit(spec, gens=None):
+    """Reference: the orbit of e_1..e_n under the generators (default: the
+    catalog's) by exact `Matrix.apply`, breadth-first with the generators
+    in order, and each generator's permutation of it."""
+    gens = generators_of(spec) if gens is None else gens
     m = conductor_of(spec)
     one, zero = CycNum.one(m), CycNum.zero(m)
     vectors = [tuple(one if i == j else zero for i in range(spec.n))
@@ -504,5 +544,24 @@ def test_coordinates_too_large_for_int64_sums_are_refused(monkeypatch):
     u_inv = rational_matrix([[1, -2 ** 31], [0, 1]])
     monkeypatch.setattr(group_module, "generators_of", lambda _: [
         u @ g @ u_inv for g in generators_of(spec)])
+    with pytest.raises(OrderCapExceeded, match="64 bits"):
+        ReflectionGroup(spec)
+
+
+def test_coordinates_too_large_for_the_regularity_sums_are_refused(
+        monkeypatch):
+    # coordinates near 2^60 pass the bound "coordinate x |W| fits in
+    # int64", but not "coordinate x table entry x |W| x 2 phi(m)", which
+    # bounds the sums of the zeta_3-projector (A2: table entries 0 and
+    # +-1, phi(1) = 1)
+    spec = GroupSpec("A", 2)
+    u = rational_matrix([[1, 2 ** 30], [0, 1]])
+    u_inv = rational_matrix([[1, -2 ** 30], [0, 1]])
+    gens = [u @ g @ u_inv for g in generators_of(spec)]
+    vectors, _ = exact_vector_orbit(spec, gens)
+    largest = max(abs(c) for v in vectors for x in v for c in x.coeffs)
+    limit = np.iinfo(np.int64).max
+    assert largest * 6 <= limit < largest * 6 * 2
+    monkeypatch.setattr(group_module, "generators_of", lambda _: gens)
     with pytest.raises(OrderCapExceeded, match="64 bits"):
         ReflectionGroup(spec)
