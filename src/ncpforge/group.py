@@ -454,8 +454,7 @@ class ReflectionGroup:
         moved = self.coords[self.mult.perms[self.reflections][:, powers]]
         eigen = np.einsum("kjia,kab->jib", images, table)
         off = np.einsum("rkjia,kab->rjib", moved - images, table)
-        return bool(eigen.any()) and bool(
-            off.reshape(len(off), -1).any(axis=1).all())
+        return bool(eigen.any() and off.any(axis=(1, 2, 3)).all())
 
     def __repr__(self):
         return f"ReflectionGroup({self.spec.label}, |W|={self.size})"
