@@ -26,7 +26,7 @@ from .errors import (
 from .factorizations import (
     chapoton_identity,
     fact_counts,
-    iter_factorisations,
+    factorisations,
     red_count_formula,
 )
 from .group import DEFAULT_ORDER_CAP, build_group
@@ -76,31 +76,23 @@ class GroupContext:
         self.label = group.spec.label
 
     @cached_property
-    def facts(self) -> list[tuple[int, ...]]:
-        """Every block factorisation of c."""
-        return list(iter_factorisations(self.ncp))
-
-    @cached_property
-    def by_blocks(self) -> dict[int, list[tuple[int, ...]]]:
-        out = {p: [] for p in range(self.group.n + 1)}
-        for fact in self.facts:
-            out[len(fact)].append(fact)
-        return out
+    def by_blocks(self) -> dict[int, np.ndarray]:
+        """The block factorisations of c, one array per block count."""
+        return factorisations(self.ncp)
 
     @cached_property
     def ledger(self):
-        return fact_counts(self.group, self.facts)
+        return fact_counts(self.group, self.by_blocks)
 
     @property
-    def red(self) -> list[tuple[int, ...]]:
+    def red(self) -> np.ndarray:
         return self.by_blocks[self.group.n]
 
-    def primitive(self, k: int) -> list[tuple[int, ...]]:
+    def primitive(self, k: int) -> np.ndarray:
         """Factorisations of shape k 1^(n-k): n-k+1 blocks, one of length k
         (the others then have length 1), in any position."""
-        length = self.group.length
-        return [t for t in self.by_blocks[self.group.n - k + 1]
-                if any(int(length[w]) == k for w in t)]
+        rows = self.by_blocks[self.group.n - k + 1]
+        return rows[(self.group.length[rows] == k).any(axis=1)]
 
     @cached_property
     def strata(self):
@@ -208,6 +200,7 @@ def run_group(spec, suites, order_cap, orbit_cap, nmax) -> GroupSection:
     label = spec.label
     try:
         group = build_group(spec, order_cap=order_cap)
+        ncp = build_ncp(group)
     except (OrderCapExceeded, OrbitCapExceeded):
         raise
     except NcpForgeError as exc:
@@ -217,7 +210,6 @@ def run_group(spec, suites, order_cap, orbit_cap, nmax) -> GroupSection:
         section.checks.append(CheckRow(label, "build", "group_build",
                                        "ok", f"{type(exc).__name__}: {exc}"))
         return section
-    ncp = build_ncp(group)
     section = GroupSection(
         label=label, order=group.size, degrees=list(group.degrees),
         h=group.h, num_reflections=len(group.reflections),
@@ -348,10 +340,9 @@ def cmd_orbits(args, out) -> int:
     if any(p < 1 for p in shape) or sum(shape) != group.n:
         raise ConfigError(
             f"shape {list(shape)} is not a partition of n = {group.n}")
-    ncp = build_ncp(group)
-    tuples = [t for t in GroupContext(group, ncp).by_blocks[len(shape)]
-              if tuple(sorted((int(group.length[w]) for w in t),
-                              reverse=True)) == shape]
+    rows = factorisations(build_ncp(group))[len(shape)]
+    lengths = np.sort(group.length[rows], axis=1)[:, ::-1]
+    tuples = rows[(lengths == shape).all(axis=1)]
     orbits = orbit_decomposition(group, tuples, cap=args.orbit_cap)
     described = sorted((o.size, _orbit_descriptor(group, o)) for o in orbits)
     summary = {
@@ -424,6 +415,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"ncpforge: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NcpForgeError as exc:
+        print(f"ncpforge: check failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

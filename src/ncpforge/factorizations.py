@@ -1,10 +1,13 @@
 """Block factorisations of the Coxeter element and their exact counts.
 
 A factorisation is an ordered tuple of nontrivial element indices whose
-product is c and whose reflection lengths add up to n.  Counts are computed
-three independent ways: brute enumeration over the lattice, the discrete
-derivative of the Zeta polynomial, and the closed Stirling-number form; any
-pairwise mismatch raises LedgerDisagreement.
+product is c and whose reflection lengths add up to n.  The p-block
+factorisations are the strict chains 1 = x_0 < x_1 < ... < x_p = c of
+NCP_W(c), with blocks x_{i-1}^{-1} x_i; `factorisations` lists them as one
+(count, p) int32 array per block count p, one whole-array step per block.
+Counts are computed three independent ways: the lengths of those arrays,
+the discrete derivative of the Zeta polynomial, and the closed
+Stirling-number form; any pairwise mismatch raises LedgerDisagreement.
 """
 
 from __future__ import annotations
@@ -30,9 +33,29 @@ def red_count_formula(group: ReflectionGroup) -> int:
     return value.numerator
 
 
+def factorisations(ncp: NcpLattice) -> dict[int, np.ndarray]:
+    """The block factorisations of c as one (count, p) int32 array per
+    block count p = 0..n, one factorisation per row.  Each step extends
+    every strict chain from 1 by all members strictly above its end, and
+    the chains that reach c are read off as rows of blocks."""
+    leq, rank, quotients = ncp.leq, ncp.rank, ncp.quotients
+    chains = np.array([[ncp.bottom]])
+    out = {}
+    for p in range(ncp.group.n + 1):
+        done = chains[:, -1] == ncp.top
+        out[p] = quotients[chains[done, :-1], chains[done, 1:]]
+        chains = chains[~done]
+        end = chains[:, -1]
+        rows, nxt = np.nonzero(leq[end] & (rank > rank[end, None]))
+        chains = np.column_stack((chains[rows], nxt))
+    return out
+
+
 def iter_factorisations(ncp: NcpLattice):
-    """All block factorisations of c; depth-first, canonical index order."""
-    return _factorisations(ncp)
+    """All block factorisations of c as tuples, by block count; a view of
+    `factorisations`."""
+    return (tuple(t) for rows in factorisations(ncp).values()
+            for t in rows.tolist())
 
 
 def iter_fact_with_composition(ncp: NcpLattice, mu: tuple[int, ...]):
@@ -40,31 +63,9 @@ def iter_fact_with_composition(ncp: NcpLattice, mu: tuple[int, ...]):
     order of `iter_factorisations`."""
     if sum(mu) != int(ncp.group.length[ncp.c]) or any(p < 1 for p in mu):
         raise ValueError(f"{mu} is not a composition of l(c)")
-    length, mu = ncp.group.length, tuple(mu)
-    return (t for t in _factorisations(ncp)
-            if tuple(int(length[w]) for w in t) == mu)
-
-
-def _factorisations(ncp: NcpLattice):
-    """Depth-first search over the divisors u of the remaining quotient w,
-    in member order, continuing with u^{-1} w, starting from c.  Every
-    block is a nontrivial divisor."""
-    length, pos, quotients = ncp.group.length, ncp.pos, ncp.quotients
-    members, rank, below = ncp.members, ncp.rank.tolist(), ncp.below
-
-    def rec(w: int, prefix: list[int]):
-        if length[w] == 0:
-            yield tuple(prefix)
-            return
-        j = pos[w]
-        for i in below[j]:
-            if rank[i] == 0:
-                continue
-            prefix.append(members[i])
-            yield from rec(int(quotients[i, j]), prefix)
-            prefix.pop()
-
-    return rec(ncp.c, [])
+    rows = factorisations(ncp)[len(mu)]
+    rows = rows[(ncp.group.length[rows] == mu).all(axis=1)]
+    return (tuple(t) for t in rows.tolist())
 
 
 def two_reflection_factorisations(ncp: NcpLattice, w: int) -> list[tuple[int, int]]:
@@ -156,13 +157,11 @@ class CountLedger:
     fact_stirling: dict[int, int]
 
 
-def fact_counts(group: ReflectionGroup, facts) -> CountLedger:
-    """Fill the ledger three independent ways and require agreement; facts
-    are all block factorisations of c (`iter_factorisations`)."""
+def fact_counts(group: ReflectionGroup, by_blocks) -> CountLedger:
+    """Fill the ledger three independent ways and require agreement;
+    by_blocks holds the block factorisations of c (`factorisations`)."""
     n = group.n
-    enumerated = {p: 0 for p in range(1, n + 1)}
-    for fact in facts:
-        enumerated[len(fact)] += 1
+    enumerated = {p: len(by_blocks[p]) for p in range(1, n + 1)}
     zeta = {p: fact_count_zeta(group.degrees, p) for p in range(1, n + 1)}
     stirling = {p: fact_count_stirling(group.degrees, group.size, p)
                 for p in range(1, n + 1)}

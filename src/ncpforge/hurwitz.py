@@ -3,13 +3,14 @@
 The standard braid generator sigma_i sends (..., g_i, g_{i+1}, ...) to
 (..., g_{i+1}, g_{i+1}^{-1} g_i g_{i+1}, ...); its inverse conjugates the
 other way.  `hurwitz_act` applies it to one tuple or to every row of an
-index array at once.  `orbit_decomposition` partitions a set of tuples
-into Hurwitz orbits, the `group.components` of the graph joining each
-tuple to its image under each sigma_i, with one whole-array `hurwitz_act`
-per position; `hurwitz_orbit` closes a single seed by BFS and is the
-per-seed reference.  Strong conjugacy classes are the components of the
-graph joining w to x w x^-1, found the same way.  Orbits list their
-members sorted, so listings are reproducible.
+index array at once.  `orbit_decomposition` partitions a set of tuples,
+given as the rows of an index array (a block count's array from
+`factorisations`), into Hurwitz orbits: the `group.components` of the
+graph joining each tuple to its image under each sigma_i, with one
+whole-array `hurwitz_act` per position.  `hurwitz_orbit` closes a single
+seed by BFS and is the per-seed reference.  Strong conjugacy classes are
+the components of the graph joining w to x w x^-1, found the same way.
+An orbit keeps its members as sorted rows, so listings are reproducible.
 """
 
 from __future__ import annotations
@@ -55,15 +56,24 @@ def hurwitz_act(group: ReflectionGroup, factors, gen: BraidGen):
 
 
 class HurwitzOrbit:
-    """Closure of a seed tuple under all sigma_i^{+-1}."""
+    """Closure of a tuple under all sigma_i^{+-1}: its members are the
+    rows of `rows`, sorted; `seed` (the least) and `members` are tuple
+    views of them."""
 
-    def __init__(self, seed: tuple[int, ...], members: list[tuple[int, ...]]):
-        self.seed = seed
-        self.members = members  # sorted, canonical
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    @property
+    def seed(self) -> tuple[int, ...]:
+        return tuple(self.rows[0].tolist())
+
+    @property
+    def members(self) -> list[tuple[int, ...]]:
+        return [tuple(t) for t in self.rows.tolist()]
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
 
 def hurwitz_orbit(group: ReflectionGroup, seed: tuple[int, ...],
@@ -84,25 +94,24 @@ def hurwitz_orbit(group: ReflectionGroup, seed: tuple[int, ...],
                     raise OrbitCapExceeded(f"orbit exceeded cap {cap}")
                 seen.add(u)
                 queue.append(u)
-    return HurwitzOrbit(seed, sorted(seen))
+    return HurwitzOrbit(np.array(sorted(seen)))
 
 
 def orbit_decomposition(group: ReflectionGroup, tuples,
                         cap: int = DEFAULT_ORBIT_CAP) -> list[HurwitzOrbit]:
-    """Partition a set of factorisation tuples, all of one length, into
-    Hurwitz orbits: the connected components of the braid action on it.
+    """Partition a set of factorisation tuples, all of one length (the
+    rows of an index array, or a list of tuples), into Hurwitz orbits: the
+    connected components of the braid action on it.
 
     Each tuple is coded by the mixed-radix number of the ranks of its
     entries among the set's distinct entries, so the sorted codes list the
     distinct tuples in order.  Each sigma_i maps all of them at once and
     its images are looked up among the codes; the edges are undirected, so
     sigma_i^{-1} adds nothing.  Orbits come in order of their least
-    members, which are their seeds; members are the caller's tuple
-    objects, sorted."""
-    tuples = list(tuples)
-    if not tuples:
+    members, which are their seeds."""
+    given = np.asarray(tuples)
+    if not len(given):
         return []
-    given = np.array(tuples, dtype=np.int64)
     entries = np.unique(given)
     p = given.shape[1]
     if len(entries) ** p > _CODE_LIMIT:
@@ -132,25 +141,17 @@ def orbit_decomposition(group: ReflectionGroup, tuples,
                                    return_counts=True)
     if sizes.max() > cap:
         raise OrbitCapExceeded(f"orbit exceeded cap {cap}")
-    members = [tuples[k] for k in first[np.argsort(orbit_of, kind="stable")]
-               .tolist()]
-    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
-    return [HurwitzOrbit(members[lo], members[lo:hi])
-            for lo, hi in zip(bounds, bounds[1:])]
-
-
-def long_factor(group: ReflectionGroup, factors: tuple[int, ...], k: int) -> int:
-    for w in factors:
-        if int(group.length[w]) == k:
-            return w
-    raise ValueError("no factor of the requested length")
+    members = rows[np.argsort(orbit_of, kind="stable")]
+    return [HurwitzOrbit(part)
+            for part in np.split(members, np.cumsum(sizes)[:-1])]
 
 
 def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
                               cap: int = DEFAULT_ORBIT_CAP) -> dict:
     """Orbit decomposition of the primitive shape k 1^(n-k), with the
     orbit <-> long-factor-conjugacy-class bijection enforced; tuples are
-    all factorisations of c of that shape, the long factor anywhere.
+    all factorisations of c of that shape, the long factor anywhere, as
+    the rows of an index array.
     "divisor_classes" is the set of conjugacy classes of the length-k
     divisors of c."""
     group = ncp.group
@@ -159,12 +160,12 @@ def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
     orbits = orbit_decomposition(group, tuples, cap=cap)
     class_of_orbit = []
     for orbit in orbits:
-        classes = {int(group.class_id[long_factor(group, t, k)])
-                   for t in orbit.members}
+        rows = orbit.rows
+        classes = np.unique(group.class_id[rows[group.length[rows] == k]])
         if len(classes) != 1:
             raise ClassificationMismatch(
                 f"{group.spec.label}: orbit mixes long-factor classes")
-        class_of_orbit.append(classes.pop())
+        class_of_orbit.append(int(classes[0]))
     if len(set(class_of_orbit)) != len(orbits):
         raise ClassificationMismatch(
             f"{group.spec.label}: two orbits share a long-factor class")

@@ -11,6 +11,7 @@ from .errors import (
     ElementNotInGroup,
     MeetJoinMissing,
     NonIntegralCount,
+    OrderCapExceeded,
 )
 from .group import ReflectionGroup
 
@@ -60,8 +61,6 @@ class NcpLattice:
         self.quotients = group.mult[np.ix_(inv[idx], idx)]
         self.leq = ((self.rank[:, None] + length[self.quotients])
                     == self.rank[None, :])
-        # below[j]: positions i of the members that divide members[j]
-        self.below = [np.nonzero(col)[0].tolist() for col in self.leq.T]
 
     # -- order structure ---------------------------------------------------
 
@@ -121,17 +120,25 @@ class NcpLattice:
     # -- counting ----------------------------------------------------------
 
     def multichain_count(self, chain_length: int) -> int:
-        """Number of multichains w_1 <= ... <= w_N <= c, by exact DP."""
+        """Number of multichains w_1 <= ... <= w_N <= c: after N products
+        with `leq`, counts[j] is the number of multichains ending below
+        member j.  Each step is exact in int64 while no count exceeds
+        2^63 / |NCP|; a longer chain raises OrderCapExceeded."""
         if chain_length < 1:
             raise ValueError("chain length must be >= 1")
-        counts = [1] * self.size
-        for _ in range(chain_length - 1):
-            counts = [sum(counts[i] for i in below) for below in self.below]
-        return sum(counts)
+        leq = self.leq.astype(np.int64)
+        counts = np.ones(self.size, dtype=np.int64)
+        for _ in range(chain_length):
+            if int(counts.max()) > np.iinfo(np.int64).max // self.size:
+                raise OrderCapExceeded(
+                    f"{self.group.spec.label}: multichain counts of length "
+                    f"{chain_length} do not fit in 64 bits")
+            counts = counts @ leq
+        return int(counts[self.top])
 
     def reflections_below(self, w: int) -> list[int]:
-        return [self.members[i] for i in self.below[self.member_index(w)]
-                if self.rank[i] == 1]
+        below = self.leq[:, self.member_index(w)] & (self.rank == 1)
+        return [self.members[i] for i in np.nonzero(below)[0]]
 
     def __repr__(self):
         return f"NcpLattice({self.group.spec.label}, size={self.size})"

@@ -159,31 +159,23 @@ def submax_total_formula(group: ReflectionGroup) -> int:
 
 def submax_counts(ncp: NcpLattice, strata: list[Stratum2], facts) -> int:
     """Classify fact_{n-1} (facts: the factorisations of c with n-1
-    blocks) by the stratum of the length-2 factor, derive each u and check
-    the total; returns the total."""
+    blocks, one per row) by the stratum of the length-2 factor, derive
+    each u and check the total; returns the total."""
     group = ncp.group
     n, h = group.n, group.h
-    counts = {s.class_id: 0 for s in strata}
-    fibers = {s.class_id: 0 for s in strata}
-    total = 0
-    for fact in facts:
-        cid = None
-        for w in fact:
-            if int(group.length[w]) == 2:
-                cid = int(group.class_id[w])
-                break
-        if cid not in counts:
-            raise ClassificationMismatch(
-                f"{group.spec.label}: submaximal factorisation with an "
-                f"unknown length-2 stratum")
-        counts[cid] += 1
-        total += 1
-        if int(group.length[fact[0]]) == 2:
-            fibers[cid] += 1
+    rows, cols = np.nonzero(group.length[facts] == 2)
+    classes = group.class_id[facts[rows, cols]]
+    for s in strata:
+        s.count = int(np.count_nonzero(classes == s.class_id))
+        s.fiber = int(np.count_nonzero(classes[cols == 0] == s.class_id))
+    total = len(facts)
+    if (not np.array_equal(rows, np.arange(total))
+            or sum(s.count for s in strata) != total):
+        raise ClassificationMismatch(
+            f"{group.spec.label}: a submaximal factorisation without "
+            f"exactly one length-2 factor of a known stratum")
     scale = Fraction(factorial(n - 1) * h ** (n - 1), group.size)
     for s in strata:
-        s.count = counts[s.class_id]
-        s.fiber = fibers[s.class_id]
         u = Fraction(s.count, 1) / scale
         if u.denominator != 1:
             raise NonIntegralDegree(

@@ -11,8 +11,8 @@ from ncpforge.factorizations import (
     fact_count_stirling,
     fact_count_zeta,
     fact_counts,
+    factorisations,
     iter_fact_with_composition,
-    iter_factorisations,
     red_count_formula,
 )
 from ncpforge.group import build_group
@@ -76,7 +76,7 @@ def _line(num: int, ok: bool, desc: str):
 def _ledger(spec):
     group = build_group(spec)
     ncp = build_ncp(group)
-    return group, ncp, fact_counts(group, iter_factorisations(ncp))
+    return group, ncp, fact_counts(group, factorisations(ncp))
 
 
 def test_criterion_01_catalan_counts():

@@ -19,6 +19,7 @@ from ncpforge.cli import (
     run_group,
 )
 from ncpforge.errors import TableMismatch
+from ncpforge.group import build_group
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +197,42 @@ def test_exit_code_check_failed(capsys, monkeypatch):
                            "--suite", "table-a1")
     assert code == 2
     assert "FAIL" in out and "TableMismatch" in out
+
+
+@pytest.fixture
+def a2_lattice_miscounted(monkeypatch):
+    """|NCP| of A2 (degrees 2, 3) is checked against one more than the
+    Catalan number, so building that lattice raises CatalanMismatch; the
+    lattice cached on the group is dropped for the test."""
+    import ncpforge.ncp as ncp_module
+
+    real = ncp_module.fuss_catalan
+    monkeypatch.setattr(
+        ncp_module, "fuss_catalan",
+        lambda degrees, k=1: real(degrees, k) + (tuple(degrees) == (2, 3)))
+    monkeypatch.delattr(build_group(parse_spec("A2")), "_ncp", raising=False)
+
+
+def test_verify_lattice_theorem_error_is_a_failing_build_row(
+        capsys, a2_lattice_miscounted):
+    """A theorem error while a lattice is built fails that group's build
+    row with exit 2, and the groups after it are still verified."""
+    code, out, err = run_cli(capsys, "verify", "--group", "A2", "--group",
+                             "A3", "--suite", "counts", "--format", "json")
+    assert code == 2 and err == ""
+    a2, a3 = json.loads(out)["groups"]
+    assert [(row["suite"], row["check_id"], row["pass"])
+            for row in a2["checks"]] == [("build", "group_build", False)]
+    assert "CatalanMismatch" in a2["checks"][0]["computed"]
+    assert a3["pass"] and a3["checks"]
+
+
+def test_orbits_theorem_error_is_one_line_and_exit_2(
+        capsys, a2_lattice_miscounted):
+    code, out, err = run_cli(capsys, "orbits", "--group", "A2",
+                             "--shape", "1,1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "CatalanMismatch" in err
 
 
 def test_orbits_primitive_shape(capsys):

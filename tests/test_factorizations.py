@@ -3,6 +3,7 @@
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ncpforge.catalog import GroupSpec
@@ -12,6 +13,7 @@ from ncpforge.factorizations import (
     fact_count_stirling,
     fact_count_zeta,
     fact_counts,
+    factorisations,
     iter_fact_with_composition,
     iter_factorisations,
     red_count_formula,
@@ -60,6 +62,40 @@ def test_every_enumerated_tuple_is_a_factorisation(a3_ncp, a3):
         assert sum(a3.reflection_length(w) for w in fact) == a3.n
 
 
+def brute_force_factorisations(ncp, p):
+    """Tuples of p nontrivial lattice members whose reflection lengths add
+    up to n and whose product is c, extended one block at a time."""
+    group = ncp.group
+    length = {w: group.reflection_length(w) for w in ncp.members}
+
+    def extend(prefix, product, budget):
+        if len(prefix) == p:
+            if budget == 0 and product == group.coxeter:
+                yield prefix
+            return
+        for w in ncp.members:
+            if 1 <= length[w] <= budget - (p - len(prefix) - 1):
+                yield from extend(prefix + (w,), group.product(product, w),
+                                  budget - length[w])
+
+    return list(extend((), group.identity, group.n))
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec("A", 3), GroupSpec("B", 3), GroupSpec("H3", 3),
+    GroupSpec("I2", 2, 5), GroupSpec("G", 3, 3), GroupSpec("D", 4),
+], ids=lambda s: s.label)
+def test_factorisations_match_brute_force(spec):
+    ncp = build_ncp(build_group(spec))
+    by_blocks = factorisations(ncp)
+    assert sorted(by_blocks) == list(range(ncp.group.n + 1))
+    for p, rows in by_blocks.items():
+        found = [tuple(t) for t in rows.tolist()]
+        assert rows.dtype == np.int32 and rows.shape == (len(found), p)
+        assert len(set(found)) == len(found)
+        assert set(found) == set(brute_force_factorisations(ncp, p))
+
+
 def test_composition_rejects_non_compositions(a3_ncp):
     for mu in ((1, 1), (2, 2), (3, 0), (4, -1)):
         with pytest.raises(ValueError):
@@ -85,7 +121,7 @@ def test_zeta_polynomial_interpolates_lattice_counts(a3, a3_ncp):
 ], ids=lambda v: v.label if isinstance(v, GroupSpec) else "")
 def test_ledger_triple_agreement(spec, expected):
     group = build_group(spec)
-    ledger = fact_counts(group, iter_factorisations(build_ncp(group)))
+    ledger = fact_counts(group, factorisations(build_ncp(group)))
     assert ledger.fact_enumerated == expected
     assert ledger.fact_zeta == expected
     assert ledger.fact_stirling == expected
@@ -108,7 +144,7 @@ def test_by_composition_marginals(b3):
     totals = {}
     for comp, group_facts in by_composition.items():
         totals[len(comp)] = totals.get(len(comp), 0) + len(group_facts)
-    assert totals == fact_counts(b3, facts).fact_enumerated
+    assert totals == fact_counts(b3, factorisations(ncp)).fact_enumerated
     # each composition's factorisations are exactly those of a direct pass
     for comp, group_facts in by_composition.items():
         assert list(iter_fact_with_composition(ncp, comp)) == group_facts
@@ -123,7 +159,7 @@ def test_two_reflection_factorisations_of_short_elements(a3_ncp, a3):
 
 
 def test_chapoton_identity_small(a3, a3_ncp):
-    ledger = fact_counts(a3, iter_factorisations(a3_ncp))
+    ledger = fact_counts(a3, factorisations(a3_ncp))
     for chain_length in range(1, 5):
         res = chapoton_identity(a3, ledger, chain_length)
         assert res["pass"]

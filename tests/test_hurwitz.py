@@ -215,9 +215,9 @@ def test_orbit_decomposition_is_a_partition(b3, b3_ncp):
         seen.update(o.members)
 
 
-def bfs_partition(group, tuples):
+def bfs_partition(group, rows):
     """Orbits by repeated per-seed BFS from the least tuple left."""
-    remaining = set(tuples)
+    remaining = {tuple(t) for t in rows.tolist()}
     orbits = []
     while remaining:
         orbit = hurwitz_orbit(group, min(remaining))
@@ -240,16 +240,13 @@ def test_orbit_decomposition_matches_per_seed_bfs(spec):
         expected = bfs_partition(group, tuples)
         assert [(o.seed, o.members) for o in orbits] == \
             [(o.seed, o.members) for o in expected]
-        # members are the caller's own tuple objects
-        given = {id(t) for t in tuples}
-        assert all(id(t) in given for o in orbits for t in o.members)
 
 
 def test_orbit_decomposition_of_a_set_missing_a_tuple(b3, b3_ncp):
     tuples = GroupContext(b3, b3_ncp).primitive(2)
     for drop in (0, len(tuples) // 2, len(tuples) - 1):
         with pytest.raises(ClassificationMismatch):
-            orbit_decomposition(b3, tuples[:drop] + tuples[drop + 1:])
+            orbit_decomposition(b3, np.delete(tuples, drop, axis=0))
 
 
 def test_orbit_decomposition_cap_is_the_largest_orbit():

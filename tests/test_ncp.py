@@ -15,7 +15,12 @@ import numpy as np
 
 import ncpforge
 from ncpforge.catalog import GroupSpec
-from ncpforge.errors import ElementNotInGroup, MeetJoinMissing, NonIntegralCount
+from ncpforge.errors import (
+    ElementNotInGroup,
+    MeetJoinMissing,
+    NonIntegralCount,
+    OrderCapExceeded,
+)
 from ncpforge.group import ReflectionGroup, build_group
 from ncpforge.ncp import NcpLattice, build_ncp, fuss_catalan
 from conftest import fixed_spaces_meet_in
@@ -124,9 +129,20 @@ def test_multichain_count_matches_fuss_catalan(a3_ncp, a3):
         a3_ncp.multichain_count(0)
 
 
+def test_multichain_count_is_exact_in_int64_or_refused():
+    """int64 chain steps stay exact up to N = 1000 on A5; a chain length
+    whose counts would wrap raises instead of returning a wrong number."""
+    group = build_group(GroupSpec("A", 5))
+    ncp = build_ncp(group)
+    assert ncp.multichain_count(1000) == fuss_catalan(group.degrees, 1000)
+    with pytest.raises(OrderCapExceeded, match="64 bits"):
+        ncp.multichain_count(10 ** 6)
+
+
 def test_divisors_and_reflections_below(b3_ncp, b3):
     c = b3.coxeter
-    assert b3_ncp.below[b3_ncp.member_index(c)] == list(range(b3_ncp.size))
+    below_c = b3_ncp.leq[:, b3_ncp.member_index(c)]
+    assert np.nonzero(below_c)[0].tolist() == list(range(b3_ncp.size))
     below = b3_ncp.reflections_below(c)
     assert len(below) == len(b3.reflections)
     r = below[0]
