@@ -100,16 +100,21 @@ def eval_poly(coeffs, x) -> Fraction:
     return acc
 
 
-def fact_count_zeta(degrees, p: int) -> int:
-    """fact_p = Delta^p Z (0) = sum_k (-1)^(p-k) C(p,k) Z(k)."""
+def fact_counts_zeta(degrees, pmax: int) -> dict[int, int]:
+    """fact_p = Delta^p Z (0) = sum_k (-1)^(p-k) C(p,k) Z(k) for
+    p = 1..pmax, from one zeta polynomial and its values Z(0..pmax)."""
     coeffs = zeta_polynomial(degrees)
-    value = sum((-1) ** (p - k) * comb(p, k) * eval_poly(coeffs, k)
-                for k in range(p + 1))
-    if value.denominator != 1:
-        raise NonIntegralCount(
-            f"fact_{p} from the zeta polynomial of degrees "
-            f"{tuple(degrees)} is {value}")
-    return value.numerator
+    values = [eval_poly(coeffs, k) for k in range(pmax + 1)]
+    counts = {}
+    for p in range(1, pmax + 1):
+        value = sum((-1) ** (p - k) * comb(p, k) * values[k]
+                    for k in range(p + 1))
+        if value.denominator != 1:
+            raise NonIntegralCount(
+                f"fact_{p} from the zeta polynomial of degrees "
+                f"{tuple(degrees)} is {value}")
+        counts[p] = value.numerator
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +167,7 @@ def fact_counts(group: ReflectionGroup, by_blocks) -> CountLedger:
     by_blocks holds the block factorisations of c (`factorisations`)."""
     n = group.n
     enumerated = {p: len(by_blocks[p]) for p in range(1, n + 1)}
-    zeta = {p: fact_count_zeta(group.degrees, p) for p in range(1, n + 1)}
+    zeta = fact_counts_zeta(group.degrees, n)
     stirling = {p: fact_count_stirling(group.degrees, group.size, p)
                 for p in range(1, n + 1)}
     if not (enumerated == zeta == stirling):

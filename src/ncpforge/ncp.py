@@ -15,6 +15,13 @@ from .errors import (
 )
 from .group import ReflectionGroup
 
+# pairs per chunk of `missing_meets_joins`; its temporaries take this many
+# rows of |NCP| / 8 bytes
+_PAIR_CHUNK = 1 << 13
+# _LOWEST_BIT[b]: position of the lowest set bit of the byte b (0 for b = 0)
+_LOWEST_BIT = np.array([max((b & -b).bit_length() - 1, 0) for b in range(256)],
+                       dtype=np.intp)
+
 
 def fuss_catalan(degrees, k: int = 1) -> int:
     """prod (d_i + k*h) / d_i, exact."""
@@ -101,40 +108,58 @@ class NcpLattice:
         as `meet` and `join` would find them: the candidate is the first
         common lower (upper) bound of greatest (least) rank, and the pair
         is missing when there is no bound or some bound is not below
-        (above) the candidate.  One whole-array pass per row i."""
-        leq, rank = self.leq, self.rank
-        below_all, above_all = rank.min() - 1, rank.max() + 1
+        (above) the candidate.
+
+        The down-sets are packed as bits in (-rank, index) order and the
+        up-sets in (rank, index) order, so the first set bit of two
+        members' common set is exactly the candidate that `meet` (`join`)
+        picks.  All pairs are checked at once, a fixed chunk at a time."""
+        size, leq, rank = self.size, self.leq, self.rank
+        down_order = np.argsort(-rank, kind="stable")
+        up_order = np.argsort(rank, kind="stable")
+        # bit p of down[i] is set iff down_order[p] <= i, and bit p of
+        # up[i] iff i <= up_order[p]
+        down = np.packbits(leq.T[:, down_order], axis=1, bitorder="little")
+        up = np.packbits(leq[:, up_order], axis=1, bitorder="little")
+        # pair number t of row i is row_start[i] + (j - i)
+        row_len = np.arange(size, 0, -1)
+        row_start = np.cumsum(row_len) - row_len
+        pairs = size * (size + 1) // 2
         missing = 0
-        for i in range(self.size):
-            # lower[k, j]: k <= i and k <= j, for the columns j >= i
-            lower = leq[:, i:] & leq[:, i, None]
-            best = np.argmax(np.where(lower, rank[:, None], below_all), axis=0)
-            bad = ~lower.any(axis=0) | (lower & ~leq[:, best]).any(axis=0)
-            # upper[j, k]: i <= k and j <= k, for the rows j >= i
-            upper = leq[i:, :] & leq[i]
-            best = np.argmin(np.where(upper, rank, above_all), axis=1)
-            bad |= ~upper.any(axis=1) | (upper & ~leq[best, :]).any(axis=1)
+        for start in range(0, pairs, _PAIR_CHUNK):
+            t = np.arange(start, min(start + _PAIR_CHUNK, pairs))
+            i = np.searchsorted(row_start, t, side="right") - 1
+            j = i + t - row_start[i]
+            bad = (_no_extreme(down, down_order, i, j)
+                   | _no_extreme(up, up_order, i, j))
             missing += int(np.count_nonzero(bad))
         return missing
 
     # -- counting ----------------------------------------------------------
 
-    def multichain_count(self, chain_length: int) -> int:
-        """Number of multichains w_1 <= ... <= w_N <= c: after N products
-        with `leq`, counts[j] is the number of multichains ending below
-        member j.  Each step is exact in int64 while no count exceeds
-        2^63 / |NCP|; a longer chain raises OrderCapExceeded."""
-        if chain_length < 1:
+    def multichain_counts(self, nmax: int) -> list[int]:
+        """Numbers of multichains w_1 <= ... <= w_N <= c for N = 1..nmax:
+        after N products with `leq`, counts[j] is the number of multichains
+        of length N ending below member j.  Each step is exact in int64
+        while no count exceeds 2^63 / |NCP|; a longer chain raises
+        OrderCapExceeded."""
+        if nmax < 1:
             raise ValueError("chain length must be >= 1")
         leq = self.leq.astype(np.int64)
         counts = np.ones(self.size, dtype=np.int64)
-        for _ in range(chain_length):
+        totals = []
+        for _ in range(nmax):
             if int(counts.max()) > np.iinfo(np.int64).max // self.size:
                 raise OrderCapExceeded(
                     f"{self.group.spec.label}: multichain counts of length "
-                    f"{chain_length} do not fit in 64 bits")
+                    f"{nmax} do not fit in 64 bits")
             counts = counts @ leq
-        return int(counts[self.top])
+            totals.append(int(counts[self.top]))
+        return totals
+
+    def multichain_count(self, chain_length: int) -> int:
+        """Number of multichains w_1 <= ... <= w_N <= c, N = chain_length."""
+        return self.multichain_counts(chain_length)[-1]
 
     def reflections_below(self, w: int) -> list[int]:
         below = self.leq[:, self.member_index(w)] & (self.rank == 1)
@@ -142,6 +167,18 @@ class NcpLattice:
 
     def __repr__(self):
         return f"NcpLattice({self.group.spec.label}, size={self.size})"
+
+
+def _no_extreme(bits, order, i, j) -> np.ndarray:
+    """For each pair (i[k], j[k]): whether the common set bits[i] & bits[j]
+    is empty or has a member outside the set of its first member, the
+    member order[p] of its lowest set bit p."""
+    common = bits[i] & bits[j]
+    nonzero = common != 0
+    first = np.argmax(nonzero, axis=1)
+    rows = np.arange(len(i))
+    best = order[8 * first + _LOWEST_BIT[common[rows, first]]]
+    return ~nonzero[rows, first] | (common & ~bits[best]).any(axis=1)
 
 
 def build_ncp(group: ReflectionGroup) -> NcpLattice:

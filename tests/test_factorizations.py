@@ -11,7 +11,7 @@ from ncpforge.errors import NonIntegralCount
 from ncpforge.factorizations import (
     chapoton_identity,
     fact_count_stirling,
-    fact_count_zeta,
+    fact_counts_zeta,
     fact_counts,
     factorisations,
     iter_fact_with_composition,
@@ -38,7 +38,7 @@ def test_red_count_formula_values(a3, b3):
 
 @pytest.mark.parametrize("closed_form", [
     lambda: fuss_catalan((3, 5), 1),                    # 16/3
-    lambda: fact_count_zeta((3, 5), 2),                 # 10/3
+    lambda: fact_counts_zeta((3, 5), 2),                # fact_2 = 10/3
     lambda: fact_count_stirling((2, 3, 4), 25, 3),      # 384/25
     lambda: red_count_formula(FAKE_GROUP),              # 50/7
     lambda: submax_total_formula(FAKE_GROUP),           # 10/7
@@ -129,9 +129,9 @@ def test_ledger_triple_agreement(spec, expected):
 
 def test_closed_forms_without_enumeration():
     degrees = (2, 3, 4, 5, 6)      # rank 5, h = 6
-    assert fact_count_zeta(degrees, 5) == 1296
+    assert fact_counts_zeta(degrees, 5)[5] == 1296
     assert fact_count_stirling(degrees, 720, 5) == 1296
-    assert fact_count_zeta(degrees, 1) == 1
+    assert fact_counts_zeta(degrees, 5)[1] == 1
 
 
 def test_by_composition_marginals(b3):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 import ncpforge
-from ncpforge.catalog import GroupSpec
+from ncpforge.catalog import GroupSpec, catalog_specs
 from ncpforge.errors import (
     ElementNotInGroup,
     MeetJoinMissing,
@@ -137,6 +137,19 @@ def test_multichain_count_is_exact_in_int64_or_refused():
     assert ncp.multichain_count(1000) == fuss_catalan(group.degrees, 1000)
     with pytest.raises(OrderCapExceeded, match="64 bits"):
         ncp.multichain_count(10 ** 6)
+    with pytest.raises(OrderCapExceeded, match="64 bits"):
+        ncp.multichain_counts(10 ** 6)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("A", 3), GroupSpec("B", 3),
+                                  GroupSpec("H3", 3), GroupSpec("G", 3, 3)],
+                         ids=lambda s: s.label)
+def test_multichain_counts_match_one_length_at_a_time(spec):
+    ncp = build_ncp(build_group(spec))
+    assert ncp.multichain_counts(6) == \
+        [ncp.multichain_count(n) for n in range(1, 7)]
+    with pytest.raises(ValueError):
+        ncp.multichain_counts(0)
 
 
 def test_divisors_and_reflections_below(b3_ncp, b3):
@@ -179,6 +192,34 @@ def test_missing_meets_joins_matches_per_pair_queries(spec):
     assert ncp.missing_meets_joins() == per_pair_missing(ncp) == 0
 
 
+def row_pass_missing(ncp) -> int:
+    """The lattice check as one whole-array pass per row i: the common
+    lower bounds of i and every j >= i, the one of greatest rank (first in
+    index order), and whether some bound is not below it; joins dually."""
+    leq, rank = ncp.leq, ncp.rank
+    below_all, above_all = rank.min() - 1, rank.max() + 1
+    missing = 0
+    for i in range(ncp.size):
+        # lower[k, j]: k <= i and k <= j, for the columns j >= i
+        lower = leq[:, i:] & leq[:, i, None]
+        best = np.argmax(np.where(lower, rank[:, None], below_all), axis=0)
+        bad = ~lower.any(axis=0) | (lower & ~leq[:, best]).any(axis=0)
+        # upper[j, k]: i <= k and j <= k, for the rows j >= i
+        upper = leq[i:, :] & leq[i]
+        best = np.argmin(np.where(upper, rank, above_all), axis=1)
+        bad |= ~upper.any(axis=1) | (upper & ~leq[best, :]).any(axis=1)
+        missing += int(np.count_nonzero(bad))
+    return missing
+
+
+@pytest.mark.parametrize(
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+    ids=lambda s: s.label)
+def test_packed_lattice_check_matches_row_pass(spec):
+    ncp = build_ncp(build_group(spec))
+    assert ncp.missing_meets_joins() == row_pass_missing(ncp) == 0
+
+
 def hand_built_order(rank, covers) -> NcpLattice:
     """A lattice object over an arbitrary ranked order: members 0..len-1,
     leq the reflexive-transitive closure of the (lower, upper) covers."""
@@ -214,6 +255,28 @@ def test_meet_without_lower_bound_is_missing():
         vee.meet(0, 1)
     assert vee.join(0, 1) == 2
     assert vee.missing_meets_joins() == per_pair_missing(vee) == 1
+
+
+@st.composite
+def ranked_orders(draw):
+    """A hand-built order on up to 20 members (so up to three bytes of
+    bits, with padding), ranks drawn freely, so that members of equal rank
+    are often incomparable, and covers (a, b) only where (rank, index)
+    increases, so that equal-rank members can also be comparable."""
+    size = draw(st.integers(1, 20))
+    rank = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    pairs = draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                     st.integers(0, size - 1)),
+                          max_size=3 * size))
+    covers = [(a, b) for a, b in pairs if (rank[a], a) < (rank[b], b)]
+    return hand_built_order(rank, covers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_orders())
+def test_packed_lattice_check_matches_references_on_any_order(order):
+    assert order.missing_meets_joins() == row_pass_missing(order) \
+        == per_pair_missing(order)
 
 
 def test_lattice_is_cached_on_its_group_and_freed_with_it():
