@@ -106,8 +106,7 @@ def _suite_ncp(ctx):
     label, group, ncp = ctx.label, ctx.group, ctx.ncp
     rows = [CheckRow(label, "ncp", "catalan",
                      fuss_catalan(group.degrees, 1), ncp.size)]
-    member_idx = np.array(ncp.members, dtype=np.int32)
-    codim = group.n - group.fixed_dim[member_idx]
+    codim = group.n - group.fixed_dim[ncp.members]
     rows.append(CheckRow(label, "ncp", "length_is_codim",
                          0, int(np.sum(ncp.rank != codim))))
     rows.append(CheckRow(label, "ncp", "meet_join_missing",
@@ -138,14 +137,14 @@ def _suite_chapoton(ctx, nmax):
         rows.append(CheckRow(label, "chapoton", f"identity_N{chain_length}",
                              res["rhs"], res["lhs"]))
         rows.append(CheckRow(label, "chapoton", f"multichain_N{chain_length}",
-                             fuss_catalan(group.degrees, chain_length),
+                             res["rhs"],
                              multichains[chain_length - 1]))
     return rows
 
 
 def _suite_hurwitz(ctx, orbit_cap):
     label, group, ncp = ctx.label, ctx.group, ctx.ncp
-    orbits = orbit_decomposition(group, ctx.red, cap=orbit_cap)
+    orbits = orbit_decomposition(ncp, ctx.red, cap=orbit_cap)
     rows = [CheckRow(label, "hurwitz", "red_orbits", 1, len(orbits)),
             CheckRow(label, "hurwitz", "red_orbit_size",
                      red_count_formula(group), orbits[0].size)]
@@ -341,10 +340,11 @@ def cmd_orbits(args, out) -> int:
     if any(p < 1 for p in shape) or sum(shape) != group.n:
         raise ConfigError(
             f"shape {list(shape)} is not a partition of n = {group.n}")
-    rows = factorisations(build_ncp(group))[len(shape)]
+    ncp = build_ncp(group)
+    rows = factorisations(ncp)[len(shape)]
     lengths = np.sort(group.length[rows], axis=1)[:, ::-1]
     tuples = rows[(lengths == shape).all(axis=1)]
-    orbits = orbit_decomposition(group, tuples, cap=args.orbit_cap)
+    orbits = orbit_decomposition(ncp, tuples, cap=args.orbit_cap)
     described = sorted((o.size, _orbit_descriptor(group, o)) for o in orbits)
     summary = {
         "schema_version": SCHEMA_VERSION,

@@ -38,12 +38,12 @@ def factorisations(ncp: NcpLattice) -> dict[int, np.ndarray]:
     block count p = 0..n, one factorisation per row.  Each step extends
     every strict chain from 1 by all members strictly above its end, and
     the chains that reach c are read off as rows of blocks."""
-    leq, rank, quotients = ncp.leq, ncp.rank, ncp.quotients
+    leq, rank, q = ncp.leq, ncp.rank, ncp.q
     chains = np.array([[ncp.bottom]])
     out = {}
     for p in range(ncp.group.n + 1):
         done = chains[:, -1] == ncp.top
-        out[p] = quotients[chains[done, :-1], chains[done, 1:]]
+        out[p] = ncp.members[q[chains[done, :-1], chains[done, 1:]]]
         chains = chains[~done]
         end = chains[:, -1]
         rows, nxt = np.nonzero(leq[end] & (rank > rank[end, None]))
@@ -69,12 +69,13 @@ def iter_fact_with_composition(ncp: NcpLattice, mu: tuple[int, ...]):
 
 
 def two_reflection_factorisations(ncp: NcpLattice, w: int) -> list[tuple[int, int]]:
-    """Pairs (r1, r2) of reflections with r1 r2 = w (w of length 2)."""
-    group = ncp.group
-    r1 = np.array(ncp.reflections_below(w), dtype=np.int32)
-    r2 = group.mult[group.inv[r1], w]
-    keep = group.length[r2] == 1
-    return list(zip(r1[keep].tolist(), r2[keep].tolist()))
+    """Pairs (r1, r2) of reflections with r1 r2 = w (w of length 2): r1
+    runs over the rank-1 members below w, and r2 = q[r1, w]."""
+    y = ncp.member_index(w)
+    r1 = np.flatnonzero(ncp.leq[:, y] & (ncp.rank == 1))
+    r2 = ncp.q[r1, y]
+    pairs = np.stack((r1, r2))[:, ncp.rank[r2] == 1]
+    return list(zip(*ncp.members[pairs].tolist()))
 
 
 # -- closed-form counts ----------------------------------------------------

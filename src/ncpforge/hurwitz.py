@@ -2,15 +2,17 @@
 
 The standard braid generator sigma_i sends (..., g_i, g_{i+1}, ...) to
 (..., g_{i+1}, g_{i+1}^{-1} g_i g_{i+1}, ...); its inverse conjugates the
-other way.  `hurwitz_act` applies it to one tuple or to every row of an
-index array at once.  `orbit_decomposition` partitions a set of tuples,
-given as the rows of an index array (a block count's array from
-`factorisations`), into Hurwitz orbits: the `group.components` of the
-graph joining each tuple to its image under each sigma_i, with one
-whole-array `hurwitz_act` per position.  `hurwitz_orbit` closes a single
-seed by BFS and is the per-seed reference.  Strong conjugacy classes are
-the components of the graph joining w to x w x^-1, found the same way.
-An orbit keeps its members as sorted rows, so listings are reproducible.
+other way.  Every factor divides c, so products are read from the tables
+of `NcpLattice`, never computed in W.  `hurwitz_act` applies a generator
+to one tuple or to every row of an index array at once.
+`orbit_decomposition` partitions a set of tuples, given as the rows of an
+index array (a block count's array from `factorisations`), into Hurwitz
+orbits: the `group.components` of the graph joining each tuple to its
+image under each sigma_i, with one whole-array `hurwitz_act` per position.
+`hurwitz_orbit` closes a single seed by BFS and is the per-seed reference.
+Strong conjugacy classes are the components of the graph joining w to
+x w x^-1, found the same way.  An orbit keeps its members as sorted rows,
+so listings are reproducible.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassificationMismatch, IndexOutOfRange, OrbitCapExceeded
-from .group import _CODE_LIMIT, ReflectionGroup, components
+from .errors import (ClassificationMismatch, IndexOutOfRange, NotADivisor,
+                     OrbitCapExceeded)
+from .group import _CODE_LIMIT, components
 from .ncp import NcpLattice
 
 DEFAULT_ORBIT_CAP = 10_000_000
@@ -33,23 +36,26 @@ class BraidGen:
     inverse: bool = False
 
 
-def hurwitz_act(group: ReflectionGroup, factors, gen: BraidGen):
+def hurwitz_act(ncp: NcpLattice, factors, gen: BraidGen):
     """sigma_i^{+-1} of a tuple, or of every row of a 2-D index array (one
-    tuple per row); a tuple is acted on as a 1-row array."""
+    tuple per row); a tuple is acted on as a 1-row array.  The two factors
+    moved, and their product, must divide c."""
     rows = np.atleast_2d(np.asarray(factors))
     i = gen.index
     if rows.shape[1] < 2 or not 1 <= i <= rows.shape[1] - 1:
         raise IndexOutOfRange(
             f"generator index {i} for a {rows.shape[1]}-tuple")
-    mult, inv = group.mult, group.inv
-    a, b = rows[:, i - 1], rows[:, i]
+    a, b = ncp.member_index(rows[:, i - 1]), ncp.member_index(rows[:, i])
+    y = ncp.prod[a, b]
+    if (y < 0).any():
+        raise NotADivisor("a product of adjacent factors does not divide c")
     out = rows.copy()
     if gen.inverse:
-        # (a, b) -> (a b a^{-1}, a)
-        out[:, i - 1], out[:, i] = mult[mult[a, b], inv[a]], a
+        # (a, b) -> (a b a^{-1}, a) = (y a^{-1}, a)
+        out[:, i - 1], out[:, i] = ncp.members[ncp.rq[a, y]], rows[:, i - 1]
     else:
-        # (a, b) -> (b, b^{-1} a b)
-        out[:, i - 1], out[:, i] = b, mult[mult[inv[b], a], b]
+        # (a, b) -> (b, b^{-1} a b) = (b, b^{-1} y)
+        out[:, i - 1], out[:, i] = rows[:, i], ncp.members[ncp.q[b, y]]
     if isinstance(factors, np.ndarray) and factors.ndim == 2:
         return out
     return tuple(out[0].tolist())
@@ -76,7 +82,7 @@ class HurwitzOrbit:
         return len(self.rows)
 
 
-def hurwitz_orbit(group: ReflectionGroup, seed: tuple[int, ...],
+def hurwitz_orbit(ncp: NcpLattice, seed: tuple[int, ...],
                   cap: int = DEFAULT_ORBIT_CAP) -> HurwitzOrbit:
     """The orbit of one seed, closed by breadth-first search; the
     per-seed reference for `orbit_decomposition`."""
@@ -88,7 +94,7 @@ def hurwitz_orbit(group: ReflectionGroup, seed: tuple[int, ...],
     while queue:
         t = queue.popleft()
         for g in gens:
-            u = hurwitz_act(group, t, g)
+            u = hurwitz_act(ncp, t, g)
             if u not in seen:
                 if len(seen) >= cap:
                     raise OrbitCapExceeded(f"orbit exceeded cap {cap}")
@@ -97,7 +103,7 @@ def hurwitz_orbit(group: ReflectionGroup, seed: tuple[int, ...],
     return HurwitzOrbit(np.array(sorted(seen)))
 
 
-def orbit_decomposition(group: ReflectionGroup, tuples,
+def orbit_decomposition(ncp: NcpLattice, tuples,
                         cap: int = DEFAULT_ORBIT_CAP) -> list[HurwitzOrbit]:
     """Partition a set of factorisation tuples, all of one length (the
     rows of an index array, or a list of tuples), into Hurwitz orbits: the
@@ -135,7 +141,7 @@ def orbit_decomposition(group: ReflectionGroup, tuples,
 
     nodes = np.arange(size)
     label = components(size, [
-        (nodes, locate(hurwitz_act(group, rows, BraidGen(i))))
+        (nodes, locate(hurwitz_act(ncp, rows, BraidGen(i))))
         for i in range(1, p)])
     _, orbit_of, sizes = np.unique(label, return_inverse=True,
                                    return_counts=True)
@@ -157,26 +163,17 @@ def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
     group = ncp.group
     if k < 2 or k > group.n:
         raise ValueError("primitive shapes need 2 <= k <= n")
-    orbits = orbit_decomposition(group, tuples, cap=cap)
-    class_of_orbit = []
-    for orbit in orbits:
-        rows = orbit.rows
-        classes = np.unique(group.class_id[rows[group.length[rows] == k]])
-        if len(classes) != 1:
-            raise ClassificationMismatch(
-                f"{group.spec.label}: orbit mixes long-factor classes")
-        class_of_orbit.append(int(classes[0]))
-    if len(set(class_of_orbit)) != len(orbits):
+    orbits = orbit_decomposition(ncp, tuples, cap=cap)
+    found = [np.unique(group.class_id[o.rows[group.length[o.rows] == k]])
+             for o in orbits]
+    class_of_orbit = [int(c[0]) for c in found if len(c) == 1]
+    expected_classes = set(
+        group.class_id[ncp.members[ncp.rank == k]].tolist())
+    if (len(class_of_orbit) != len(orbits)
+            or sorted(class_of_orbit) != sorted(expected_classes)):
         raise ClassificationMismatch(
-            f"{group.spec.label}: two orbits share a long-factor class")
-    expected_classes = {
-        int(group.class_id[ncp.members[i]])
-        for i in range(ncp.size) if ncp.rank[i] == k
-    }
-    if set(class_of_orbit) != expected_classes:
-        raise ClassificationMismatch(
-            f"{group.spec.label}: orbit classes differ from the classes of "
-            f"length-{k} divisors")
+            f"{group.spec.label}: Hurwitz orbits do not biject with the "
+            f"classes of length-{k} divisors")
     return {
         "orbits": orbits,
         "orbit_classes": class_of_orbit,
@@ -185,23 +182,19 @@ def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
     }
 
 
-def p2_orbit_formula(group: ReflectionGroup, u1: int, u2: int) -> set:
+def p2_orbit_formula(ncp: NcpLattice, u1: int, u2: int) -> set:
     """Closed form of a 2-block orbit:
     {(u1^{c^k}, u2^{c^k}), (u2^{c^{k+1}}, u1^{c^k})} over k in Z, where
     x^v denotes v x v^{-1} (the reading under which the second family
-    multiplies back to c)."""
-    c_powers = group.mult.locate(group.powers(group.coxeter)).tolist()
-
-    def conj(x: int, k: int) -> int:
-        # c^k x c^{-k}
-        ck = c_powers[k % len(c_powers)]
-        return group.product(ck, x, group.inverse(ck))
-
-    out = set()
-    for k in range(group.h):
-        out.add((conj(u1, k), conj(u2, k)))
-        out.add((conj(u2, k + 1), conj(u1, k)))
-    return out
+    multiplies back to c).  Conjugation by c keeps NCP and is read from
+    the tables: c x c^{-1} = rq[rq[x, top], top]."""
+    rq, top = ncp.rq, ncp.top
+    turns = [ncp.member_index([u1, u2])]
+    for _ in range(ncp.group.h):
+        turns.append(rq[rq[turns[-1], top], top])
+    conj = ncp.members[np.array(turns)].tolist()  # (u1, u2)^{c^k}, k = 0..h
+    return ({(v1, v2) for v1, v2 in conj[:-1]}
+            | {(v2, v1) for (v1, _), (_, v2) in zip(conj, conj[1:])})
 
 
 # -- strong conjugacy --------------------------------------------------------
@@ -210,36 +203,22 @@ def strong_conjugacy_classes(ncp: NcpLattice) -> list[list[int]]:
     """Partition of NCP members under the closure of x w = w' x with
     x w in NCP and l(x w) = l(x) + l(w).
 
-    Conjugators x range over NCP members (x <= xw <= c forces x into NCP).
-    All pairs (x, w) are tested in one whole-array pass through
-    `group.mult`, and the classes are the components of the graph joining
-    each w to its conjugates x w x^{-1}.
+    Such a pair is a pair x <= y = x w of the order, with w = q[x, y] and
+    w' = y x^{-1} = rq[x, y], so the classes are the components of the
+    graph with those edges over all of `leq`.
     """
-    group = ncp.group
-    mult, length = group.mult, group.length
-    members = np.array(ncp.members, dtype=np.int32)
-    pos = np.full(group.size, -1, dtype=np.int64)
-    pos[members] = np.arange(ncp.size)
-    lm = length[members]
-    xw = mult[members[:, None], members[None, :]]
-    keep = (length[xw] == lm[:, None] + lm[None, :]) & (pos[xw] >= 0)
-    rows, cols = np.nonzero(keep)
-    targets = pos[mult[xw[rows, cols], group.inv[members[rows]]]]  # x w x^{-1}
-    if (targets < 0).any():
-        raise ClassificationMismatch(
-            f"{group.spec.label}: a strong conjugate of an NCP member lies "
-            f"outside NCP")
-    label = components(ncp.size, [(cols, targets)])
-    buckets: dict[int, list[int]] = {}
-    for w, root in zip(ncp.members, label.tolist()):
-        buckets.setdefault(root, []).append(w)
-    return sorted(sorted(b) for b in buckets.values())
+    x, y = np.nonzero(ncp.leq)
+    label = components(ncp.size, [(ncp.q[x, y], ncp.rq[x, y])])
+    return _partition(ncp.members, label)
 
 
 def conjugacy_partition_on_ncp(ncp: NcpLattice) -> list[list[int]]:
     """Ordinary W-conjugacy classes, restricted to the NCP members."""
-    group = ncp.group
-    buckets: dict[int, list[int]] = {}
-    for w in ncp.members:
-        buckets.setdefault(int(group.class_id[w]), []).append(w)
-    return sorted(sorted(b) for b in buckets.values())
+    return _partition(ncp.members, ncp.group.class_id[ncp.members])
+
+
+def _partition(members: np.ndarray, labels: np.ndarray) -> list[list[int]]:
+    """Ascending members grouped by equal labels, as sorted blocks."""
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return sorted(b.tolist() for b in np.split(members[order], cuts))

@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import (
     CatalanMismatch,
+    ClassificationMismatch,
     ElementNotInGroup,
     MeetJoinMissing,
     NonIntegralCount,
@@ -37,57 +38,61 @@ def fuss_catalan(degrees, k: int = 1) -> int:
 
 
 class NcpLattice:
-    """Divisors of the Coxeter element, with rank and order table."""
+    """Divisors of the Coxeter element: `members` (element indices, int32)
+    and `position` (element index -> member position, -1 outside NCP).
+    On member positions: `rank`, the order `leq` and three int32 product
+    tables, -1 off their domain: q[x, y] = x^{-1} y and rq[x, y] = y x^{-1}
+    for x <= y, and prod[x, a] = x a for x <= x a."""
 
     def __init__(self, group: ReflectionGroup):
         self.group = group
-        c = group.coxeter
-        self.c = c
-        inv = group.inv
-        length = group.length
+        self.c = c = group.coxeter
+        inv, length = group.inv, group.length
         lc = int(length[c])
         quot = group.mult[inv, c]  # quot[w] = w^{-1} c
         member_mask = length + length[quot] == lc
         # element indices are canonical (code order), so is this order
-        self.members = [int(i) for i in np.nonzero(member_mask)[0]]
+        self.members = np.flatnonzero(member_mask).astype(np.int32)
         expected = fuss_catalan(group.degrees, 1)
         if len(self.members) != expected:
             raise CatalanMismatch(
                 f"{group.spec.label}: |NCP| = {len(self.members)}, "
                 f"formula gives {expected}")
-        self.pos = {w: i for i, w in enumerate(self.members)}
         self.size = len(self.members)
-        self.rank = np.array([int(length[w]) for w in self.members],
-                             dtype=np.int32)
-        self.bottom = self.pos[group.identity]
-        self.top = self.pos[c]
+        self.position = np.full(group.size, -1, dtype=np.int32)
+        self.position[self.members] = np.arange(self.size, dtype=np.int32)
+        self.rank = length[self.members].astype(np.int32)
+        self.bottom = int(self.position[group.identity])
+        self.top = int(self.position[c])
 
-        # quotients[i, j] = members[i]^{-1} members[j] (element indices);
-        # dense relation table: leq[i, j] iff members[i] divides members[j]
-        idx = np.array(self.members, dtype=np.int32)
-        self.quotients = group.mult[np.ix_(inv[idx], idx)]
-        self.leq = ((self.rank[:, None] + length[self.quotients])
+        # quotients[x, y] = members[x]^{-1} members[y] (element indices)
+        quotients = group.mult[np.ix_(inv[self.members], self.members)]
+        self.leq = ((self.rank[:, None] + length[quotients])
                     == self.rank[None, :])
+        self.q, self.prod, self.rq = order_tables(
+            self.position[quotients], self.leq, group.spec.label)
 
     # -- order structure ---------------------------------------------------
 
-    def member_index(self, w: int) -> int:
-        try:
-            return self.pos[int(w)]
-        except KeyError:
-            raise ElementNotInGroup(
-                f"element {w} is not a divisor of c") from None
+    def member_index(self, w):
+        """The member position of an element index, or of each entry of an
+        array of them; an element outside NCP raises ElementNotInGroup."""
+        w = np.asarray(w)
+        if (not ((0 <= w) & (w < len(self.position))).all()
+                or (self.position[w] < 0).any()):
+            raise ElementNotInGroup("an element is not a divisor of c")
+        return self.position[w]
 
     def meet(self, u: int, v: int) -> int:
         """Greatest lower bound (element indices in and out)."""
         i, j = self.member_index(u), self.member_index(v)
         below = np.nonzero(self.leq[:, i] & self.leq[:, j])[0]
-        return self.members[self._extreme(below, upper=True, what="meet")]
+        return self._extreme(below, upper=True, what="meet")
 
     def join(self, u: int, v: int) -> int:
         i, j = self.member_index(u), self.member_index(v)
         above = np.nonzero(self.leq[i, :] & self.leq[j, :])[0]
-        return self.members[self._extreme(above, upper=False, what="join")]
+        return self._extreme(above, upper=False, what="join")
 
     def _extreme(self, candidates: np.ndarray, upper: bool, what: str) -> int:
         if candidates.size:
@@ -99,7 +104,7 @@ class NcpLattice:
             else:
                 ok = self.leq[best, candidates].all()
             if ok:
-                return int(best)
+                return int(self.members[best])
         raise MeetJoinMissing(
             f"{self.group.spec.label}: no {what} for the pair")
 
@@ -161,12 +166,28 @@ class NcpLattice:
         """Number of multichains w_1 <= ... <= w_N <= c, N = chain_length."""
         return self.multichain_counts(chain_length)[-1]
 
-    def reflections_below(self, w: int) -> list[int]:
-        below = self.leq[:, self.member_index(w)] & (self.rank == 1)
-        return [self.members[i] for i in np.nonzero(below)[0]]
-
     def __repr__(self):
         return f"NcpLattice({self.group.spec.label}, size={self.size})"
+
+
+def order_tables(quotients: np.ndarray, leq: np.ndarray, label: str):
+    """q, prod and rq (see `NcpLattice`) scattered over the pairs x <= y of
+    `leq` from the positions a = `quotients[x, y]` of x^{-1} y: q[x, y] = a,
+    prod[x, a] = y and rq[a, y] = x.  Each a is a divisor of c below y, and
+    x -> a permutes the members below y, so q and rq are defined on exactly
+    the pairs of the order (every strong conjugate y x^{-1} is a member)
+    and prod on |leq| entries; otherwise ClassificationMismatch."""
+    x, y = np.nonzero(leq)
+    a = quotients[x, y]
+    q, prod, rq = np.full((3,) + leq.shape, -1, dtype=np.int32)
+    if (a >= 0).all():  # else a -1 would index the last member
+        q[x, y], prod[x, a], rq[a, y] = a, y, x
+    if not (np.array_equal(rq >= 0, leq)
+            and np.count_nonzero(prod >= 0) == len(x)):
+        raise ClassificationMismatch(
+            f"{label}: a quotient or a strong conjugate of NCP members "
+            f"lies outside NCP, or two products coincide")
+    return q, prod, rq
 
 
 def _no_extreme(bits, order, i, j) -> np.ndarray:

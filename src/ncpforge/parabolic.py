@@ -124,10 +124,8 @@ def length2_strata(ncp: NcpLattice) -> list[Stratum2]:
     """W-conjugacy classes of length-2 NCP members, with ramification data."""
     group = ncp.group
     by_class: dict[int, list[int]] = {}
-    for i in range(ncp.size):
-        if ncp.rank[i] == 2:
-            w = ncp.members[i]
-            by_class.setdefault(int(group.class_id[w]), []).append(w)
+    for w in ncp.members[ncp.rank == 2].tolist():
+        by_class.setdefault(int(group.class_id[w]), []).append(w)
     strata = []
     for cid in sorted(by_class, key=lambda c: min(by_class[c])):
         members = by_class[cid]

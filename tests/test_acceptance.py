@@ -141,7 +141,7 @@ def test_criterion_05_hurwitz_transitivity_and_classification():
         group = build_group(spec)
         ncp = build_ncp(group)
         red = list(iter_fact_with_composition(ncp, (1,) * group.n))
-        orbit = hurwitz_orbit(group, red[0])
+        orbit = hurwitz_orbit(ncp, red[0])
         ok &= orbit.size == len(red) and set(orbit.members) == set(red)
         for k in range(2, group.n + 1):
             res = classify_primitive_orbits(
@@ -162,11 +162,12 @@ def test_criterion_06_s6_counterexample():
           and group.product(u1, u2) == c and group.product(v1, v2) == c
           and group.class_id[u1] == group.class_id[v1]
           and group.class_id[u2] == group.class_id[v2])
-    o1 = hurwitz_orbit(group, (u1, u2))
-    o2 = hurwitz_orbit(group, (v1, v2))
+    ncp = build_ncp(group)
+    o1 = hurwitz_orbit(ncp, (u1, u2))
+    o2 = hurwitz_orbit(ncp, (v1, v2))
     ok &= set(o1.members).isdisjoint(o2.members)
-    ok &= set(o1.members) == p2_orbit_formula(group, u1, u2)
-    ok &= set(o2.members) == p2_orbit_formula(group, v1, v2)
+    ok &= set(o1.members) == p2_orbit_formula(ncp, u1, u2)
+    ok &= set(o2.members) == p2_orbit_formula(ncp, v1, v2)
     _line(6, ok, "S6 counterexample: conjugate factors, distinct orbits, "
                  "exact p=2 closed form")
 
@@ -237,13 +238,13 @@ def test_criterion_10_structural_properties(capsys):
         for i in (1,):
             lhs = t
             for g in (BraidGen(i), BraidGen(i + 1), BraidGen(i)):
-                lhs = hurwitz_act(group, lhs, g)
+                lhs = hurwitz_act(ncp, lhs, g)
             rhs = t
             for g in (BraidGen(i + 1), BraidGen(i), BraidGen(i + 1)):
-                rhs = hurwitz_act(group, rhs, g)
+                rhs = hurwitz_act(ncp, rhs, g)
             ok &= lhs == rhs
             undone = hurwitz_act(
-                group, hurwitz_act(group, t, BraidGen(i)),
+                ncp, hurwitz_act(ncp, t, BraidGen(i)),
                 BraidGen(i, inverse=True))
             ok &= undone == t
     # report determinism across runs

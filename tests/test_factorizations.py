@@ -172,7 +172,7 @@ def iter_multichains(ncp, chain_length):
         yield ()
         return
     for chain in iter_multichains(ncp, chain_length - 1):
-        last = ncp.pos[chain[-1]] if chain else None
+        last = ncp.position[chain[-1]] if chain else None
         for k, w in enumerate(ncp.members):
             if last is None or ncp.leq[last, k]:
                 yield chain + (w,)

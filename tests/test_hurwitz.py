@@ -1,20 +1,20 @@
 """Hurwitz action: braid relations, orbits, strong conjugacy."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpforge.catalog import GroupSpec
+from ncpforge.catalog import GroupSpec, catalog_specs
 from ncpforge.cli import GroupContext
 from ncpforge.errors import (
     ClassificationMismatch,
+    ElementNotInGroup,
     IndexOutOfRange,
+    NotADivisor,
     OrbitCapExceeded,
 )
-from ncpforge.factorizations import iter_fact_with_composition
+from ncpforge.factorizations import factorisations, iter_fact_with_composition
 from ncpforge.group import build_group
 from ncpforge.hurwitz import (
     BraidGen,
@@ -26,7 +26,7 @@ from ncpforge.hurwitz import (
     p2_orbit_formula,
     strong_conjugacy_classes,
 )
-from ncpforge.ncp import build_ncp
+from ncpforge.ncp import build_ncp, order_tables
 from conftest import element_of_permutation
 
 
@@ -35,33 +35,33 @@ def a3_red(a3, a3_ncp):
     return list(iter_fact_with_composition(a3_ncp, (1, 1, 1)))
 
 
-def apply_word(group, t, word):
+def apply_word(ncp, t, word):
     for gen in word:
-        t = hurwitz_act(group, t, gen)
+        t = hurwitz_act(ncp, t, gen)
     return t
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_braid_relations(a3, a3_red, data):
+def test_braid_relations(a3_ncp, a3_red, data):
     t = data.draw(st.sampled_from(a3_red))
     i = data.draw(st.integers(1, len(t) - 2))
     s_i, s_j = BraidGen(i), BraidGen(i + 1)
-    braid_lhs = apply_word(a3, t, [s_i, s_j, s_i])
-    braid_rhs = apply_word(a3, t, [s_j, s_i, s_j])
+    braid_lhs = apply_word(a3_ncp, t, [s_i, s_j, s_i])
+    braid_rhs = apply_word(a3_ncp, t, [s_j, s_i, s_j])
     assert braid_lhs == braid_rhs
     # inverses really invert
-    assert apply_word(a3, t, [s_i, BraidGen(i, inverse=True)]) == t
-    assert apply_word(a3, t, [BraidGen(i, inverse=True), s_i]) == t
+    assert apply_word(a3_ncp, t, [s_i, BraidGen(i, inverse=True)]) == t
+    assert apply_word(a3_ncp, t, [BraidGen(i, inverse=True), s_i]) == t
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_action_preserves_product_and_lengths(a3, a3_red, data):
+def test_action_preserves_product_and_lengths(a3, a3_ncp, a3_red, data):
     t = data.draw(st.sampled_from(a3_red))
     i = data.draw(st.integers(1, len(t) - 1))
     inv = data.draw(st.booleans())
-    u = hurwitz_act(a3, t, BraidGen(i, inverse=inv))
+    u = hurwitz_act(a3_ncp, t, BraidGen(i, inverse=inv))
     assert a3.product(*u) == a3.product(*t)
     assert sorted(a3.reflection_length(w) for w in u) == \
         sorted(a3.reflection_length(w) for w in t)
@@ -73,26 +73,26 @@ def test_commuting_generators(a3, a3_red):
     group = build_group(GroupSpec("B", 4))
     ncp = build_ncp(group)
     t = next(iter_fact_with_composition(ncp, (1, 1, 1, 1)))
-    far = apply_word(group, t, [BraidGen(1), BraidGen(3)])
-    far2 = apply_word(group, t, [BraidGen(3), BraidGen(1)])
+    far = apply_word(ncp, t, [BraidGen(1), BraidGen(3)])
+    far2 = apply_word(ncp, t, [BraidGen(3), BraidGen(1)])
     assert far == far2
 
 
-def test_generator_index_validation(a3, a3_red):
+def test_generator_index_validation(a3_ncp, a3_red):
     t = a3_red[0]
     with pytest.raises(IndexOutOfRange):
-        hurwitz_act(a3, t, BraidGen(0))
+        hurwitz_act(a3_ncp, t, BraidGen(0))
     with pytest.raises(IndexOutOfRange):
-        hurwitz_act(a3, t, BraidGen(len(t)))
+        hurwitz_act(a3_ncp, t, BraidGen(len(t)))
 
 
-def test_orbit_cap(a3, a3_red):
+def test_orbit_cap(a3_ncp, a3_red):
     with pytest.raises(OrbitCapExceeded):
-        hurwitz_orbit(a3, a3_red[0], cap=3)
+        hurwitz_orbit(a3_ncp, a3_red[0], cap=3)
 
 
-def test_transitivity_on_red(a3, a3_red):
-    orbit = hurwitz_orbit(a3, a3_red[0])
+def test_transitivity_on_red(a3_ncp, a3_red):
+    orbit = hurwitz_orbit(a3_ncp, a3_red[0])
     assert orbit.size == len(a3_red)
     assert set(orbit.members) == set(a3_red)
 
@@ -124,8 +124,8 @@ def test_p2_orbit_closed_form(spec):
     compositions = [(p, group.n - p) for p in range(1, group.n)]
     for comp in compositions:
         for t in iter_fact_with_composition(ncp, comp):
-            orbit = hurwitz_orbit(group, t)
-            assert set(orbit.members) == p2_orbit_formula(group, *t)
+            orbit = hurwitz_orbit(ncp, t)
+            assert set(orbit.members) == p2_orbit_formula(ncp, *t)
 
 
 @pytest.mark.parametrize("spec", [GroupSpec("A", 3), GroupSpec("B", 3),
@@ -151,7 +151,7 @@ def reference_strong_conjugacy(ncp, reflection_conjugators_only=False):
     for w in ncp.members:
         for x in conjugators:
             xw = group.product(x, w)
-            if (xw in ncp.pos and int(group.length[xw])
+            if (ncp.position[xw] >= 0 and int(group.length[xw])
                     == int(group.length[x]) + int(group.length[w])):
                 merged = block[w] | block[group.product(xw, group.inverse(x))]
                 for u in merged:
@@ -170,16 +170,27 @@ def test_strong_conjugacy_matches_reference_loop(spec, reflections_only):
         reference_strong_conjugacy(ncp, reflections_only)
 
 
-def test_strong_conjugate_outside_ncp_is_a_mismatch(b3, b3_ncp):
-    # drop one reflection from the member list: some x w x^{-1} lands on it
-    dropped = next(w for i, w in enumerate(b3_ncp.members)
-                   if b3_ncp.rank[i] == 1)
-    keep = [i for i, w in enumerate(b3_ncp.members) if w != dropped]
-    truncated = SimpleNamespace(
-        group=b3, members=[b3_ncp.members[i] for i in keep],
-        size=len(keep), rank=b3_ncp.rank[keep])
+def test_strong_conjugate_outside_ncp_is_a_mismatch(b3_ncp):
+    """The lattice build refuses quotients that leave NCP, and quotients
+    under which some strong conjugate y x^{-1} is no member."""
+    leq = b3_ncp.leq
+    # the B3 quotients themselves rebuild the B3 tables
+    tables = order_tables(b3_ncp.q, leq, "B3")
+    assert all(np.array_equal(t, u) for t, u in
+               zip(tables, (b3_ncp.q, b3_ncp.prod, b3_ncp.rq)))
+    # drop one reflection: the quotients that land on it read -1
+    dropped = int(np.nonzero(b3_ncp.rank == 1)[0][0])
     with pytest.raises(ClassificationMismatch):
-        strong_conjugacy_classes(truncated)
+        order_tables(np.where(b3_ncp.q == dropped, -1, b3_ncp.q), leq, "B3")
+    # two members below y with one quotient: for one of the members x
+    # below y, no member z has z^{-1} y = x, so y x^{-1} is missing
+    y = b3_ncp.top
+    x1, x2 = np.nonzero(leq[:, y])[0][:2]
+    quotients = b3_ncp.q.copy()
+    quotients[x1, y] = quotients[x2, y]
+    assert (quotients[leq] >= 0).all()
+    with pytest.raises(ClassificationMismatch, match="strong conjugate"):
+        order_tables(quotients, leq, "B3")
 
 
 def test_s6_counterexample():
@@ -195,18 +206,19 @@ def test_s6_counterexample():
     assert group.product(u1, u2) == c and group.product(v1, v2) == c
     assert group.class_id[u1] == group.class_id[v1]
     assert group.class_id[u2] == group.class_id[v2]
-    o1 = hurwitz_orbit(group, (u1, u2))
-    o2 = hurwitz_orbit(group, (v1, v2))
+    ncp = build_ncp(group)
+    o1 = hurwitz_orbit(ncp, (u1, u2))
+    o2 = hurwitz_orbit(ncp, (v1, v2))
     assert (v1, v2) not in o1.members
     assert set(o1.members).isdisjoint(o2.members)
-    assert set(o1.members) == p2_orbit_formula(group, u1, u2)
-    assert set(o2.members) == p2_orbit_formula(group, v1, v2)
+    assert set(o1.members) == p2_orbit_formula(ncp, u1, u2)
+    assert set(o2.members) == p2_orbit_formula(ncp, v1, v2)
 
 
 def test_orbit_decomposition_is_a_partition(b3, b3_ncp):
     tuples = list(iter_fact_with_composition(b3_ncp, (2, 1)))
     tuples += list(iter_fact_with_composition(b3_ncp, (1, 2)))
-    orbits = orbit_decomposition(b3, tuples)
+    orbits = orbit_decomposition(b3_ncp, tuples)
     sizes = sum(o.size for o in orbits)
     assert sizes == len(tuples)
     seen = set()
@@ -215,12 +227,12 @@ def test_orbit_decomposition_is_a_partition(b3, b3_ncp):
         seen.update(o.members)
 
 
-def bfs_partition(group, rows):
+def bfs_partition(ncp, rows):
     """Orbits by repeated per-seed BFS from the least tuple left."""
     remaining = {tuple(t) for t in rows.tolist()}
     orbits = []
     while remaining:
-        orbit = hurwitz_orbit(group, min(remaining))
+        orbit = hurwitz_orbit(ncp, min(remaining))
         assert remaining.issuperset(orbit.members)
         remaining.difference_update(orbit.members)
         orbits.append(orbit)
@@ -233,11 +245,12 @@ def bfs_partition(group, rows):
 ], ids=lambda s: s.label)
 def test_orbit_decomposition_matches_per_seed_bfs(spec):
     group = build_group(spec)
-    ctx = GroupContext(group, build_ncp(group))
+    ncp = build_ncp(group)
+    ctx = GroupContext(group, ncp)
     for tuples in [ctx.red] + [ctx.primitive(k)
                                for k in range(2, group.n + 1)]:
-        orbits = orbit_decomposition(group, tuples)
-        expected = bfs_partition(group, tuples)
+        orbits = orbit_decomposition(ncp, tuples)
+        expected = bfs_partition(ncp, tuples)
         assert [(o.seed, o.members) for o in orbits] == \
             [(o.seed, o.members) for o in expected]
 
@@ -246,17 +259,18 @@ def test_orbit_decomposition_of_a_set_missing_a_tuple(b3, b3_ncp):
     tuples = GroupContext(b3, b3_ncp).primitive(2)
     for drop in (0, len(tuples) // 2, len(tuples) - 1):
         with pytest.raises(ClassificationMismatch):
-            orbit_decomposition(b3, np.delete(tuples, drop, axis=0))
+            orbit_decomposition(b3_ncp, np.delete(tuples, drop, axis=0))
 
 
 def test_orbit_decomposition_cap_is_the_largest_orbit():
     group = build_group(GroupSpec("D", 4))
-    tuples = GroupContext(group, build_ncp(group)).primitive(2)
-    largest = max(o.size for o in orbit_decomposition(group, tuples))
+    ncp = build_ncp(group)
+    tuples = GroupContext(group, ncp).primitive(2)
+    largest = max(o.size for o in orbit_decomposition(ncp, tuples))
     assert largest == 108
-    assert len(orbit_decomposition(group, tuples, cap=largest)) == 4
+    assert len(orbit_decomposition(ncp, tuples, cap=largest)) == 4
     with pytest.raises(OrbitCapExceeded):
-        orbit_decomposition(group, tuples, cap=largest - 1)
+        orbit_decomposition(ncp, tuples, cap=largest - 1)
 
 
 def test_array_action_matches_tuple_action(b3, b3_ncp):
@@ -265,7 +279,52 @@ def test_array_action_matches_tuple_action(b3, b3_ncp):
     for i in range(1, b3.n):
         for inverse in (False, True):
             gen = BraidGen(i, inverse)
-            images = hurwitz_act(b3, rows, gen)
+            images = hurwitz_act(b3_ncp, rows, gen)
             assert images.shape == rows.shape
             assert [tuple(r) for r in images.tolist()] == \
-                [hurwitz_act(b3, t, gen) for t in red]
+                [hurwitz_act(b3_ncp, t, gen) for t in red]
+
+
+def reference_hurwitz_act(group, rows, gen):
+    """sigma_i^{+-1} of every row of an index array by products in W."""
+    mult, inv = group.mult, group.inv
+    i = gen.index
+    a, b = rows[:, i - 1], rows[:, i]
+    out = rows.copy()
+    if gen.inverse:
+        # (a, b) -> (a b a^{-1}, a)
+        out[:, i - 1], out[:, i] = mult[mult[a, b], inv[a]], a
+    else:
+        # (a, b) -> (b, b^{-1} a b)
+        out[:, i - 1], out[:, i] = b, mult[mult[inv[b], a], b]
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+    ids=lambda s: s.label)
+def test_table_action_matches_products_in_w(spec):
+    """On every factorisation of c with at least two blocks, both ways."""
+    group = build_group(spec)
+    ncp = build_ncp(group)
+    for p, rows in factorisations(ncp).items():
+        for i in range(1, p):
+            for inverse in (False, True):
+                gen = BraidGen(i, inverse)
+                images = hurwitz_act(ncp, rows, gen)
+                assert images.dtype == np.int32
+                assert np.array_equal(
+                    images, reference_hurwitz_act(group, rows, gen))
+
+
+def test_action_outside_ncp_is_refused(b3, b3_ncp):
+    t = tuple(GroupContext(b3, b3_ncp).red[0].tolist())
+    outside = next(w for w in range(b3.size) if b3_ncp.position[w] < 0)
+    for gen in (BraidGen(1), BraidGen(1, inverse=True)):
+        # an entry outside NCP, or no element index at all
+        for bad in (outside, -1, b3.size):
+            with pytest.raises(ElementNotInGroup):
+                hurwitz_act(b3_ncp, (bad,) + t[1:], gen)
+        # r r = 1: the lengths do not add, so r r is no product in NCP
+        with pytest.raises(NotADivisor):
+            hurwitz_act(b3_ncp, (t[1],) + t[1:], gen)

@@ -57,7 +57,7 @@ def test_rank_is_codimension(b3_ncp, b3):
 
 
 def test_non_member_rejected(a3_ncp, a3):
-    outside = next(w for w in range(a3.size) if w not in a3_ncp.pos)
+    outside = next(w for w in range(a3.size) if a3_ncp.position[w] < 0)
     with pytest.raises(ElementNotInGroup):
         a3_ncp.member_index(outside)
 
@@ -68,7 +68,7 @@ def test_meet_join_axioms_exhaustive(fixture, request):
     ms = ncp.members
 
     def leq(u, v):
-        return ncp.leq[ncp.pos[u], ncp.pos[v]]
+        return ncp.leq[ncp.position[u], ncp.position[v]]
 
     for u in ms:
         assert ncp.meet(u, u) == u and ncp.join(u, u) == u
@@ -156,10 +156,11 @@ def test_divisors_and_reflections_below(b3_ncp, b3):
     c = b3.coxeter
     below_c = b3_ncp.leq[:, b3_ncp.member_index(c)]
     assert np.nonzero(below_c)[0].tolist() == list(range(b3_ncp.size))
-    below = b3_ncp.reflections_below(c)
-    assert len(below) == len(b3.reflections)
-    r = below[0]
-    assert b3_ncp.reflections_below(r) == [r]
+    rank1 = b3_ncp.rank == 1
+    below = b3_ncp.members[below_c & rank1].tolist()
+    assert below == sorted(b3.reflections)
+    r = b3_ncp.member_index(below[0])
+    assert np.nonzero(b3_ncp.leq[:, r] & rank1)[0].tolist() == [r]
 
 
 def test_self_duality_of_rank_counts(a3_ncp, a3):
@@ -231,8 +232,8 @@ def hand_built_order(rank, covers) -> NcpLattice:
         leq |= leq[:, k, None] & leq[k]
     ncp = NcpLattice.__new__(NcpLattice)
     ncp.group = SimpleNamespace(spec=SimpleNamespace(label="hand-built"))
-    ncp.members = list(range(size))
-    ncp.pos = {w: w for w in ncp.members}
+    ncp.members = np.arange(size, dtype=np.int32)
+    ncp.position = ncp.members
     ncp.size = size
     ncp.rank = np.array(rank, dtype=np.int32)
     ncp.leq = leq
@@ -289,3 +290,32 @@ def test_lattice_is_cached_on_its_group_and_freed_with_it():
     del group, ncp
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("A", 3), GroupSpec("B", 3),
+                                  GroupSpec("H3", 3), GroupSpec("D", 4),
+                                  GroupSpec("I2", 2, 5), GroupSpec("G", 3, 3)],
+                         ids=lambda s: s.label)
+def test_tables_are_products_in_w(spec):
+    """q, prod and rq against one `group.product` per entry: q and rq hold
+    a member on exactly the pairs of the order and -1 off it, prod a
+    member exactly where the product divides c with lengths adding."""
+    group = build_group(spec)
+    ncp = build_ncp(group)
+    members = ncp.members.tolist()
+    where = {w: k for k, w in enumerate(members)}
+
+    def length(w):
+        return int(group.length[w])
+
+    for x, u in enumerate(members):
+        for y, v in enumerate(members):
+            quotient = group.product(group.inverse(u), v)
+            below = length(u) + length(quotient) == length(v)
+            assert bool(ncp.leq[x, y]) == below
+            right = group.product(v, group.inverse(u))
+            assert ncp.q[x, y] == (where[quotient] if below else -1)
+            assert ncp.rq[x, y] == (where[right] if below else -1)
+            uv = group.product(u, v)
+            adds = uv in where and length(uv) == length(u) + length(v)
+            assert ncp.prod[x, y] == (where[uv] if adds else -1)
