@@ -46,8 +46,6 @@ class GroupSpec:
         elif f == "G":
             if self.e is None or self.e < 2 or self.n < 3:
                 raise ConfigError("G(e,e,n) needs e >= 2 and n >= 3")
-            if self.e == 2 and self.n == 2:
-                raise ConfigError("G(2,2,2) is reducible")
         elif f in ("H3", "F4"):
             pass
         else:

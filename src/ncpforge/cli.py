@@ -317,12 +317,13 @@ def _orbit_descriptor(group, orbit) -> list[list[int]]:
     conjugacy classes, so the descriptor does not depend on how elements
     are numbered."""
     of_class: dict[int, list[int]] = {}
+    class_size = np.bincount(group.class_id)
 
     def describe(w: int) -> list[int]:
         cid = int(group.class_id[w])
         if cid not in of_class:
             of_class[cid] = [group.element_order(w), int(group.length[w]),
-                             len(group.classes[cid])]
+                             int(class_size[cid])]
         return of_class[cid]
 
     return min([describe(w) for w in t] for t in orbit.members)

@@ -3,6 +3,14 @@
 Numbers are stored as reduced residues modulo the m-th cyclotomic polynomial,
 with Fraction coefficients, so equality is coefficient-wise and hashing is
 sound.  No floating point anywhere.
+
+One cached table per conductor, `zeta_powers(m)`, holds the integer
+coefficients of x^k mod Phi_m for k < m, and it is the only source of
+powers of zeta_m: `zeta`, products, the inverse and `embed` reduce zeta^k
+through row k mod m, since zeta^m = 1.  phi(m) is the degree of Phi_m.  One
+polynomial division over Q serves both Phi_m, divided out of x^m - 1, and
+the extended Euclid inverse, whose Bezout coefficients are kept as field
+elements.
 """
 
 from __future__ import annotations
@@ -18,88 +26,79 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-def euler_phi(m: int) -> int:
-    result = m
-    p, mm = 2, m
-    while p * p <= mm:
-        if mm % p == 0:
-            while mm % p == 0:
-                mm //= p
-            result -= result // p
-        p += 1
-    if mm > 1:
-        result -= result // mm
-    return result
-
-
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # exact division of integer polynomials with monic-up-to-sign divisor
+def _poly_divmod(num, den) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of polynomials over Q, coefficients low to
+    high; num holds Fractions and den ends in a nonzero coefficient, so no
+    `/` divides two ints.  The remainder is trimmed to its degree."""
     num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
+    q = [F0] * (len(num) - len(den) + 1)
     lead = den[-1]
     for i in range(len(num) - len(den), -1, -1):
-        coeff = num[i + len(den) - 1]
-        if coeff % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        c = coeff // lead
-        q[i] = c
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
+        c = q[i] = num[i + len(den) - 1] / lead
+        if c:
+            for j, d in enumerate(den):
+                num[i + j] -= c * d
+    rem = num[:len(den) - 1] or [F0]
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return q, rem
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> Poly:
-    """m-th cyclotomic polynomial, coefficients low to high, monic.
+    """m-th cyclotomic polynomial, integer coefficients low to high, monic.
 
     Computed by recursive exact division of x^m - 1 by Phi_d over the proper
     divisors d of m; the base case Phi_1 = x - 1 covers plain rationals.
     """
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    if m == 1:
-        return (-1, 1)
-    num = [0] * (m + 1)
-    num[0], num[m] = -1, 1
+    num = [-F1] + [F0] * (m - 1) + [F1]
     for d in range(1, m):
         if m % d == 0:
-            num, rem = _poly_divmod_int(num, list(cyclotomic_polynomial(d)))
+            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
             if rem != [0]:
                 raise FieldMismatch(f"Phi_{d} does not divide x^{m} - 1")
-    return tuple(num)
+    return tuple(int(c) for c in num)
 
 
-class _Conductor:
-    """Per-conductor reduction data: powers of x modulo Phi_m."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.phi = euler_phi(m)
-        poly = cyclotomic_polynomial(m)
-        # x^phi = -(c_0 + ... + c_{phi-1} x^{phi-1}), Phi_m monic
-        self._top = tuple(Fraction(-c) for c in poly[:-1])
-        self._pows: list[tuple[Fraction, ...]] = [
-            tuple(F1 if i == k else F0 for i in range(self.phi))
-            for k in range(self.phi)
-        ]
-
-    def power(self, k: int) -> tuple[Fraction, ...]:
-        while k >= len(self._pows):
-            prev = self._pows[-1]
-            shifted = [F0] + list(prev[:-1])
-            top = prev[-1]
-            if top:
-                for i, t in enumerate(self._top):
-                    shifted[i] += top * t
-            self._pows.append(tuple(shifted))
-        return self._pows[k]
+def euler_phi(m: int) -> int:
+    """phi(m), the degree of Phi_m."""
+    return len(cyclotomic_polynomial(m)) - 1
 
 
 @lru_cache(maxsize=None)
-def _conductor(m: int) -> _Conductor:
-    return _Conductor(m)
+def zeta_powers(m: int) -> tuple[tuple[int, ...], ...]:
+    """Row k < m holds the coefficients of x^k mod Phi_m, which are those of
+    zeta_m^k in the power basis; they are integers since Phi_m is monic.
+    Rows 0..phi-1 are unit vectors, and each later row is x times the one
+    before, with x^phi = -(c_0 + ... + c_{phi-1} x^{phi-1})."""
+    poly = cyclotomic_polynomial(m)
+    phi = len(poly) - 1
+    rows = [tuple(int(i == k) for i in range(phi)) for k in range(phi)]
+    while len(rows) < m:
+        prev = rows[-1]
+        rows.append(tuple((prev[i - 1] if i else 0) - prev[-1] * poly[i]
+                          for i in range(phi)))
+    return tuple(rows)
+
+
+def _combine(m: int, terms) -> tuple[Fraction, ...]:
+    """sum of c zeta_m^k over the (k, c) terms, in the power basis: row
+    k mod m of the table, since zeta_m^m = 1 (a unit vector below phi)."""
+    table = zeta_powers(m)
+    phi = len(table[0])
+    out = [F0] * phi
+    for k, c in terms:
+        if c:
+            k %= m
+            if k < phi:
+                out[k] += c
+                continue
+            for i, t in enumerate(table[k]):
+                if t:
+                    out[i] += c * t
+    return tuple(out)
 
 
 def _field_mismatch(a, b) -> FieldMismatch:
@@ -122,9 +121,7 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, m: int, value) -> "CycNum":
-        phi = _conductor(m).phi
-        v = Fraction(value)
-        return cls(m, tuple(v if i == 0 else F0 for i in range(phi)))
+        return cls(m, _combine(m, [(0, Fraction(value))]))
 
     @classmethod
     def zero(cls, m: int) -> "CycNum":
@@ -137,8 +134,7 @@ class CycNum:
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> "CycNum":
         """zeta_m^k."""
-        c = _conductor(m)
-        return cls(m, c.power(k % m))
+        return cls(m, _combine(m, [(k, F1)]))
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coeffs)
@@ -162,24 +158,13 @@ class CycNum:
     def __mul__(self, other: "CycNum") -> "CycNum":
         if self.m != other.m:
             raise _field_mismatch(self, other)
-        cond = _conductor(self.m)
-        phi = cond.phi
-        a, b = self.coeffs, other.coeffs
-        conv = [F0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = list(conv[:phi])
-        for k in range(phi, 2 * phi - 1):
-            ck = conv[k]
-            if ck:
-                pw = cond.power(k)
-                for i in range(phi):
-                    if pw[i]:
-                        out[i] += ck * pw[i]
-        return CycNum(self.m, tuple(out))
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        conv: dict[int, Fraction] = {}
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in terms:
+                    conv[i + j] = conv.get(i + j, F0) + a * b
+        return CycNum(self.m, _combine(self.m, conv.items()))
 
     def inv(self) -> "CycNum":
         """Multiplicative inverse via the extended Euclidean algorithm
@@ -187,32 +172,21 @@ class CycNum:
         """
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        a = list(self.coeffs)
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        # extended Euclid: r0 = Phi, r1 = a; track s in r = s*a (mod Phi)
-        r0, r1 = phi_poly, a
-        s0, s1 = [F0], [F1]
-        while any(c != 0 for c in r1):
-            q, r = _poly_divmod_frac(r0, r1)
+        m = self.m
+        # r0 = Phi_m and r1 = self as polynomials; each r_i = s_i * self in
+        # Q(zeta_m), so the Bezout coefficients s_i are field elements
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(m)]
+        r1 = list(self.coeffs)
+        while r1[-1] == 0:
+            r1.pop()
+        s0, s1 = CycNum.zero(m), CycNum.one(m)
+        while r1 != [0]:
+            q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is the gcd, a nonzero constant; s0 * a = r0 (mod Phi)
-        if len(r0) != 1 or r0[0] == 0:
-            raise FieldMismatch(f"Phi_{self.m} and {self} are not coprime")
-        c = r0[0]
-        inv_coeffs = [x / c for x in s0]
-        phi = _conductor(self.m).phi
-        out = [F0] * phi
-        cond = _conductor(self.m)
-        for k, x in enumerate(inv_coeffs):
-            if x:
-                pw = cond.power(k)
-                for i in range(phi):
-                    if pw[i]:
-                        out[i] += x * pw[i]
-        return CycNum(self.m, tuple(out))
+            s0, s1 = s1, s0 - CycNum(m, _combine(m, enumerate(q))) * s1
+        if len(r0) != 1:
+            raise FieldMismatch(f"Phi_{m} and {self} are not coprime")
+        return CycNum(m, tuple(x / r0[0] for x in s0.coeffs))
 
     def embed(self, big_m: int) -> "CycNum":
         """Image in Q(zeta_M) for m | M, via zeta_m = zeta_M^(M/m)."""
@@ -221,15 +195,8 @@ class CycNum:
         if big_m % self.m != 0:
             raise ValueError("target conductor must be a multiple")
         factor = big_m // self.m
-        cond = _conductor(big_m)
-        out = [F0] * cond.phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                pw = cond.power(i * factor)
-                for j in range(cond.phi):
-                    if pw[j]:
-                        out[j] += c * pw[j]
-        return CycNum(big_m, tuple(out))
+        return CycNum(big_m, _combine(big_m, (
+            (i * factor, c) for i, c in enumerate(self.coeffs))))
 
     def __eq__(self, other) -> bool:
         return (
@@ -251,42 +218,6 @@ class CycNum:
 
     def __repr__(self):
         return f"CycNum(m={self.m}, {list(self.coeffs)})"
-
-
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-    if len(num) < len(den):
-        return [F0], num
-    q = [F0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / lead
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [F0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [F0] * (n - len(a))
-    b = b + [F0] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 class Matrix:

@@ -18,7 +18,7 @@ frontiers of permutations at once.
 A product a*b is the row of a composed with the basis images of b; its
 code is found in the sorted `codes` array.  `mult` does this for index
 arrays of any shape, so it reads like an |W| x |W| table that is never
-built; `product`, `inverse` and `conjugate` are single-element lookups
+built; `product` and `inverse` are single-element lookups
 through `mult` and `inv`, and reject indices outside 0..|W|-1.
 
 Three traversals serve every search over W: `powers` lists the basis
@@ -30,14 +30,14 @@ orbits, strong conjugacy).  A sum of vectors of V, such as a trace or the
 images of a flat's spanning vectors under every element, is an integer
 gather from `coords` and one sum, and so is the zeta_h-regularity check:
 the projector sum_k zeta_h^-k w^k onto the eigenspace, applied to the basis
-and moved by every reflection at once, in the integer power basis of
-Z[zeta_lcm(m, h)].  An element's exact matrix over Q(zeta_m) is assembled
-from its columns only when asked for; the build asks once per class of
-reflections, to cross-check that its fixed space is a hyperplane.  The
-Coxeter element c is the product of the generators in order, found by
-lookups like any other product; it is checked to have order h, no fixed
-vector, reflection length n and a zeta_h-eigenvector off every
-reflecting hyperplane.
+and moved by one reflection per orbit of conjugation by w, all at once, in
+the integer power basis of Z[zeta_lcm(m, h)].  An element's exact matrix
+over Q(zeta_m) is assembled from its columns only when asked for; the
+build asks once per class of reflections, to cross-check that its fixed
+space is a hyperplane.  The Coxeter element c is the product of the
+generators in order, found by lookups like any other product; it is
+checked to have order h, no fixed vector, reflection length n and a
+zeta_h-eigenvector off every reflecting hyperplane.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .catalog import (
     generators_of,
     order_of,
 )
-from .cyclo import CycNum, Matrix, Subspace, euler_phi, kernel
+from .cyclo import CycNum, Matrix, Subspace, euler_phi, kernel, zeta_powers
 from .errors import (
     CoxeterValidationFailed,
     ElementNotInGroup,
@@ -161,7 +161,8 @@ class ReflectionGroup:
         # adds a difference of two coordinates times a table entry; a
         # fixator test sums at most |W| coordinates
         largest = max(abs(c) for v in vectors for c in v)
-        entry = int(np.abs(_projector_table(self.conductor, self.h)).max())
+        table = _projector_table(self.conductor, self.h)
+        entry = int(max(table.max(), -table.min()))
         phi = euler_phi(self.conductor)
         if largest * entry * expected_order * phi * 2 > _CODE_LIMIT:
             raise OrderCapExceeded(
@@ -188,21 +189,19 @@ class ReflectionGroup:
         preimages = np.empty((self.size, self.n), dtype=perms.dtype)
         preimages[rows, perms[rows, cols]] = cols
         self.inv = self.mult.locate(preimages)
-        self.class_id, self.classes = self._conjugacy_classes()
+        self.class_id, self.class_reps = self._conjugacy_classes()
 
         self.fixed_dim = self._fixed_dims()
         self._fixed_spaces: dict[int, Subspace] = {}
-        self.reflections = [
-            i for i in range(self.size)
-            if i != self.identity and self.fixed_dim[i] == self.n - 1
-        ]
+        # the identity fixes all n dimensions, so it is not among these
+        self.reflections = np.flatnonzero(self.fixed_dim == self.n - 1)
         if len(self.reflections) != sum(d - 1 for d in self.degrees):
             raise CoxeterValidationFailed(
                 f"{spec.label}: found {len(self.reflections)} reflections, "
                 f"expected {sum(d - 1 for d in self.degrees)}")
         # Fix(g r g^-1) = g Fix(r), so one exact kernel per class of
         # reflections checks them all
-        for r, *_ in self.classes:
+        for r in self.class_reps.tolist():
             if self.fixed_dim[r] == self.n - 1 and \
                     self.fixed_space(r).dim != self.n - 1:
                 raise CoxeterValidationFailed(
@@ -307,9 +306,8 @@ class ReflectionGroup:
         tr g = sum_j coordinate j of V[g(e_j)], a sum of power-basis
         coefficients that is rational iff all past the first are zero."""
         diagonal = np.arange(self.n)
-        dims = np.empty(len(self.classes), dtype=np.int32)
-        for cid, members in enumerate(self.classes):
-            w = members[0]
+        dims = np.empty(len(self.class_reps), dtype=np.int32)
+        for cid, w in enumerate(self.class_reps.tolist()):
             powers = self.powers(w)
             total = self.coords[powers, diagonal].sum(axis=(0, 1))
             dim, rest = divmod(int(total[0]), len(powers))
@@ -320,20 +318,18 @@ class ReflectionGroup:
             dims[cid] = dim
         return dims[self.class_id]
 
-    def _conjugacy_classes(self) -> tuple[np.ndarray, list[list[int]]]:
+    def _conjugacy_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Classes as the components of the graph joining each element w
-        to g w g^-1 for every generator g; they are numbered in the order
-        of their least elements."""
+        to g w g^-1 for every generator g.  Returns each element's class
+        number and each class's least element, the classes numbered in the
+        order of their least elements; `np.bincount(class_id)` gives the
+        class sizes."""
         elements = np.arange(self.size)
         label = components(self.size, [
             (elements, self.mult[g, self.mult[elements, self.inv[g]]])
             for g in self.generators])
-        _, class_id = np.unique(label, return_inverse=True)
-        class_id = class_id.astype(np.int32)
-        by_class = np.argsort(class_id, kind="stable")
-        bounds = np.cumsum(np.bincount(class_id))[:-1]
-        classes = [part.tolist() for part in np.split(by_class, bounds)]
-        return class_id, classes
+        reps, class_id = np.unique(label, return_inverse=True)
+        return class_id.astype(np.int32), reps.astype(np.int32)
 
     def _validate_coxeter(self) -> None:
         c = self.coxeter
@@ -369,10 +365,6 @@ class ReflectionGroup:
     def inverse(self, w: int) -> int:
         self._check_member(w)
         return int(self.inv[w])
-
-    def conjugate(self, w: int, by: int) -> int:
-        """by^{-1} * w * by."""
-        return self.product(self.inverse(by), w, by)
 
     def powers(self, w: int) -> list[list[int]]:
         """The basis images (positions in V) of w^0, w^1, ..., w^(o-1),
@@ -412,11 +404,6 @@ class ReflectionGroup:
         self._check_member(w)
         return int(self.length[w])
 
-    def divides(self, u: int, v: int) -> bool:
-        """Absolute order: l(u) + l(u^{-1} v) = l(v)."""
-        quotient = self.product(self.inverse(u), v)
-        return int(self.length[u]) + int(self.length[quotient]) == int(self.length[v])
-
     def _check_member(self, w) -> None:
         if not 0 <= int(w) < self.size:
             raise ElementNotInGroup(f"index {w} outside 0..{self.size - 1}")
@@ -441,19 +428,34 @@ class ReflectionGroup:
         A regular eigenvector exists iff E != 0 and no hyperplane H_r =
         Ker(r - 1) contains E (the field is infinite), that is iff some
         P e_j != 0 and, for every reflection r, some (r - 1) P e_j != 0.
-        Both are sums of rows of `coords` times the table of zeta_m^a
-        zeta_h^-k in the power basis of Z[zeta_lcm(m, h)]."""
+        Since w E = E and w H_r = H_{w r w^-1}, E lies in H_r iff it lies
+        in the hyperplane of every conjugate of r by a power of w, so one
+        reflection per orbit of conjugation by w is tested.  Both sums are
+        rows of `coords`, summed over the powers k of w with equal k mod h,
+        times the table of zeta_m^a zeta_h^-k in the power basis of
+        Z[zeta_lcm(m, h)]."""
         if w is None:
             w = self.coxeter
         powers = np.array(self.powers(w))
         if len(powers) % self.h:
             return False
-        table = _projector_table(self.conductor, self.h)[
-            np.arange(len(powers)) % self.h]
+        refl = self.reflections
+        conjugates = self.mult[w, self.mult[refl, self.inv[w]]]
+        pos = np.minimum(np.searchsorted(refl, conjugates), len(refl) - 1)
+        if not np.array_equal(refl[pos], conjugates):
+            raise CoxeterValidationFailed(
+                f"{self.spec.label}: a conjugate of a reflection by {w} is "
+                f"not a reflection")
+        orbit = components(len(refl), [(np.arange(len(refl)), pos)])
+        tested = refl[np.unique(orbit)]
+        table = _projector_table(self.conductor, self.h)
         images = self.coords[powers]
-        moved = self.coords[self.mult.perms[self.reflections][:, powers]]
-        eigen = np.einsum("kjia,kab->jib", images, table)
-        off = np.einsum("rkjia,kab->rjib", moved - images, table)
+        moved = self.coords[self.mult.perms[tested][:, powers]] - images
+        folds = (-1, self.h) + images.shape[1:]
+        eigen = np.einsum("kjia,kab->jib",
+                          images.reshape(folds).sum(axis=0), table)
+        off = np.einsum("rkjia,kab->rjib", moved.reshape(
+            (len(tested),) + folds).sum(axis=1), table)
         return bool(eigen.any() and off.any(axis=(1, 2, 3)).all())
 
     def __repr__(self):
@@ -482,12 +484,12 @@ def _check_order_cap(spec: GroupSpec, order_cap: int) -> int:
 @lru_cache(maxsize=None)
 def _projector_table(m: int, h: int) -> np.ndarray:
     """table[k, a, b] is coefficient b of zeta_m^a zeta_h^-k in the power
-    basis of Z[zeta_M], M = lcm(m, h), for k < h and a < phi(m).  Every
-    entry is an integer, since Phi_M is monic."""
+    basis of Z[zeta_M], M = lcm(m, h), for k < h and a < phi(m): row
+    a M/m - k M/h mod M of the integer table of zeta_M powers."""
     big_m = lcm(m, h)
-    return np.array([[[int(c) for c in CycNum.zeta(
-        big_m, a * (big_m // m) - k * (big_m // h)).coeffs]
-        for a in range(euler_phi(m))] for k in range(h)], dtype=np.int64)
+    exponents = (np.arange(euler_phi(m)) * (big_m // m)
+                 - np.arange(h)[:, None] * (big_m // h)) % big_m
+    return np.array(zeta_powers(big_m), dtype=np.int64)[exponents]
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ import numpy as np
 from .catalog import GroupSpec
 from .errors import (
     ClassificationMismatch,
+    ElementNotInGroup,
     NonIntegralCount,
     NonIntegralDegree,
     NotADivisor,
@@ -76,7 +77,9 @@ def parabolic_of(ncp: NcpLattice, w: int) -> ParabolicSubgroup:
     equals the reflection length of w.
     """
     group = ncp.group
-    if not group.divides(w, group.coxeter):
+    if not 0 <= w < group.size:
+        raise ElementNotInGroup(f"index {w} outside 0..{group.size - 1}")
+    if ncp.position[w] < 0:
         raise NotADivisor(f"element {w} does not divide the Coxeter element")
     elements = pointwise_fixator(group, w)
     rank = group.n - int(group.fixed_dim[w])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,13 @@ from ncpforge.cyclo import (
     cyclotomic_polynomial,
     euler_phi,
     kernel,
+    zeta_powers,
 )
 import ncpforge
 from ncpforge.errors import DivisionByZero, FieldMismatch
 
-CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 12]
+# the catalog's conductors, and 15, the conductor of G27
+CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15]
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=6)
@@ -40,6 +43,30 @@ def cycnums(m):
 def test_euler_phi_small_values():
     assert [euler_phi(m) for m in range(1, 13)] == \
         [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    assert all(euler_phi(m) == sum(gcd(k, m) == 1 for k in range(1, m + 1))
+               for m in range(1, 61))
+
+
+def test_cyclotomic_coefficients_are_ints():
+    # the division runs over Fraction; a float would still compare equal
+    for m in range(1, 61):
+        assert all(type(c) is int for c in cyclotomic_polynomial(m)), m
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+def test_zeta_power_table(m):
+    """Rows 0..phi-1 are unit vectors and zeta^j Phi_m(zeta) = 0 for every
+    j; the relation at j = k - phi then fixes row k from rows below it."""
+    poly, table = cyclotomic_polynomial(m), zeta_powers(m)
+    phi = euler_phi(m)
+    assert len(table) == m
+    assert all(len(row) == phi and all(type(t) is int for t in row)
+               for row in table)
+    assert [list(row) for row in table[:phi]] == \
+        [[int(i == k) for i in range(phi)] for k in range(phi)]
+    for j in range(m):
+        assert [sum(c * table[(i + j) % m][b] for i, c in enumerate(poly))
+                for b in range(phi)] == [0] * phi
 
 
 def test_cyclotomic_polynomials():
@@ -89,7 +116,9 @@ def test_multiplicative_inverse(a):
         with pytest.raises(DivisionByZero):
             a.inv()
     else:
-        assert a * a.inv() == CycNum.one(a.m)
+        inverse = a.inv()
+        assert a * inverse == CycNum.one(a.m)
+        assert all(type(c) is Fraction for c in inverse.coeffs)
 
 
 @settings(max_examples=60, deadline=None)

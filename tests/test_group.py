@@ -108,8 +108,6 @@ _ELEMENT_QUERIES = {
     "product_first": lambda g, w: g.product(w, 0),
     "product_last": lambda g, w: g.product(0, 1, w),
     "inverse": lambda g, w: g.inverse(w),
-    "conjugate_w": lambda g, w: g.conjugate(w, 1),
-    "conjugate_by": lambda g, w: g.conjugate(1, w),
     "powers": lambda g, w: g.powers(w),
     "element_order": lambda g, w: g.element_order(w),
     "fixed_space": lambda g, w: g.fixed_space(w),
@@ -143,7 +141,7 @@ def test_group_axioms_on_indices(a3, data):
     assert a3.product(a3.identity, w) == w
     assert a3.inverse(a3.inverse(w)) == w
     # conjugation preserves length, order and class
-    conj = a3.conjugate(w, v)
+    conj = a3.product(a3.inverse(v), w, v)
     assert a3.reflection_length(conj) == a3.reflection_length(w)
     assert a3.element_order(conj) == a3.element_order(w)
     assert a3.class_id[conj] == a3.class_id[w]
@@ -157,15 +155,29 @@ def test_absolute_order_triangle(b3, data):
     lu, lv = b3.reflection_length(u), b3.reflection_length(v)
     prod = b3.product(u, v)
     assert b3.reflection_length(prod) <= lu + lv
-    assert b3.divides(b3.identity, u)
-    assert b3.divides(u, u)
+    assert divides(b3, b3.identity, u)
+    assert divides(b3, u, u)
+
+
+def divides(g, u, v):
+    """u <= v in the absolute order: l(u) + l(u^-1 v) = l(v)."""
+    quotient = g.product(g.inverse(u), v)
+    return (g.reflection_length(u) + g.reflection_length(quotient)
+            == g.reflection_length(v))
 
 
 def test_conjugacy_classes_partition(g333):
-    sizes = [len(cls) for cls in g333.classes]
-    assert sum(sizes) == g333.size
-    assert all(g333.class_id[w] == i
-               for i, cls in enumerate(g333.classes) for w in cls)
+    elements = np.arange(g333.size)
+    reps = g333.class_reps
+    assert reps.dtype == np.int32
+    # the least element of each class, classes numbered in that order
+    assert reps.tolist() == np.unique(g333.class_id,
+                                      return_index=True)[1].tolist()
+    assert (g333.class_id[reps] == np.arange(len(reps))).all()
+    assert np.bincount(g333.class_id).sum() == g333.size
+    for g in g333.generators:
+        conj = g333.mult[g, g333.mult[elements, g333.inv[g]]]
+        assert (g333.class_id[conj] == g333.class_id).all()
 
 
 def test_regularity_check(a3):
@@ -289,8 +301,39 @@ def plain_regularity_check(group, w):
 def test_regularity_check_matches_all_reflection_loop(spec):
     g = build_group(spec)
     assert g.coxeter_regularity_check() is True
-    for w in [g.coxeter, g.identity] + [cls[0] for cls in g.classes]:
+    for w in [g.coxeter, g.identity] + g.class_reps.tolist():
         assert g.coxeter_regularity_check(w) == plain_regularity_check(g, w)
+
+
+@pytest.mark.parametrize("spec,d", [
+    (GroupSpec("A", 3), 2), (GroupSpec("B", 3), 2), (GroupSpec("D", 4), 2),
+    (GroupSpec("H3", 3), 2), (GroupSpec("G", 3, 3), 3),
+], ids=lambda v: v.label if isinstance(v, GroupSpec) else str(v))
+def test_regularity_check_matches_all_reflection_loop_for_zeta_d(spec, d):
+    """On the catalog, a zeta_h-eigenspace that is not zero avoids every
+    hyperplane, so only another root of unity tests the hyperplanes: for
+    d = 2 the (-1)-eigenspace of a reflection is its root line, which lies
+    in the hyperplane of every other reflection commuting with it."""
+    g = ReflectionGroup(spec)
+    g.h = d  # both checks read zeta_h from the group
+    inside = 0
+    for w in g.class_reps.tolist():
+        expected = plain_regularity_check(g, w)
+        assert g.coxeter_regularity_check(w) == expected
+        big_m = lcm(g.conductor, d)
+        eigen = g.matrices[w].embed(big_m).minus_scalar(
+            CycNum.zeta(big_m, big_m // d))
+        inside += kernel(eigen).dim > 0 and not expected
+    assert inside > 0
+
+
+@pytest.mark.parametrize("drop", [0, -1])
+def test_regularity_check_refuses_a_conjugate_missing_from_the_reflections(
+        drop):
+    g = ReflectionGroup(GroupSpec("A", 3))
+    g.reflections = np.delete(g.reflections, drop)
+    with pytest.raises(CoxeterValidationFailed, match="not a reflection"):
+        g.coxeter_regularity_check()
 
 
 def test_build_runs_one_exact_kernel_per_reflection_class_and_no_apply(
@@ -310,7 +353,7 @@ def test_build_runs_one_exact_kernel_per_reflection_class_and_no_apply(
     for spec in catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)]:
         before = calls["kernel"]
         g = ReflectionGroup(spec, order_cap=order_of(spec))
-        classes[spec.label] = sum(1 for w, *_ in g.classes
+        classes[spec.label] = sum(1 for w in g.class_reps
                                   if g.fixed_dim[w] == g.n - 1)
         assert calls["kernel"] - before == classes[spec.label], spec.label
     assert calls["apply"] == 0
@@ -388,10 +431,12 @@ def test_no_quadratic_array_held_by_b5_group_or_lattice(b5_held):
 
 def test_no_python_container_of_w_size_held_by_b5_group_or_lattice(b5_held):
     # elements are stored once, as numpy rows; a list, tuple or dict with
-    # an entry per element would be a second store
+    # an entry per element would be a second store, and so would many
+    # containers that together hold an entry per element
     g, held = b5_held
     containers = [len(c) for c in held if not isinstance(c, np.ndarray)]
     assert containers and max(containers) < g.size
+    assert sum(containers) < g.size
 
 
 def _bfs_components(size, pairs):
@@ -503,7 +548,7 @@ def test_integer_orbit_matches_exact_orbit(spec):
 @pytest.mark.parametrize("spec", catalog_specs(), ids=lambda s: s.label)
 def test_fixed_dim_is_the_fixed_space_dimension(spec):
     g = build_group(spec)
-    for w, *_ in g.classes:
+    for w in g.class_reps.tolist():
         assert g.fixed_dim[w] == g.fixed_space(w).dim
 
 

@@ -4,7 +4,12 @@ import pytest
 
 from ncpforge.catalog import GroupSpec
 from ncpforge.cli import GroupContext
-from ncpforge.errors import NonIntegralDegree, NotADivisor, TableMismatch
+from ncpforge.errors import (
+    ElementNotInGroup,
+    NonIntegralDegree,
+    NotADivisor,
+    TableMismatch,
+)
 from ncpforge.factorizations import iter_fact_with_composition
 from ncpforge.group import build_group
 from ncpforge.ncp import build_ncp
@@ -60,6 +65,15 @@ def test_parabolic_of_rejects_non_divisors(a3, a3_ncp):
     outside = next(w for w in range(a3.size) if a3_ncp.position[w] < 0)
     with pytest.raises(NotADivisor):
         parabolic_of(a3_ncp, outside)
+
+
+def test_parabolic_of_rejects_indices_outside_the_group(a3, a3_ncp):
+    # -1 would read the last entry of `position`; A3's last element is a
+    # member of NCP, so only the range check refuses it
+    assert a3_ncp.position[-1] >= 0
+    for w in (-1, a3.size):
+        with pytest.raises(ElementNotInGroup):
+            parabolic_of(a3_ncp, w)
 
 
 @pytest.mark.parametrize("fixture", ["a3_ncp", "b3_ncp", "g333_ncp"])
