@@ -4,7 +4,8 @@ A factorisation is an ordered tuple of nontrivial element indices whose
 product is c and whose reflection lengths add up to n.  The p-block
 factorisations are the strict chains 1 = x_0 < x_1 < ... < x_p = c of
 NCP_W(c), with blocks x_{i-1}^{-1} x_i; `factorisations` lists them as one
-(count, p) int32 array per block count p, one whole-array step per block.
+(count, p) int32 array per block count p, one whole-array step per block
+over each member's list of strict successors.
 Counts are computed three independent ways: the lengths of those arrays,
 the discrete derivative of the Zeta polynomial, and the closed
 Stirling-number form; any pairwise mismatch raises LedgerDisagreement.
@@ -37,17 +38,28 @@ def factorisations(ncp: NcpLattice) -> dict[int, np.ndarray]:
     """The block factorisations of c as one (count, p) int32 array per
     block count p = 0..n, one factorisation per row.  Each step extends
     every strict chain from 1 by all members strictly above its end, and
-    the chains that reach c are read off as rows of blocks."""
-    leq, rank, q = ncp.leq, ncp.rank, ncp.q
+    the chains that reach c are read off as rows of blocks.
+
+    The strict successors of member x are dst[indptr[x]:indptr[x + 1]],
+    ascending, so each step repeats every chain once per successor of its
+    end, in the row order of the (chains, |NCP|) mask it replaces, and
+    allocates nothing larger than the new chains."""
+    rank, q = ncp.rank, ncp.q
+    src, dst = np.nonzero(ncp.leq & (rank[:, None] < rank))
+    indptr = np.searchsorted(src, np.arange(ncp.size + 1))
     chains = np.array([[ncp.bottom]])
     out = {}
     for p in range(ncp.group.n + 1):
         done = chains[:, -1] == ncp.top
         out[p] = ncp.members[q[chains[done, :-1], chains[done, 1:]]]
         chains = chains[~done]
-        end = chains[:, -1]
-        rows, nxt = np.nonzero(leq[end] & (rank > rank[end, None]))
-        chains = np.column_stack((chains[rows], nxt))
+        start, stop = indptr[chains[:, -1]], indptr[chains[:, -1] + 1]
+        count = stop - start
+        # successor t of chain i sits at dst[start[i] + t]
+        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
+                                                     count)
+        chains = np.column_stack((np.repeat(chains, count, axis=0),
+                                  dst[np.repeat(start, count) + offset]))
     return out
 
 

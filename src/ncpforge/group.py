@@ -13,21 +13,26 @@ permutation is the only stored form of an element: `mult.perms` holds one
 row per element, and each element is numbered by the rank of its code,
 the mixed-radix number sum_j perm[j] |V|^j of its basis images, so the
 indexing is identical across runs.  Breadth-first closure runs over whole
-frontiers of permutations at once.
+frontiers of permutations at once; since every generator is a reflection
+of order 2, each frontier is deduplicated against the one before it
+alone.
 
 A product a*b is the row of a composed with the basis images of b; its
 code is found in the sorted `codes` array.  `mult` does this for index
-arrays of any shape, so it reads like an |W| x |W| table that is never
-built; `product` and `inverse` are single-element lookups
-through `mult` and `inv`, and reject indices outside 0..|W|-1.
+arrays of any shape, a fixed chunk of products at a time, so it reads
+like an |W| x |W| table that is never built; `product` and `inverse` are
+single-element lookups through `mult` and `inv`, and reject indices
+outside 0..|W|-1.
 
 Three traversals serve every search over W: `powers` lists the basis
 images of the powers of one element (orders, fixed-space dimensions and
 fixators), `word_lengths` is the breadth-first search from the identity
-(reflection length, generated subgroups), and the module-level
-`components` labels connected components (conjugacy classes, Hurwitz
-orbits, strong conjugacy).  A sum of vectors of V, such as a trace or the
-images of a flat's spanning vectors under every element, is an integer
+(generated subgroups), and the module-level `components` labels
+connected components (conjugacy classes, Hurwitz orbits, strong
+conjugacy).  Reflection length is a class function, so the build finds
+it by a breadth-first search over conjugacy classes, from one
+representative each.  A sum of vectors of V, such as a trace or the
+images of a flat's spanning vectors under the elements, is an integer
 gather from `coords` and one sum, and so is the zeta_h-regularity check:
 the projector sum_k zeta_h^-k w^k onto the eigenspace, applied to the basis
 and moved by one reflection per orbit of conjugation by w, all at once, in
@@ -45,7 +50,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -65,6 +70,9 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 50_000
 _CODE_LIMIT = np.iinfo(np.int64).max
+# products per chunk of `ProductView.__getitem__`; its temporaries take
+# this many rows of n basis images and codes
+_CHUNK = 1 << 14
 
 
 def components(size: int, edges) -> np.ndarray:
@@ -91,7 +99,7 @@ class ProductView:
     `mult[a, b]` is the index of the product a*b for index arrays a and b
     that broadcast together (so `np.ix_` works).  Each product composes
     the row of a with the basis images of b and looks the resulting code
-    up in the sorted codes."""
+    up in the sorted codes, at most `_CHUNK` products at a time."""
 
     def __init__(self, perms: np.ndarray, codes: np.ndarray,
                  radix: np.ndarray):
@@ -105,10 +113,21 @@ class ProductView:
         return self.perms.nbytes + self.codes.nbytes
 
     def __getitem__(self, key) -> np.ndarray:
-        a, b = key
-        images = self.perms[np.asarray(a)[..., None],
-                            self.perms[b, :len(self.radix)]]
-        return self.locate(images)
+        a, b = map(np.asarray, key)
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        if prod(shape) <= _CHUNK:
+            return self._products(a, b)
+        a, b = np.broadcast_arrays(a, b)
+        out = np.empty(shape, dtype=np.int32)
+        flat = out.reshape(-1)
+        for start in range(0, out.size, _CHUNK):
+            part = slice(start, start + _CHUNK)
+            flat[part] = self._products(a.flat[part], b.flat[part])
+        return out
+
+    def _products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.locate(self.perms[a[..., None],
+                                      self.perms[b, :len(self.radix)]])
 
     def locate(self, images) -> np.ndarray:
         """Element indices (int32) from basis images, an array whose last
@@ -161,8 +180,8 @@ class ReflectionGroup:
         # adds a difference of two coordinates times a table entry; a
         # fixator test sums at most |W| coordinates
         largest = max(abs(c) for v in vectors for c in v)
-        table = _projector_table(self.conductor, self.h)
-        entry = int(max(table.max(), -table.min()))
+        exponents, zeta = _projector(self.conductor, self.h)
+        entry = int(np.abs(zeta).max(axis=1)[exponents].max())
         phi = euler_phi(self.conductor)
         if largest * entry * expected_order * phi * 2 > _CODE_LIMIT:
             raise OrderCapExceeded(
@@ -209,7 +228,7 @@ class ReflectionGroup:
                     f"dimension {self.n - 1} but a fixed space of dimension "
                     f"{self.fixed_space(r).dim}")
 
-        self.length = self.word_lengths(self.reflections)
+        self.length = self._reflection_lengths()
         if (self.length < 0).any():
             raise CoxeterValidationFailed(
                 f"{spec.label}: reflections do not generate the group")
@@ -256,19 +275,30 @@ class ReflectionGroup:
                          ) -> list[list[tuple[int, int]]]:
         """g on the n * phi(m) coordinates, by columns: column j*phi + b
         lists the nonzero (i*phi + a, coefficient a of g_ij zeta^b).  An
-        entry outside Z[zeta_m] raises."""
+        entry outside Z[zeta_m] raises; zeta^b is a unit of Z[zeta_m], so
+        g_ij zeta^b is integral exactly when g_ij is, and each entry is
+        checked once.
+
+        g_ij zeta^b = sum_a g_ij[a] zeta^(a+b) is the sum of rows a + b of
+        `zeta_powers(m)`, and row k+1 is x times row k, so column b+1 is
+        column b times zeta: its coefficients shifted up by one, plus the
+        last one times the row of zeta^phi."""
+        m = self.conductor
+        top = zeta_powers(m)[phi % m]
         columns = []
         for j in range(self.n):
-            for b in range(phi):
-                z = CycNum.zeta(self.conductor, b)
-                products = [(g.rows[i][j] * z).coeffs for i in range(self.n)]
-                if any(c.denominator != 1 for p in products for c in p):
-                    raise CoxeterValidationFailed(
-                        f"{self.spec.label}: a generator has an entry "
-                        f"outside Z[zeta_{self.conductor}]")
-                columns.append([(i * phi + a, c.numerator)
-                                for i, p in enumerate(products)
+            entries = [g.rows[i][j].coeffs for i in range(self.n)]
+            if any(c.denominator != 1 for p in entries for c in p):
+                raise CoxeterValidationFailed(
+                    f"{self.spec.label}: a generator has an entry "
+                    f"outside Z[zeta_{m}]")
+            entries = [[c.numerator for c in p] for p in entries]
+            for _ in range(phi):
+                columns.append([(i * phi + a, c)
+                                for i, p in enumerate(entries)
                                 for a, c in enumerate(p) if c])
+                entries = [[(p[a - 1] if a else 0) + p[-1] * t
+                            for a, t in enumerate(top)] for p in entries]
         return columns
 
     @staticmethod
@@ -276,28 +306,42 @@ class ReflectionGroup:
                  ) -> tuple[np.ndarray, np.ndarray]:
         """Breadth-first closure over permutations of V from the identity,
         one whole frontier per step.  Returns the elements (one permutation
-        per row) and their codes, sorted by code."""
-        n, width = len(radix), gen_perms.shape[1]
-        frontier = np.arange(width, dtype=gen_perms.dtype)[None, :]
-        seen = frontier[:, :n].astype(np.int64) @ radix
-        levels = [frontier]
+        per row) and their codes, sorted by code.
+
+        Every catalog generator is a reflection of order 2, of determinant
+        -1, so level k holds elements of determinant (-1)^k and a product
+        of level k lies in level k-1 or k+1 only; each new level is
+        deduplicated against the level before it alone.  Should a
+        generator break that premise, elements recur and the closure
+        overshoots: the hard cap or the check for a repeated code refuses
+        it, so a wrong group is never returned."""
+        n = len(radix)
+        frontier = np.arange(gen_perms.shape[1], dtype=gen_perms.dtype)[None]
+        previous, codes = radix[:0], frontier[:, :n].astype(np.int64) @ radix
+        levels, level_codes = [frontier], [codes]
         total = 1
         while len(frontier):
-            # products[s * k + i] = generator s composed with frontier[i]
-            products = gen_perms[:, frontier].reshape(-1, width)
-            codes, first = np.unique(products[:, :n].astype(np.int64) @ radix,
+            # product s * k + i is generator s composed with frontier[i]
+            products = gen_perms[:, frontier[:, :n]].reshape(-1, n)
+            found, first = np.unique(products.astype(np.int64) @ radix,
                                      return_index=True)
-            new = ~np.isin(codes, seen, assume_unique=True)
-            frontier = products[first[new]]
+            new = ~np.isin(found, previous, assume_unique=True)
+            gen, row = np.divmod(first[new], len(frontier))
+            frontier = gen_perms[gen[:, None], frontier[row]]
+            previous, codes = codes, found[new]
             total += len(frontier)
             if total > hard_cap:
                 raise OrderCapExceeded("closure blew past the expected order")
-            seen = np.union1d(seen, codes[new])
             levels.append(frontier)
-        perms = np.concatenate(levels)
-        codes = perms[:, :n].astype(np.int64) @ radix
+            level_codes.append(codes)
+        codes = np.concatenate(level_codes)
         order = np.argsort(codes)
-        return perms[order], codes[order]
+        codes = codes[order]
+        if (codes[1:] == codes[:-1]).any():
+            raise CoxeterValidationFailed(
+                "closure reached an element twice: a generator is not a "
+                "reflection of order 2")
+        return np.concatenate(levels)[order], codes
 
     def _fixed_dims(self) -> np.ndarray:
         """dim Ker(w - 1) = (1/ord w) sum_{k < ord w} tr(w^k) for every
@@ -330,6 +374,24 @@ class ReflectionGroup:
             for g in self.generators])
         reps, class_id = np.unique(label, return_inverse=True)
         return class_id.astype(np.int32), reps.astype(np.int32)
+
+    def _reflection_lengths(self) -> np.ndarray:
+        """Reflection length of every element, -1 where the reflections do
+        not reach.  R is closed under conjugation, so the length is a class
+        function: level d+1 is the set of classes hit by r w for r in R and
+        w the representative of a class of level d, less the lower
+        levels."""
+        dist = np.full(len(self.class_reps), -1, dtype=np.int32)
+        level = self.class_id[[self.identity]]
+        dist[level] = 0
+        d = 0
+        while level.size:
+            d += 1
+            hit = self.class_id[self.mult[self.reflections[:, None],
+                                          self.class_reps[level]]].ravel()
+            dist[hit[dist[hit] < 0]] = d
+            level = np.flatnonzero(dist == d)
+        return dist[self.class_id]
 
     def _validate_coxeter(self) -> None:
         c = self.coxeter
@@ -385,19 +447,20 @@ class ReflectionGroup:
     def word_lengths(self, gens) -> np.ndarray:
         """Distance of every element from the identity by left
         multiplication with gens, breadth-first over whole frontiers; -1
-        where gens do not reach.  With gens the reflections this is the
-        reflection length, and the elements reached by any gens form the
-        subgroup they generate."""
-        gens = np.unique(np.array(gens, dtype=np.int32))
+        where gens do not reach.  The elements reached form the subgroup
+        that gens generate; with gens the reflections this is the
+        reflection length, which the build reads from the classes."""
+        gens = np.flatnonzero(np.bincount(np.array(gens, dtype=np.int32),
+                                          minlength=self.size))
         dist = np.full(self.size, -1, dtype=np.int32)
         dist[self.identity] = 0
         frontier = np.array([self.identity], dtype=np.int32)
         d = 0
         while frontier.size and gens.size:
             d += 1
-            reached = np.unique(self.mult[gens[:, None], frontier])
-            frontier = reached[dist[reached] < 0]
-            dist[frontier] = d
+            reached = self.mult[gens[:, None], frontier].ravel()
+            dist[reached[dist[reached] < 0]] = d
+            frontier = np.flatnonzero(dist == d)
         return dist
 
     def reflection_length(self, w: int) -> int:
@@ -431,9 +494,10 @@ class ReflectionGroup:
         Since w E = E and w H_r = H_{w r w^-1}, E lies in H_r iff it lies
         in the hyperplane of every conjugate of r by a power of w, so one
         reflection per orbit of conjugation by w is tested.  Both sums are
-        rows of `coords`, summed over the powers k of w with equal k mod h,
-        times the table of zeta_m^a zeta_h^-k in the power basis of
-        Z[zeta_lcm(m, h)]."""
+        rows of `coords`, summed over the powers k of w with equal k mod h;
+        coefficient a of power k stands for zeta_m^a zeta_h^-k, so it is
+        added at that exponent of zeta_M, M = lcm(m, h), and the sums are
+        multiplied once by the table of zeta_M powers (`_projector`)."""
         if w is None:
             w = self.coxeter
         powers = np.array(self.powers(w))
@@ -446,17 +510,26 @@ class ReflectionGroup:
             raise CoxeterValidationFailed(
                 f"{self.spec.label}: a conjugate of a reflection by {w} is "
                 f"not a reflection")
+        # each orbit is labelled by its least reflection
         orbit = components(len(refl), [(np.arange(len(refl)), pos)])
-        tested = refl[np.unique(orbit)]
-        table = _projector_table(self.conductor, self.h)
+        tested = refl[orbit == np.arange(len(refl))]
+        exponents, zeta = _projector(self.conductor, self.h)
         images = self.coords[powers]
         moved = self.coords[self.mult.perms[tested][:, powers]] - images
         folds = (-1, self.h) + images.shape[1:]
-        eigen = np.einsum("kjia,kab->jib",
-                          images.reshape(folds).sum(axis=0), table)
-        off = np.einsum("rkjia,kab->rjib", moved.reshape(
-            (len(tested),) + folds).sum(axis=1), table)
-        return bool(eigen.any() and off.any(axis=(1, 2, 3)).all())
+
+        def project(folded):
+            """zeta-power sums (b, ...) of folded (k, ..., a)."""
+            terms = np.moveaxis(folded, -1, 1)
+            sums = np.zeros((len(zeta),) + terms.shape[2:], dtype=np.int64)
+            np.add.at(sums, exponents.ravel(),
+                      terms.reshape((-1,) + terms.shape[2:]))
+            return np.tensordot(zeta, sums, axes=(0, 0))
+
+        eigen = project(images.reshape(folds).sum(axis=0))
+        off = project(moved.reshape((len(tested),) + folds).sum(axis=1)
+                      .swapaxes(0, 1))
+        return bool(eigen.any() and off.any(axis=(0, 2, 3)).all())
 
     def __repr__(self):
         return f"ReflectionGroup({self.spec.label}, |W|={self.size})"
@@ -481,15 +554,15 @@ def _check_order_cap(spec: GroupSpec, order_cap: int) -> int:
     return order
 
 
-@lru_cache(maxsize=None)
-def _projector_table(m: int, h: int) -> np.ndarray:
-    """table[k, a, b] is coefficient b of zeta_m^a zeta_h^-k in the power
-    basis of Z[zeta_M], M = lcm(m, h), for k < h and a < phi(m): row
-    a M/m - k M/h mod M of the integer table of zeta_M powers."""
+def _projector(m: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """zeta_m^a zeta_h^-k = zeta_M^e with M = lcm(m, h): the exponents
+    e[k, a] = a M/m - k M/h mod M for k < h and a < phi(m), and the integer
+    table of zeta_M powers, whose row e holds the coefficients of zeta_M^e
+    in the power basis of Z[zeta_M]."""
     big_m = lcm(m, h)
     exponents = (np.arange(euler_phi(m)) * (big_m // m)
                  - np.arange(h)[:, None] * (big_m // h)) % big_m
-    return np.array(zeta_powers(big_m), dtype=np.int64)[exponents]
+    return exponents, np.array(zeta_powers(big_m), dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ClassificationMismatch, IndexOutOfRange, NotADivisor,
-                     OrbitCapExceeded)
+from .errors import (ClassificationMismatch, ElementNotInGroup,
+                     IndexOutOfRange, NotADivisor, OrbitCapExceeded)
 from .group import _CODE_LIMIT, components
 from .ncp import NcpLattice
 
@@ -118,7 +118,11 @@ def orbit_decomposition(ncp: NcpLattice, tuples,
     given = np.asarray(tuples)
     if not len(given):
         return []
-    entries = np.unique(given)
+    # a negative entry would not count; the braid action refuses every
+    # other entry outside NCP
+    if given.min() < 0:
+        raise ElementNotInGroup("an element is not a divisor of c")
+    entries = np.flatnonzero(np.bincount(given.ravel()))
     p = given.shape[1]
     if len(entries) ** p > _CODE_LIMIT:
         raise OrbitCapExceeded(
@@ -164,7 +168,8 @@ def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
     if k < 2 or k > group.n:
         raise ValueError("primitive shapes need 2 <= k <= n")
     orbits = orbit_decomposition(ncp, tuples, cap=cap)
-    found = [np.unique(group.class_id[o.rows[group.length[o.rows] == k]])
+    found = [np.flatnonzero(np.bincount(
+        group.class_id[o.rows[group.length[o.rows] == k]]))
              for o in orbits]
     class_of_orbit = [int(c[0]) for c in found if len(c) == 1]
     expected_classes = set(

@@ -16,8 +16,9 @@ from .errors import (
 )
 from .group import ReflectionGroup
 
-# pairs per chunk of `missing_meets_joins`; its temporaries take this many
-# rows of |NCP| / 8 bytes
+# pairs per chunk of `missing_meets_joins`; each of its temporaries takes
+# this many rows of |NCP| / 8 bytes (4.3 MB on E7's 4160 members), however
+# many pairs there are
 _PAIR_CHUNK = 1 << 13
 # _LOWEST_BIT[b]: position of the lowest set bit of the byte b (0 for b = 0)
 _LOWEST_BIT = np.array([max((b & -b).bit_length() - 1, 0) for b in range(256)],

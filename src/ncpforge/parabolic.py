@@ -51,22 +51,29 @@ def subgroup_closure(group: ReflectionGroup, gens) -> list[int]:
 
 
 def pointwise_fixator(group: ReflectionGroup, w: int) -> list[int]:
-    """All elements fixing every vector of the flat Ker(w - 1), in one
-    exact integer pass over W.
+    """All elements fixing every vector of the flat Ker(w - 1), in exact
+    integer sums.
 
     With o the order of w, (1/o) sum_{k<o} w^k projects onto Ker(w - 1),
     so the sums s_j = sum_k w^k(e_j) span the flat, and g fixes it
     pointwise iff g(s_j) = s_j for every j.  Both sides are sums of
-    vectors of V, compared as integer coordinates (`group.coords`) for
-    every element at once, one power of w at a time."""
+    vectors of V, compared as integer coordinates (`group.coords`).  The
+    columns j are tested one at a time, each on the elements that passed
+    the ones before, one power of w at a time; a column with s_j = 0 is
+    fixed by every element and skipped."""
     perms, coords = group.mult.perms, group.coords
-    # target[j] = s_j and moved[g, j] = g(s_j), as coordinate arrays
-    target = np.zeros((group.n, *coords.shape[1:]), dtype=np.int64)
-    moved = np.zeros((group.size, *target.shape), dtype=np.int64)
-    for images in group.powers(w):
-        target += coords[images]
-        moved += coords[perms[:, images]]
-    return np.nonzero((moved == target).all(axis=(1, 2, 3)))[0].tolist()
+    powers = np.array(group.powers(w))
+    fixing = np.arange(group.size)
+    for j in range(group.n):
+        target = coords[powers[:, j]].sum(axis=0)
+        if not target.any():
+            continue
+        # moved[g] = g(s_j) for the elements g still fixing
+        moved = np.zeros((len(fixing), *target.shape), dtype=np.int64)
+        for x in powers[:, j].tolist():
+            moved += coords[perms[fixing, x]]
+        fixing = fixing[(moved == target).all(axis=(1, 2))]
+    return fixing.tolist()
 
 
 def parabolic_of(ncp: NcpLattice, w: int) -> ParabolicSubgroup:

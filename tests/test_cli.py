@@ -5,6 +5,8 @@ import importlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from ncpforge.cli import (
     main,
     run_group,
 )
+import ncpforge
 from ncpforge.errors import TableMismatch
 from ncpforge.group import build_group
 
@@ -352,3 +355,19 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(now is orig for now, orig in zip(patched(), originals))
+
+
+def test_verify_does_not_import_numpy_ma():
+    """numpy.ma costs every process about 0.7 MiB and 11 ms; the plain
+    `np.unique` and `np.union1d` import it on first use."""
+    src = os.path.dirname(os.path.dirname(ncpforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("import sys\n"
+              "from ncpforge.cli import main\n"
+              "code = main(['verify', '--group', 'B5'])\n"
+              "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr.strip() == "False"

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ncpforge.catalog import GroupSpec
+from ncpforge.catalog import GroupSpec, catalog_specs
 from ncpforge.errors import NonIntegralCount
 from ncpforge.factorizations import (
     chapoton_identity,
@@ -24,6 +24,7 @@ from ncpforge.factorizations import (
 from ncpforge.group import build_group
 from ncpforge.ncp import build_ncp, fuss_catalan
 from ncpforge.parabolic import submax_total_formula
+from reference_scans import mask_factorisations
 
 # Parameters that no reflection group has (degrees 2, 5 need |W| = 10).
 FAKE_GROUP = SimpleNamespace(spec=GroupSpec("A", 2), n=2, h=5, size=7,
@@ -185,3 +186,15 @@ def test_exhaustive_multichains_match_dp():
         exhaustive = sum(1 for _ in iter_multichains(ncp, chain_length))
         assert exhaustive == ncp.multichain_count(chain_length)
         assert exhaustive == fuss_catalan(group.degrees, chain_length)
+
+
+@pytest.mark.parametrize(
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+    ids=lambda s: s.label)
+def test_successor_lists_match_mask_expansion(spec):
+    ncp = build_ncp(build_group(spec))
+    got, expected = factorisations(ncp), mask_factorisations(ncp)
+    assert sorted(got) == sorted(expected)
+    for p, rows in expected.items():
+        assert got[p].dtype == rows.dtype and got[p].shape == rows.shape
+        assert np.array_equal(got[p], rows)

@@ -21,7 +21,7 @@ from ncpforge.catalog import (
     order_of,
     parse_spec,
 )
-from ncpforge.cyclo import CycNum, Matrix, Subspace, kernel
+from ncpforge.cyclo import CycNum, Matrix, Subspace, euler_phi, kernel
 from ncpforge.errors import (
     ConfigError,
     CoxeterValidationFailed,
@@ -33,6 +33,10 @@ from ncpforge.group import ReflectionGroup, build_group
 from ncpforge.ncp import build_ncp
 from conftest import element_of_permutation
 from reference_build import matmul_closure
+from reference_scans import product_integer_columns, unchunked_products
+
+# the catalog, and two groups of order 3840 and 9720 with conductors 2, 3
+WIDE_SPECS = catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)]
 
 SMALL_SPECS = [
     GroupSpec("A", 1),
@@ -489,11 +493,12 @@ def test_powers_match_repeated_products(request, fixture):
         assert g.element_order(w) == len(g.powers(w))
 
 
-@pytest.mark.parametrize(
-    "spec", [s for s in catalog_specs() if order_of(s) <= 50_000],
-    ids=lambda s: s.label)
+@pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.label)
 def test_word_lengths_of_reflections_are_the_length_table(spec):
+    # the build's lengths, level by level on classes, against the
+    # breadth-first search over elements
     g = build_group(spec)
+    assert g.length.dtype == np.int32
     assert (g.word_lengths(g.reflections) == g.length).all()
     assert (g.word_lengths(g.generators) >= 0).all()
     only_identity = g.word_lengths([])
@@ -609,4 +614,75 @@ def test_coordinates_too_large_for_the_regularity_sums_are_refused(
     assert largest * 6 <= limit < largest * 6 * 2
     monkeypatch.setattr(group_module, "generators_of", lambda _: gens)
     with pytest.raises(OrderCapExceeded, match="64 bits"):
+        ReflectionGroup(spec)
+
+
+def test_build_runs_no_element_search_for_lengths(monkeypatch):
+    def refuse(self, gens):
+        raise AssertionError("word_lengths called by the build")
+
+    monkeypatch.setattr(ReflectionGroup, "word_lengths", refuse)
+    g = ReflectionGroup(GroupSpec("B", 4))
+    assert int(g.length[g.coxeter]) == 4
+
+
+@pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.label)
+def test_product_view_in_tiny_chunks_matches_one_gather(spec, monkeypatch):
+    g = build_group(spec)
+    monkeypatch.setattr(group_module, "_CHUNK", 7)
+    rng = np.random.default_rng(1)
+    a, b = rng.integers(0, g.size, 40), rng.integers(0, g.size, 40)
+    keys = [
+        (int(a[0]), int(b[0])),                     # 0-d
+        (a, b),                                     # 1-d
+        (a[:5], int(b[1])),                         # 1-d by 0-d
+        np.ix_(a, b[:37]),                          # 40 x 37
+        (np.array(g.generators)[:, None], b),       # a frontier product
+        (a[:0], b[:0]),                             # empty
+    ]
+    for x, y in keys:
+        got = g.mult[x, y]
+        expected = unchunked_products(g, x, y)
+        assert got.dtype == np.int32 and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "spec", WIDE_SPECS + [GroupSpec("I2", 2, 30), GroupSpec("I2", 2, 105)],
+    ids=lambda s: s.label)
+def test_integer_columns_match_exact_products(spec):
+    m, phi = conductor_of(spec), euler_phi(conductor_of(spec))
+    g = ReflectionGroup.__new__(ReflectionGroup)
+    g.spec, g.n, g.conductor = spec, spec.n, m
+    for gen in generators_of(spec):
+        assert (g._integer_columns(gen, phi)
+                == product_integer_columns(gen, spec.n, m, phi))
+
+
+def test_closure_with_an_order_3_generator_is_refused():
+    """S3 = I2(3) generated by a rotation of order 3 and a reflection: the
+    premise that every generator is a reflection of order 2 fails, and the
+    closure ends in a typed error however large its cap, never in a
+    group."""
+    g = build_group(GroupSpec("I2", 2, 3))
+    s1, s2 = g.generators
+    rotation = g.product(s1, s2)
+    assert g.element_order(rotation) == 3
+    gen_perms = g.mult.perms[[rotation, s2]]
+    for cap in (2 * g.size, 1000):
+        with pytest.raises((OrderCapExceeded, CoxeterValidationFailed)):
+            ReflectionGroup._closure(gen_perms, g.mult.radix, cap)
+    # with the identity as a generator the levels end, holding repeats
+    with pytest.raises(CoxeterValidationFailed, match="twice"):
+        ReflectionGroup._closure(g.mult.perms[[g.identity, s1]],
+                                 g.mult.radix, 1000)
+
+
+def test_build_with_an_order_3_generator_is_refused(monkeypatch):
+    spec = GroupSpec("I2", 2, 3)
+    g = build_group(spec)
+    s1, s2 = g.generators
+    gens = [g.matrices[g.product(s1, s2)], g.matrices[s2]]
+    monkeypatch.setattr(group_module, "generators_of", lambda _: gens)
+    with pytest.raises((OrderCapExceeded, CoxeterValidationFailed)):
         ReflectionGroup(spec)

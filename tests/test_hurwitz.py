@@ -328,3 +328,12 @@ def test_action_outside_ncp_is_refused(b3, b3_ncp):
         # r r = 1: the lengths do not add, so r r is no product in NCP
         with pytest.raises(NotADivisor):
             hurwitz_act(b3_ncp, (t[1],) + t[1:], gen)
+
+
+def test_orbit_decomposition_refuses_entries_outside_ncp(b3, b3_ncp):
+    t = GroupContext(b3, b3_ncp).red[:3].copy()
+    outside = next(w for w in range(b3.size) if b3_ncp.position[w] < 0)
+    for bad in (outside, -1, b3.size):
+        t[1, 0] = bad
+        with pytest.raises(ElementNotInGroup):
+            orbit_decomposition(b3_ncp, t)

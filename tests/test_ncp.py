@@ -21,6 +21,7 @@ from ncpforge.errors import (
     NonIntegralCount,
     OrderCapExceeded,
 )
+from ncpforge import ncp as ncp_module
 from ncpforge.group import ReflectionGroup, build_group
 from ncpforge.ncp import NcpLattice, build_ncp, fuss_catalan
 from conftest import fixed_spaces_meet_in
@@ -219,6 +220,24 @@ def row_pass_missing(ncp) -> int:
 def test_packed_lattice_check_matches_row_pass(spec):
     ncp = build_ncp(build_group(spec))
     assert ncp.missing_meets_joins() == row_pass_missing(ncp) == 0
+
+
+@pytest.mark.parametrize(
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+    ids=lambda s: s.label)
+def test_packed_lattice_check_in_tiny_chunks_matches_row_pass(
+        spec, monkeypatch):
+    ncp = build_ncp(build_group(spec))
+    monkeypatch.setattr(ncp_module, "_PAIR_CHUNK", 7)
+    assert ncp.missing_meets_joins() == row_pass_missing(ncp) == 0
+
+
+def test_bowtie_in_tiny_chunks(monkeypatch):
+    monkeypatch.setattr(ncp_module, "_PAIR_CHUNK", 2)
+    bowtie = hand_built_order(
+        [0, 1, 1, 2, 2, 3],
+        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+    assert bowtie.missing_meets_joins() == row_pass_missing(bowtie) == 2
 
 
 def hand_built_order(rank, covers) -> NcpLattice:

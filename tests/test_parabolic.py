@@ -2,7 +2,7 @@
 
 import pytest
 
-from ncpforge.catalog import GroupSpec
+from ncpforge.catalog import GroupSpec, catalog_specs
 from ncpforge.cli import GroupContext
 from ncpforge.errors import (
     ElementNotInGroup,
@@ -24,6 +24,7 @@ from ncpforge.parabolic import (
     submax_total_formula,
     table_a1_verify,
 )
+from reference_scans import full_scan_fixator
 
 
 def test_parabolic_of_extremes(a3, a3_ncp):
@@ -175,3 +176,21 @@ def test_table_mismatch_is_detected(monkeypatch, a3):
     monkeypatch.setattr(parabolic, "reference_row", lambda spec: [(2, 99)])
     with pytest.raises(TableMismatch):
         parabolic.table_a1_verify(build_ncp(a3), counted_strata(a3))
+
+
+@pytest.mark.parametrize(
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+    ids=lambda s: s.label)
+def test_pruned_fixator_matches_full_scan(spec):
+    """Every member (of rank <= 2 on the two large groups) and every class
+    representative, with w = c (all of W) and w = 1 (only 1) among
+    them."""
+    group = build_group(spec)
+    ncp = build_ncp(group)
+    members = ncp.members if group.size < 3000 else \
+        ncp.members[ncp.rank <= 2]
+    elements = set(members.tolist()) | set(group.class_reps.tolist())
+    assert pointwise_fixator(group, group.coxeter) == list(range(group.size))
+    assert pointwise_fixator(group, group.identity) == [group.identity]
+    for w in sorted(elements | {group.coxeter, group.identity}):
+        assert pointwise_fixator(group, w) == full_scan_fixator(group, w)
