@@ -1,31 +1,56 @@
 """Catalog of supported well-generated irreducible reflection groups.
 
 Families shipped: A(n>=1), B(n>=2), D(n>=4) (= G(2,2,n)), I2(e>=3)
-(= G(e,e,2)), G(e,e,n) with e>=2 and n>=3, H3 and F4.  Every group is
-built from one of two generator rules, with entries in Z[zeta_m]:
+(= G(e,e,2)), G(e,e,n) with e>=2 and n>=3, and H3 and F4, the rows of
+one exceptional table.  Every group is built from one of two generator
+rules, with entries in Z[zeta_m]:
 
 * Cartan rule (A(n), H3, F4): s_i(alpha_j) = alpha_j - a_ij alpha_i in
-  the simple-root basis, with a_ij from the group's Cartan matrix.  Its
-  entries are integers, except zeta5^2 + zeta5^3 = -2cos(pi/5) on H3's
-  5-edge, so H3 lives over Q(zeta_5) and A and F4 over Q;
+  the simple-root basis, with the diagram an edge list (i, j, a_ij, a_ji):
+  a 3-edge has a_ij = a_ji = -1, F4's 4-edge a_ij = -1 and a_ji = -2, and
+  H3's 5-edge zeta5^2 + zeta5^3 = -2cos(pi/5) both ways;
 * monomial rule (B, D, I2, G(e,e,n)): monomial matrices of G(e,p,n) over
   Q(zeta_e), B being G(2,1,n) and D being G(2,2,n) over Q(zeta_2).
 
-The Coxeter element c is the product of the generators in order.
+Each generator is an int64 matrix on the n * phi(m) power-basis
+coefficients of Z[zeta_m]^n, written with no field arithmetic: an entry
+c zeta^k is a block read from the rows of `zeta_powers(m)`.  The Coxeter
+element c is the product of the generators in order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .cyclo import CycNum, Matrix
+import numpy as np
+
+from .cyclo import zeta_powers
 from .errors import ConfigError
+
+
+class _Exceptional(NamedTuple):
+    degrees: tuple[int, ...]
+    conductor: int
+    edges: tuple    # (i, j, a_ij, a_ji), a_ij = sum c zeta_m^k over (c, k)
+
+
+_MINUS_1, _MINUS_2 = ((-1, 0),), ((-2, 0),)
+_GOLDEN = ((1, 2), (1, 3))          # zeta5^2 + zeta5^3 = -2cos(pi/5)
+
+_EXCEPTIONAL = {
+    "H3": _Exceptional((2, 6, 10), 5, (
+        (0, 1, _GOLDEN, _GOLDEN), (1, 2, _MINUS_1, _MINUS_1))),
+    "F4": _Exceptional((2, 6, 8, 12), 1, (
+        (0, 1, _MINUS_1, _MINUS_1), (1, 2, _MINUS_1, _MINUS_2),
+        (2, 3, _MINUS_1, _MINUS_1))),
+}
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    family: str          # 'A', 'B', 'D', 'I2', 'G', 'H3', 'F4'
+    family: str          # 'A', 'B', 'D', 'I2', 'G', or a row of _EXCEPTIONAL
     n: int               # rank
     e: int | None = None  # twist parameter for I2 / G
 
@@ -41,13 +66,16 @@ class GroupSpec:
             if self.n < 4:
                 raise ConfigError("D(n) needs n >= 4")
         elif f == "I2":
-            if self.e is None or self.e < 3:
-                raise ConfigError("I2(e) needs e >= 3 (I2(2) is reducible)")
+            if self.n != 2 or self.e is None or self.e < 3:
+                raise ConfigError(
+                    "I2(e) needs n = 2 and e >= 3 (I2(2) is reducible)")
         elif f == "G":
             if self.e is None or self.e < 2 or self.n < 3:
                 raise ConfigError("G(e,e,n) needs e >= 2 and n >= 3")
-        elif f in ("H3", "F4"):
-            pass
+        elif f in _EXCEPTIONAL:
+            rank = len(_EXCEPTIONAL[f].degrees)
+            if self.n != rank:
+                raise ConfigError(f"{f} has rank {rank}, not {self.n}")
         else:
             raise ConfigError(f"unknown family {f!r}")
 
@@ -57,7 +85,7 @@ class GroupSpec:
             return f"I2({self.e})"
         if self.family == "G":
             return f"G({self.e},{self.e},{self.n})"
-        if self.family in ("H3", "F4"):
+        if self.family in _EXCEPTIONAL:
             return self.family
         return f"{self.family}{self.n}"
 
@@ -68,10 +96,8 @@ _SPEC_RE = re.compile(r"^([ABD])(\d+)$")
 def parse_spec(text: str) -> GroupSpec:
     """Parse the CLI grammar: A3, B4, D4, I2:7, G:3,3,4, H3, F4."""
     text = text.strip()
-    if text == "H3":
-        return GroupSpec("H3", 3)
-    if text == "F4":
-        return GroupSpec("F4", 4)
+    if text in _EXCEPTIONAL:
+        return GroupSpec(text, len(_EXCEPTIONAL[text].degrees))
     m = _SPEC_RE.match(text)
     if m:
         return GroupSpec(m.group(1), int(m.group(2)))
@@ -97,20 +123,16 @@ def parse_spec(text: str) -> GroupSpec:
 
 def degrees_of(spec: GroupSpec) -> tuple[int, ...]:
     f, n, e = spec.family, spec.n, spec.e
+    if f in _EXCEPTIONAL:
+        return _EXCEPTIONAL[f].degrees
     if f == "A":
         return tuple(range(2, n + 2))
     if f == "B":
         return tuple(2 * i for i in range(1, n + 1))
     if f == "I2":
         return (2, e)
-    if f in ("D", "G"):
-        ee = 2 if f == "D" else e
-        return tuple(sorted([ee * i for i in range(1, n)] + [n]))
-    if f == "H3":
-        return (2, 6, 10)
-    if f == "F4":
-        return (2, 6, 8, 12)
-    raise ConfigError(f"unknown family {f!r}")
+    ee = 2 if f == "D" else e      # D or G
+    return tuple(sorted([ee * i for i in range(1, n)] + [n]))
 
 
 def order_of(spec: GroupSpec) -> int:
@@ -121,54 +143,55 @@ def order_of(spec: GroupSpec) -> int:
 
 
 def conductor_of(spec: GroupSpec) -> int:
-    if spec.family in ("I2", "G"):
-        return spec.e
+    if spec.family in _EXCEPTIONAL:
+        return _EXCEPTIONAL[spec.family].conductor
     if spec.family in ("B", "D"):
         return 2
-    if spec.family == "H3":
-        return 5
-    return 1
+    return spec.e or 1      # I2 and G have e, A none
 
 
-def _monomial_matrix(m: int, n: int, images: list[tuple[int, int]]) -> Matrix:
-    """images[j] = (i, k): e_{j+1} -> zeta_m^k * e_i (1-based)."""
-    zero = CycNum.zero(m)
-    rows = [[zero] * n for _ in range(n)]
-    for j, (i, k) in enumerate(images):
-        rows[i - 1][j] = CycNum.zeta(m, k)
-    return Matrix(n, m, rows)
+def _integer_matrix(table: np.ndarray, n: int, terms) -> np.ndarray:
+    """The n x n matrix whose entry (i, j) is the sum of c zeta_m^k over
+    the terms (i, j, c, k), on the n * phi(m) power-basis coefficients of
+    Z[zeta_m]^n.  A term c zeta^k is the phi x phi block whose column b is
+    c times row (k + b) mod m of the table `zeta_powers(m)`."""
+    m, phi = table.shape
+    out = np.zeros((n * phi, n * phi), dtype=np.int64)
+    for i, j, c, k in terms:
+        out[i * phi:(i + 1) * phi, j * phi:(j + 1) * phi] += (
+            c * table[(k + np.arange(phi)) % m].T)
+    return out
 
 
-def generators_of(spec: GroupSpec) -> list[Matrix]:
-    """The generators s_1..s_n, in the order whose product is c."""
+def generators_of(spec: GroupSpec) -> list[np.ndarray]:
+    """The generators s_1..s_n, in the order whose product is c, as int64
+    matrices on the n * phi(m) power-basis coefficients of Z[zeta_m]^n:
+    coordinate j * phi + a is coefficient a of coordinate j."""
     f, n, m = spec.family, spec.n, conductor_of(spec)
-    one, zero = CycNum.one(m), CycNum.zero(m)
-    if f in ("A", "H3", "F4"):
-        # Cartan rule: s_i(alpha_j) = alpha_j - a_ij alpha_i.  The three
-        # diagrams are paths; a 3-edge has a_ij = -1, F4's 4-edge has
-        # a_32 = -2, and H3's 5-edge a = zeta5^2 + zeta5^3 = -2cos(pi/5).
-        a = [[CycNum.from_rational(
-                  m, 2 if i == j else -1 if abs(i - j) == 1 else 0)
-              for j in range(n)] for i in range(n)]
-        if f == "H3":
-            a[0][1] = a[1][0] = CycNum.zeta(m, 2) + CycNum.zeta(m, 3)
-        if f == "F4":
-            a[2][1] = CycNum.from_rational(m, -2)
-        return [Matrix(n, m, [[(one if k == j else zero)
-                               - (a[i][j] if k == i else zero)
-                               for j in range(n)] for k in range(n)])
-                for i in range(n)]
-    # monomial rule, in G(e,p,n): B = G(2,1,n) starts with e_1 -> -e_1, the
-    # others with the twisted transposition e_1 -> zeta e_2,
-    # e_2 -> zeta^-1 e_1; then the transpositions (i, i+1)
-    first = [(1, 1)] if f == "B" else [(2, 1), (1, m - 1)]
-    gens = [_monomial_matrix(
-        m, n, first + [(j, 0) for j in range(len(first) + 1, n + 1)])]
+    table = np.array(zeta_powers(m), dtype=np.int64)
+    if f == "A" or f in _EXCEPTIONAL:
+        # Cartan rule: s_i(alpha_j) = alpha_j - a_ij alpha_i, so s_i is the
+        # identity plus row i of -a, put in row i (a_ii = 2)
+        edges = (_EXCEPTIONAL[f].edges if f in _EXCEPTIONAL else
+                 [(i, i + 1, _MINUS_1, _MINUS_1) for i in range(n - 1)])
+        rows = [[(i, i, -2, 0)] for i in range(n)]
+        for i, j, a_ij, a_ji in edges:
+            rows[i] += [(i, j, -c, k) for c, k in a_ij]
+            rows[j] += [(j, i, -c, k) for c, k in a_ji]
+        identity = [(j, j, 1, 0) for j in range(n)]
+        return [_integer_matrix(table, n, identity + row) for row in rows]
+    # monomial rule, in G(e,p,n), with images[j] = (i, k) for e_j -> zeta^k
+    # e_i (0-based): B = G(2,1,n) starts with e_1 -> -e_1, the others with
+    # the twisted transposition e_1 -> zeta e_2, e_2 -> zeta^-1 e_1; then
+    # the transpositions (i, i+1)
+    first = [(0, 1)] if f == "B" else [(1, 1), (0, m - 1)]
+    images = [first + [(j, 0) for j in range(len(first), n)]]
     for i in range(1, n):
-        images = [(j, 0) for j in range(1, n + 1)]
-        images[i - 1], images[i] = (i + 1, 0), (i, 0)
-        gens.append(_monomial_matrix(m, n, images))
-    return gens
+        images.append([(j, 0) for j in range(n)])
+        images[-1][i - 1], images[-1][i] = (i, 0), (i - 1, 0)
+    return [_integer_matrix(table, n, [(i, j, 1, k)
+                                       for j, (i, k) in enumerate(image)])
+            for image in images]
 
 
 def catalog_specs() -> list[GroupSpec]:
@@ -178,5 +201,6 @@ def catalog_specs() -> list[GroupSpec]:
     specs.append(GroupSpec("D", 4))
     specs += [GroupSpec("I2", 2, e) for e in range(3, 13)]
     specs += [GroupSpec("G", 3, 3), GroupSpec("G", 3, 4), GroupSpec("G", 4, 3)]
-    specs += [GroupSpec("H3", 3), GroupSpec("F4", 4)]
+    specs += [GroupSpec(f, len(row.degrees))
+              for f, row in _EXCEPTIONAL.items()]
     return specs

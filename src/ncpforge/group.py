@@ -1,12 +1,12 @@
 """Catalog-built reflection groups, stored as permutations.
 
-A group is built without multiplying two exact matrices.  Each generator
-becomes an integer matrix on the n * phi(m) power-basis coefficients of
-Z[zeta_m]^n, and the orbit V of the standard basis vectors e_1..e_n under
-these matrices is computed once, in plain integers.  `coords[i, j]` are
-the coefficients of coordinate j of V[i], and that is the only stored
-form of V.  A generator with an entry outside Z[zeta_m] fails the build.
-Each generator becomes an integer permutation of V.  Since V holds a
+A group is built without multiplying two exact matrices.  The catalog
+gives each generator as an integer matrix on the n * phi(m) power-basis
+coefficients of Z[zeta_m]^n, and the orbit V of the standard basis
+vectors e_1..e_n under these matrices is computed once, in plain
+integers.  `coords[i, j]` are the coefficients of coordinate j of V[i],
+and that is the only stored form of V.  Each generator becomes an
+integer permutation of V.  Since V holds a
 basis, an element is determined by the permutation it induces on V, and
 even by its basis images g(e_j), which are vectors of V.  That
 permutation is the only stored form of an element: `mult.perms` holds one
@@ -178,8 +178,9 @@ class ReflectionGroup:
                 f"images do not fit in 64 bits")
         # a regularity sum runs over k < ord w <= |W| and a < phi(m) and
         # adds a difference of two coordinates times a table entry; a
-        # fixator test sums at most |W| coordinates
-        largest = max(abs(c) for v in vectors for c in v)
+        # fixator test sums at most |W| coordinates.  Read it before the
+        # int64 conversion, which raises OverflowError on a larger one
+        largest = max(max(map(max, vectors)), -min(map(min, vectors)))
         exponents, zeta = _projector(self.conductor, self.h)
         entry = int(np.abs(zeta).max(axis=1)[exponents].max())
         phi = euler_phi(self.conductor)
@@ -238,15 +239,18 @@ class ReflectionGroup:
 
     # -- construction ----------------------------------------------------
 
-    def _vector_orbit(self, gens: list[Matrix], cap: int
+    def _vector_orbit(self, gens: list[np.ndarray], cap: int
                       ) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """The orbit V of e_1..e_n under the generators (basis vectors
         first), each vector as its n * phi(m) integer coordinates, and each
         generator as a permutation of V: gen_perms[s, i] is the index of
-        gens[s](V[i])."""
+        gens[s](V[i]).  It runs in Python ints over each generator's
+        nonzero columns, so no coordinate wraps before the int64 guard."""
         phi = euler_phi(self.conductor)
         width = self.n * phi
-        columns = [self._integer_columns(g, phi) for g in gens]
+        columns = [[list(zip(np.flatnonzero(col).tolist(),
+                             col[col != 0].tolist())) for col in g.T]
+                   for g in gens]
         vectors = [tuple(int(k == j * phi) for k in range(width))
                    for j in range(self.n)]
         index = {v: i for i, v in enumerate(vectors)}
@@ -270,36 +274,6 @@ class ReflectionGroup:
                 perm.append(i)
         dtype = np.min_scalar_type(len(vectors) - 1)
         return vectors, np.array(gen_perms, dtype=dtype)
-
-    def _integer_columns(self, g: Matrix, phi: int
-                         ) -> list[list[tuple[int, int]]]:
-        """g on the n * phi(m) coordinates, by columns: column j*phi + b
-        lists the nonzero (i*phi + a, coefficient a of g_ij zeta^b).  An
-        entry outside Z[zeta_m] raises; zeta^b is a unit of Z[zeta_m], so
-        g_ij zeta^b is integral exactly when g_ij is, and each entry is
-        checked once.
-
-        g_ij zeta^b = sum_a g_ij[a] zeta^(a+b) is the sum of rows a + b of
-        `zeta_powers(m)`, and row k+1 is x times row k, so column b+1 is
-        column b times zeta: its coefficients shifted up by one, plus the
-        last one times the row of zeta^phi."""
-        m = self.conductor
-        top = zeta_powers(m)[phi % m]
-        columns = []
-        for j in range(self.n):
-            entries = [g.rows[i][j].coeffs for i in range(self.n)]
-            if any(c.denominator != 1 for p in entries for c in p):
-                raise CoxeterValidationFailed(
-                    f"{self.spec.label}: a generator has an entry "
-                    f"outside Z[zeta_{m}]")
-            entries = [[c.numerator for c in p] for p in entries]
-            for _ in range(phi):
-                columns.append([(i * phi + a, c)
-                                for i, p in enumerate(entries)
-                                for a, c in enumerate(p) if c])
-                entries = [[(p[a - 1] if a else 0) + p[-1] * t
-                            for a, t in enumerate(top)] for p in entries]
-        return columns
 
     @staticmethod
     def _closure(gen_perms: np.ndarray, radix: np.ndarray, hard_cap: int

@@ -37,9 +37,10 @@ class BraidGen:
 
 
 def hurwitz_act(ncp: NcpLattice, factors, gen: BraidGen):
-    """sigma_i^{+-1} of a tuple, or of every row of a 2-D index array (one
-    tuple per row); a tuple is acted on as a 1-row array.  The two factors
-    moved, and their product, must divide c."""
+    """sigma_i^{+-1} of a tuple, or of every row of a 2-D input, an index
+    array or a list of rows (one tuple per row), given back as an array; a
+    tuple is acted on as a 1-row array.  The two factors moved, and their
+    product, must divide c."""
     rows = np.atleast_2d(np.asarray(factors))
     i = gen.index
     if rows.shape[1] < 2 or not 1 <= i <= rows.shape[1] - 1:
@@ -56,7 +57,7 @@ def hurwitz_act(ncp: NcpLattice, factors, gen: BraidGen):
     else:
         # (a, b) -> (b, b^{-1} a b) = (b, b^{-1} y)
         out[:, i - 1], out[:, i] = rows[:, i], ncp.members[ncp.q[b, y]]
-    if isinstance(factors, np.ndarray) and factors.ndim == 2:
+    if np.ndim(factors) == 2:
         return out
     return tuple(out[0].tolist())
 

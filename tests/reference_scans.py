@@ -49,8 +49,10 @@ def full_scan_fixator(group, w) -> list[int]:
 
 
 def product_integer_columns(g, n: int, m: int, phi: int):
-    """`ReflectionGroup._integer_columns` by one exact product g_ij zeta^b
-    per entry and power, or None if an entry is not integral."""
+    """The columns of the exact matrix g on the n * phi(m) power-basis
+    coefficients, as lists of nonzero (row, coefficient) pairs, by one
+    exact product g_ij zeta^b per entry and power; None if an entry is not
+    integral."""
     columns = []
     for j in range(n):
         for b in range(phi):

@@ -32,7 +32,7 @@ from ncpforge import group as group_module
 from ncpforge.group import ReflectionGroup, build_group
 from ncpforge.ncp import build_ncp
 from conftest import element_of_permutation
-from reference_build import matmul_closure
+from reference_build import exact_generators, matmul_closure
 from reference_scans import product_integer_columns, unchunked_products
 
 # the catalog, and two groups of order 3840 and 9720 with conductors 2, 3
@@ -84,6 +84,13 @@ def test_parse_spec_grammar(text, label):
 def test_parse_spec_rejects(bad):
     with pytest.raises(ConfigError):
         parse_spec(bad)
+
+
+@pytest.mark.parametrize("family,n,e", [
+    ("F4", 2, None), ("H3", 4, None), ("I2", 5, 7)])
+def test_spec_with_a_rank_its_family_fixes_is_refused(family, n, e):
+    with pytest.raises(ConfigError, match="rank|n = 2"):
+        GroupSpec(family, n, e)
 
 
 def test_order_cap_enforced():
@@ -236,7 +243,7 @@ def test_build_matches_matmul_oracle(spec):
     assert [int(d) for d in g.fixed_dim] == [oracle_dims[p] for p in pi]
     identity = Matrix.identity(spec.n, conductor_of(spec))
     assert pi[g.identity] == oracle_index[identity.key()]
-    c = reduce(operator.matmul, generators_of(spec))
+    c = reduce(operator.matmul, exact_generators(spec))
     assert pi[g.coxeter] == oracle_index[c.key()]
 
 
@@ -513,10 +520,11 @@ def test_codes_that_overflow_64_bits_are_refused(monkeypatch):
 
 
 def exact_vector_orbit(spec, gens=None):
-    """Reference: the orbit of e_1..e_n under the generators (default: the
-    catalog's) by exact `Matrix.apply`, breadth-first with the generators
-    in order, and each generator's permutation of it."""
-    gens = generators_of(spec) if gens is None else gens
+    """Reference: the orbit of e_1..e_n under the exact generators
+    (default: `exact_generators(spec)`) by `Matrix.apply`, breadth-first
+    with the generators in order, and each generator's permutation of
+    it."""
+    gens = exact_generators(spec) if gens is None else gens
     m = conductor_of(spec)
     one, zero = CycNum.one(m), CycNum.zero(m)
     vectors = [tuple(one if i == j else zero for i in range(spec.n))
@@ -575,25 +583,21 @@ def rational_matrix(rows):
                                  for row in rows])
 
 
-def test_coordinates_that_are_not_integers_are_refused(monkeypatch):
-    spec = GroupSpec("A", 2)
-    gens = generators_of(spec)
-    rows = [list(row) for row in gens[0].rows]
-    rows[0][1] = CycNum.from_rational(1, Fraction(1, 2))
-    monkeypatch.setattr(group_module, "generators_of",
-                        lambda _: [Matrix(2, 1, rows)] + gens[1:])
-    with pytest.raises(CoxeterValidationFailed, match="outside Z"):
-        ReflectionGroup(spec)
+def conjugated_generators(spec, t):
+    """The int64 generators of a spec over Q, conjugated by the unimodular
+    [[1, t], [0, 1]] in Python ints, so no product wraps."""
+    u = np.array([[1, t], [0, 1]], dtype=object)
+    u_inv = np.array([[1, -t], [0, 1]], dtype=object)
+    return [np.array(u @ g.astype(object) @ u_inv, dtype=np.int64)
+            for g in generators_of(spec)]
 
 
 def test_coordinates_too_large_for_int64_sums_are_refused(monkeypatch):
     # conjugating by a unimodular matrix keeps the entries integers, but
     # V then holds coordinates near 2^62, whose 6-fold sums leave int64
     spec = GroupSpec("A", 2)
-    u = rational_matrix([[1, 2 ** 31], [0, 1]])
-    u_inv = rational_matrix([[1, -2 ** 31], [0, 1]])
-    monkeypatch.setattr(group_module, "generators_of", lambda _: [
-        u @ g @ u_inv for g in generators_of(spec)])
+    gens = conjugated_generators(spec, 2 ** 31)
+    monkeypatch.setattr(group_module, "generators_of", lambda _: gens)
     with pytest.raises(OrderCapExceeded, match="64 bits"):
         ReflectionGroup(spec)
 
@@ -605,10 +609,9 @@ def test_coordinates_too_large_for_the_regularity_sums_are_refused(
     # bounds the sums of the zeta_3-projector (A2: table entries 0 and
     # +-1, phi(1) = 1)
     spec = GroupSpec("A", 2)
-    u = rational_matrix([[1, 2 ** 30], [0, 1]])
-    u_inv = rational_matrix([[1, -2 ** 30], [0, 1]])
-    gens = [u @ g @ u_inv for g in generators_of(spec)]
-    vectors, _ = exact_vector_orbit(spec, gens)
+    gens = conjugated_generators(spec, 2 ** 30)
+    vectors, _ = exact_vector_orbit(
+        spec, [rational_matrix(g.tolist()) for g in gens])
     largest = max(abs(c) for v in vectors for x in v for c in x.coeffs)
     limit = np.iinfo(np.int64).max
     assert largest * 6 <= limit < largest * 6 * 2
@@ -651,12 +654,18 @@ def test_product_view_in_tiny_chunks_matches_one_gather(spec, monkeypatch):
     "spec", WIDE_SPECS + [GroupSpec("I2", 2, 30), GroupSpec("I2", 2, 105)],
     ids=lambda s: s.label)
 def test_integer_columns_match_exact_products(spec):
+    """Each catalog generator's nonzero columns are those of the exact
+    generator, multiplied out entry by entry in Q(zeta_m)."""
     m, phi = conductor_of(spec), euler_phi(conductor_of(spec))
-    g = ReflectionGroup.__new__(ReflectionGroup)
-    g.spec, g.n, g.conductor = spec, spec.n, m
-    for gen in generators_of(spec):
-        assert (g._integer_columns(gen, phi)
-                == product_integer_columns(gen, spec.n, m, phi))
+    gens = generators_of(spec)
+    exact = exact_generators(spec)
+    assert len(gens) == len(exact)
+    for gen, exact_gen in zip(gens, exact):
+        assert gen.dtype == np.int64
+        assert gen.shape == (spec.n * phi, spec.n * phi)
+        columns = [[(row, int(col[row])) for row in np.flatnonzero(col)]
+                   for col in gen.T]
+        assert columns == product_integer_columns(exact_gen, spec.n, m, phi)
 
 
 def test_closure_with_an_order_3_generator_is_refused():
@@ -680,9 +689,8 @@ def test_closure_with_an_order_3_generator_is_refused():
 
 def test_build_with_an_order_3_generator_is_refused(monkeypatch):
     spec = GroupSpec("I2", 2, 3)
-    g = build_group(spec)
-    s1, s2 = g.generators
-    gens = [g.matrices[g.product(s1, s2)], g.matrices[s2]]
+    g0, g1 = generators_of(spec)
+    gens = [g0 @ g1, g1]          # a rotation of order 3 and a reflection
     monkeypatch.setattr(group_module, "generators_of", lambda _: gens)
     with pytest.raises((OrderCapExceeded, CoxeterValidationFailed)):
         ReflectionGroup(spec)

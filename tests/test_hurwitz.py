@@ -285,6 +285,18 @@ def test_array_action_matches_tuple_action(b3, b3_ncp):
                 [hurwitz_act(b3_ncp, t, gen) for t in red]
 
 
+def test_list_rows_act_like_array_rows(b3, b3_ncp):
+    """A 2-D input given as a list of lists maps every row, as an array
+    does, and gives back an array."""
+    red = GroupContext(b3, b3_ncp).red
+    for i in range(1, b3.n):
+        for inverse in (False, True):
+            gen = BraidGen(i, inverse)
+            images = hurwitz_act(b3_ncp, red.tolist(), gen)
+            assert isinstance(images, np.ndarray)
+            assert np.array_equal(images, hurwitz_act(b3_ncp, red, gen))
+
+
 def reference_hurwitz_act(group, rows, gen):
     """sigma_i^{+-1} of every row of an index array by products in W."""
     mult, inv = group.mult, group.inv

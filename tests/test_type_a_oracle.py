@@ -5,13 +5,19 @@ tuple of its images, a product a*b applies b first, the absolute
 (reflection) length is n+1 minus the number of cycles, and c is the long
 cycle (1 2 ... n+1).  Divisors of w are the u with l(u) + l(u^-1 w) = l(w);
 a block factorisation of c peels one nontrivial divisor off the remaining
-quotient at a time until the identity is left.  Only the two comparison
-tests below read `ncpforge`.
+quotient at a time until the identity is left.  The length-2 strata are
+the length-2 divisors of c classed by cycle type (conjugacy in S_{n+1}):
+r counts the ordered pairs of transpositions whose product is a
+representative, and u is the number of (n-1)-block factorisations of c
+whose length-2 block has that type, divided by (n-1)! h^(n-1) / |W| with
+h = n+1 and |W| = (n+1)!.  Only the three comparison tests below read
+`ncpforge`.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -20,7 +26,7 @@ from ncpforge.cli import GroupContext
 from ncpforge.group import build_group
 from ncpforge.ncp import build_ncp
 
-RANKS = [1, 2, 3, 4]
+RANKS = [1, 2, 3, 4, 5]
 
 
 # -- the oracle: permutations as tuples -------------------------------------
@@ -54,6 +60,20 @@ def long_cycle(n: int) -> tuple:
     return tuple(list(range(1, n + 1)) + [0])
 
 
+def cycle_type(a: tuple) -> tuple:
+    """The cycle lengths of a, in decreasing order."""
+    seen, lengths = set(), []
+    for start in range(len(a)):
+        if start not in seen:
+            x, size = start, 0
+            while x not in seen:
+                seen.add(x)
+                x, size = a[x], size + 1
+            lengths.append(size)
+    return tuple(sorted(lengths, reverse=True))
+
+
+@lru_cache(maxsize=None)
 def divisors(w: tuple) -> list[tuple]:
     """Every u <= w in absolute order, by testing all of S_{n+1}."""
     lw = absolute_length(w)
@@ -77,6 +97,43 @@ def factorisation_counts(w: tuple) -> dict[int, int]:
     return counts
 
 
+@lru_cache(maxsize=None)
+def submaximal_types(w: tuple) -> dict[tuple, int]:
+    """cycle type -> number of factorisations of w into transpositions and
+    exactly one length-2 block, by the cycle type of that block."""
+    counts: dict[tuple, int] = {}
+    for u in divisors(w):
+        rest = compose(inverse(u), w)
+        if absolute_length(u) == 1:
+            for kind, k in submaximal_types(rest).items():
+                counts[kind] = counts.get(kind, 0) + k
+        elif absolute_length(u) == 2:
+            reduced = factorisation_counts(rest)[absolute_length(rest)]
+            counts[cycle_type(u)] = counts.get(cycle_type(u), 0) + reduced
+    return counts
+
+
+def strata(n: int) -> list[tuple[int, int]]:
+    """The (r, u) pair of each length-2 stratum of NCP(c), sorted."""
+    c = long_cycle(n)
+    representative = {}
+    for u in divisors(c):
+        if absolute_length(u) == 2:
+            representative.setdefault(cycle_type(u), u)
+    transpositions = [t for t in permutations(range(n + 1))
+                      if absolute_length(t) == 1]
+    scale = Fraction(factorial(n - 1) * (n + 1) ** (n - 1), factorial(n + 1))
+    counts = submaximal_types(c)
+    pairs = []
+    for kind, w in representative.items():
+        r = sum(compose(s, t) == w for s in transpositions
+                for t in transpositions)
+        u = counts[kind] / scale
+        assert u.denominator == 1
+        pairs.append((r, u.numerator))
+    return sorted(pairs)
+
+
 # -- the oracle against the closed forms and the matrix path -----------------
 
 @pytest.mark.parametrize("n", RANKS)
@@ -95,3 +152,10 @@ def test_matrix_path_matches_the_oracle(n):
     c = long_cycle(n)
     assert ncp.size == len(divisors(c))
     assert ledger.fact_enumerated == factorisation_counts(c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_strata_match_the_oracle(n):
+    group = build_group(GroupSpec("A", n))
+    context = GroupContext(group, build_ncp(group))
+    assert sorted((s.r, s.u) for s in context.strata) == strata(n)
