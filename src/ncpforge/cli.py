@@ -288,15 +288,20 @@ def cmd_catalog(args, out) -> int:
     return EXIT_OK
 
 
-def _check_orbit_cap(cap: int) -> None:
-    if cap < 1:
-        raise ConfigError(f"--orbit-cap must be at least 1, got {cap}")
+def _check_caps(args) -> None:
+    """No group fits under an order cap below 1, and no orbit under an
+    orbit cap below 1; both are found before any group is built."""
+    if args.order_cap < 1:
+        raise ConfigError(f"--order-cap {args.order_cap} is below 1")
+    if args.orbit_cap < 1:
+        raise ConfigError(
+            f"--orbit-cap must be at least 1, got {args.orbit_cap}")
 
 
 def cmd_verify(args, out) -> int:
     if args.nmax < 1:
         raise ConfigError(f"--nmax must be at least 1, got {args.nmax}")
-    _check_orbit_cap(args.orbit_cap)
+    _check_caps(args)
     if args.group:
         specs = [parse_spec(g) for g in args.group]
     else:
@@ -330,7 +335,7 @@ def _orbit_descriptor(group, orbit) -> list[list[int]]:
 
 
 def cmd_orbits(args, out) -> int:
-    _check_orbit_cap(args.orbit_cap)
+    _check_caps(args)
     spec = parse_spec(args.group)
     try:
         shape = tuple(sorted((int(p) for p in args.shape.split(",")),

@@ -8,9 +8,9 @@ One cached table per conductor, `zeta_powers(m)`, holds the integer
 coefficients of x^k mod Phi_m for k < m, and it is the only source of
 powers of zeta_m: `zeta`, products, the inverse and `embed` reduce zeta^k
 through row k mod m, since zeta^m = 1.  phi(m) is the degree of Phi_m.  One
-polynomial division over Q serves both Phi_m, divided out of x^m - 1, and
-the extended Euclid inverse, whose Bezout coefficients are kept as field
-elements.
+polynomial division serves both Phi_m, divided out of x^m - 1 in integers
+since every Phi_d is monic, and the extended Euclid inverse over Q, whose
+Bezout coefficients are kept as field elements.
 """
 
 from __future__ import annotations
@@ -26,19 +26,23 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-def _poly_divmod(num, den) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of polynomials over Q, coefficients low to
-    high; num holds Fractions and den ends in a nonzero coefficient, so no
-    `/` divides two ints.  The remainder is trimmed to its degree."""
+def _poly_divmod(num, den) -> tuple[list, list]:
+    """Quotient and remainder of polynomials, coefficients low to high; den
+    ends in a nonzero coefficient.  A monic den divides without `/`, so
+    integer coefficients stay integers; otherwise num holds Fractions, so
+    no `/` divides two ints.  The remainder is trimmed to its degree."""
     num = list(num)
-    q = [F0] * (len(num) - len(den) + 1)
+    q = [0] * (len(num) - len(den) + 1)
     lead = den[-1]
     for i in range(len(num) - len(den), -1, -1):
-        c = q[i] = num[i + len(den) - 1] / lead
+        c = num[i + len(den) - 1]
+        if lead != 1:
+            c /= lead
+        q[i] = c
         if c:
             for j, d in enumerate(den):
                 num[i + j] -= c * d
-    rem = num[:len(den) - 1] or [F0]
+    rem = num[:len(den) - 1] or [0]
     while len(rem) > 1 and rem[-1] == 0:
         rem.pop()
     return q, rem
@@ -48,18 +52,19 @@ def _poly_divmod(num, den) -> tuple[list[Fraction], list[Fraction]]:
 def cyclotomic_polynomial(m: int) -> Poly:
     """m-th cyclotomic polynomial, integer coefficients low to high, monic.
 
-    Computed by recursive exact division of x^m - 1 by Phi_d over the proper
-    divisors d of m; the base case Phi_1 = x - 1 covers plain rationals.
+    Computed by recursive exact division of x^m - 1 by the monic Phi_d over
+    the proper divisors d of m, in integers; the base case Phi_1 = x - 1
+    covers plain rationals.
     """
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    num = [-F1] + [F0] * (m - 1) + [F1]
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
             num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
             if rem != [0]:
                 raise FieldMismatch(f"Phi_{d} does not divide x^{m} - 1")
-    return tuple(int(c) for c in num)
+    return tuple(num)
 
 
 def euler_phi(m: int) -> int:

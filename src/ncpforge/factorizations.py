@@ -6,32 +6,29 @@ factorisations are the strict chains 1 = x_0 < x_1 < ... < x_p = c of
 NCP_W(c), with blocks x_{i-1}^{-1} x_i; `factorisations` lists them as one
 (count, p) int32 array per block count p, one whole-array step per block
 over each member's list of strict successors.
-Counts are computed three independent ways: the lengths of those arrays,
-the discrete derivative of the Zeta polynomial, and the closed
+Counts are computed three independent ways, all in integers: the lengths
+of those arrays, the finite differences of the Fuss-Catalan numbers (the
+values of the zeta polynomial at the integers), and the closed
 Stirling-number form; any pairwise mismatch raises LedgerDisagreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
 
-from .errors import LedgerDisagreement, NonIntegralCount
+from .errors import LedgerDisagreement
 from .group import ReflectionGroup
-from .ncp import NcpLattice, fuss_catalan
+from .ncp import NcpLattice, exact_quotient, fuss_catalan
 
 
 def red_count_formula(group: ReflectionGroup) -> int:
     n, h = group.n, group.h
-    value = Fraction(factorial(n) * h ** n, group.size)
-    if value.denominator != 1:
-        raise NonIntegralCount(
-            f"{group.spec.label}: n! h^n / |W| is {value}")
-    return value.numerator
+    return exact_quotient(factorial(n) * h ** n, group.size,
+                          f"{group.spec.label}: n! h^n / |W|")
 
 
 def factorisations(ncp: NcpLattice) -> dict[int, np.ndarray]:
@@ -92,42 +89,15 @@ def two_reflection_factorisations(ncp: NcpLattice, w: int) -> list[tuple[int, in
 
 # -- closed-form counts ----------------------------------------------------
 
-def zeta_polynomial(degrees) -> tuple[Fraction, ...]:
-    """Coefficients (low to high) of Z(X) = prod ((d_i - h) + h X) / d_i."""
-    h = degrees[-1]
-    coeffs = [Fraction(1)]
-    for d in degrees:
-        a, b = Fraction(d - h, d), Fraction(h, d)  # a + b X
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for i, ci in enumerate(coeffs):
-            new[i] += ci * a
-            new[i + 1] += ci * b
-        coeffs = new
-    return tuple(coeffs)
-
-
-def eval_poly(coeffs, x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def fact_counts_zeta(degrees, pmax: int) -> dict[int, int]:
     """fact_p = Delta^p Z (0) = sum_k (-1)^(p-k) C(p,k) Z(k) for
-    p = 1..pmax, from one zeta polynomial and its values Z(0..pmax)."""
-    coeffs = zeta_polynomial(degrees)
-    values = [eval_poly(coeffs, k) for k in range(pmax + 1)]
-    counts = {}
-    for p in range(1, pmax + 1):
-        value = sum((-1) ** (p - k) * comb(p, k) * values[k]
-                    for k in range(p + 1))
-        if value.denominator != 1:
-            raise NonIntegralCount(
-                f"fact_{p} from the zeta polynomial of degrees "
-                f"{tuple(degrees)} is {value}")
-        counts[p] = value.numerator
-    return counts
+    p = 1..pmax.  The zeta polynomial Z(X) = prod ((d_i - h) + h X) / d_i
+    takes the Fuss-Catalan value Z(k) = Cat^(k-1)(W) at each integer k,
+    and Z(0) = 0 since d_n = h."""
+    values = [fuss_catalan(degrees, k - 1) for k in range(pmax + 1)]
+    return {p: sum((-1) ** (p - k) * comb(p, k) * values[k]
+                   for k in range(p + 1))
+            for p in range(1, pmax + 1)}
 
 
 @lru_cache(maxsize=None)
@@ -157,19 +127,15 @@ def fact_count_stirling(degrees, order: int, blocks: int) -> int:
     total = sum(
         (-1) ** (p - j) * sigma[p - j] * stirling2(n - p + j, n - p) * h ** j
         for j in range(p + 1))
-    value = Fraction(factorial(n - p) * h ** (n - p) * total, order)
-    if value.denominator != 1:
-        raise NonIntegralCount(
-            f"Stirling form of fact_{blocks} for degrees {tuple(degrees)} "
-            f"is {value}")
-    return value.numerator
+    return exact_quotient(factorial(n - p) * h ** (n - p) * total, order,
+                          f"Stirling form of fact_{blocks} for degrees "
+                          f"{tuple(degrees)}")
 
 
 # -- the ledger ------------------------------------------------------------
 
 @dataclass
 class CountLedger:
-    group_label: str
     fact_enumerated: dict[int, int]
     fact_zeta: dict[int, int]
     fact_stirling: dict[int, int]
@@ -187,12 +153,8 @@ def fact_counts(group: ReflectionGroup, by_blocks) -> CountLedger:
         raise LedgerDisagreement(
             f"{group.spec.label}: enumeration {enumerated}, "
             f"zeta {zeta}, stirling {stirling}")
-    return CountLedger(
-        group_label=group.spec.label,
-        fact_enumerated=enumerated,
-        fact_zeta=zeta,
-        fact_stirling=stirling,
-    )
+    return CountLedger(fact_enumerated=enumerated, fact_zeta=zeta,
+                       fact_stirling=stirling)
 
 
 def chapoton_identity(group: ReflectionGroup, ledger: CountLedger,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -26,16 +26,20 @@ _LOWEST_BIT = np.array([max((b & -b).bit_length() - 1, 0) for b in range(256)],
 
 
 def fuss_catalan(degrees, k: int = 1) -> int:
-    """prod (d_i + k*h) / d_i, exact."""
+    """prod (d_i + k*h) / d_i, exact; k = -1 gives 0, since d_n = h."""
     h = degrees[-1]
-    value = Fraction(1)
-    for d in degrees:
-        value *= Fraction(d + k * h, d)
-    if value.denominator != 1:
-        raise NonIntegralCount(
-            f"Fuss-Catalan number for degrees {tuple(degrees)}, k = {k} "
-            f"is {value}")
-    return value.numerator
+    return exact_quotient(prod(d + k * h for d in degrees), prod(degrees),
+                          f"Fuss-Catalan number for degrees {tuple(degrees)}, "
+                          f"k = {k}")
+
+
+def exact_quotient(num: int, den: int, what: str,
+                   error=NonIntegralCount) -> int:
+    """num / den, which must be an integer; otherwise `error`, naming what."""
+    value, rem = divmod(num, den)
+    if rem:
+        raise error(f"{what} is {num}/{den}, not an integer")
+    return value
 
 
 class NcpLattice:

@@ -11,7 +11,6 @@ embedded reference table evaluated exactly at the group's parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, isqrt
 
 import numpy as np
@@ -20,14 +19,13 @@ from .catalog import GroupSpec
 from .errors import (
     ClassificationMismatch,
     ElementNotInGroup,
-    NonIntegralCount,
     NonIntegralDegree,
     NotADivisor,
     TableMismatch,
 )
 from .factorizations import red_count_formula, two_reflection_factorisations
 from .group import ReflectionGroup
-from .ncp import NcpLattice
+from .ncp import NcpLattice, exact_quotient
 
 
 # -- parabolic subgroups ------------------------------------------------------
@@ -124,7 +122,6 @@ class Stratum2:
     order: int                  # element order of the representative
     r: int                      # ordered 2-reflection factorisations
     r_from_degrees: int         # 2 h' / d1' of the parabolic closure
-    size_in_ncp: int            # length-2 NCP members in the class
     count: int | None = None    # |fact_{n-1}| with long factor in the class
     fiber: int | None = None    # same, long factor in first position
     u: int | None = None        # derived degree
@@ -133,13 +130,11 @@ class Stratum2:
 def length2_strata(ncp: NcpLattice) -> list[Stratum2]:
     """W-conjugacy classes of length-2 NCP members, with ramification data."""
     group = ncp.group
-    by_class: dict[int, list[int]] = {}
+    reps: dict[int, int] = {}
     for w in ncp.members[ncp.rank == 2].tolist():
-        by_class.setdefault(int(group.class_id[w]), []).append(w)
+        reps.setdefault(int(group.class_id[w]), w)
     strata = []
-    for cid in sorted(by_class, key=lambda c: min(by_class[c])):
-        members = by_class[cid]
-        rep = min(members)
+    for cid, rep in sorted(reps.items(), key=lambda item: item[1]):
         r = len(two_reflection_factorisations(ncp, rep))
         if r < 2:
             raise ClassificationMismatch(
@@ -149,20 +144,18 @@ def length2_strata(ncp: NcpLattice) -> list[Stratum2]:
         strata.append(Stratum2(
             class_id=cid, representative=rep,
             order=group.element_order(rep),
-            r=r, r_from_degrees=2 * d2 // d1,
-            size_in_ncp=len(members)))
+            r=r, r_from_degrees=2 * d2 // d1))
     return strata
 
 
 def submax_total_formula(group: ReflectionGroup) -> int:
     """Closed form for |fact_{n-1}(c)|."""
     n, h = group.n, group.h
-    value = Fraction(factorial(n - 1) * h ** (n - 1), group.size) * (
-        Fraction((n - 1) * (n - 2) * h, 2) + sum(group.degrees[:-1]))
-    if value.denominator != 1:
-        raise NonIntegralCount(
-            f"{group.spec.label}: |fact_(n-1)| closed form is {value}")
-    return value.numerator
+    # (n - 1)(n - 2) is even
+    bracket = (n - 1) * (n - 2) // 2 * h + sum(group.degrees[:-1])
+    return exact_quotient(factorial(n - 1) * h ** (n - 1) * bracket,
+                          group.size,
+                          f"{group.spec.label}: |fact_(n-1)| closed form")
 
 
 def submax_counts(ncp: NcpLattice, strata: list[Stratum2], facts) -> int:
@@ -182,14 +175,11 @@ def submax_counts(ncp: NcpLattice, strata: list[Stratum2], facts) -> int:
         raise ClassificationMismatch(
             f"{group.spec.label}: a submaximal factorisation without "
             f"exactly one length-2 factor of a known stratum")
-    scale = Fraction(factorial(n - 1) * h ** (n - 1), group.size)
     for s in strata:
-        u = Fraction(s.count, 1) / scale
-        if u.denominator != 1:
-            raise NonIntegralDegree(
-                f"{group.spec.label}: stratum count {s.count} gives "
-                f"non-integral degree {u}")
-        s.u = u.numerator
+        s.u = exact_quotient(
+            s.count * group.size, factorial(n - 1) * h ** (n - 1),
+            f"{group.spec.label}: the degree u of stratum count {s.count}",
+            NonIntegralDegree)
     if total != submax_total_formula(group):
         raise TableMismatch(
             f"{group.spec.label}: |fact_(n-1)| = {total}, closed form "
@@ -259,12 +249,13 @@ def table_a1_verify(ncp: NcpLattice, strata: list[Stratum2]) -> dict:
         raise TableMismatch(
             f"{group.spec.label}: sum p_i u_i = {degree_sum}, "
             f"expected n(n-1)h = {n * (n - 1) * h}")
-    scalar = Fraction(factorial(n - 2) * h ** (n - 1), group.size)
+    scalar = factorial(n - 2) * h ** (n - 1)
     for s in strata:
-        if Fraction(s.fiber, 1) != scalar * s.u:
+        if s.fiber * group.size != scalar * s.u:
             raise TableMismatch(
                 f"{group.spec.label}: fiber count {s.fiber} for stratum "
-                f"{s.representative} differs from scalar * u = {scalar * s.u}")
+                f"{s.representative} differs from (n-2)! h^(n-1) u / |W| "
+                f"= {scalar * s.u}/{group.size}")
     fiber_total = sum(s.r * s.fiber for s in strata)
     red = red_count_formula(group)
     if fiber_total != red:

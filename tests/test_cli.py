@@ -1,5 +1,6 @@
 """CLI contract: exit codes, formats, determinism."""
 
+import contextlib
 import csv
 import importlib
 import io
@@ -10,8 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncpforge.catalog import parse_spec
+from ncpforge.catalog import catalog_specs, parse_spec
 from ncpforge.cli import (
     DEFAULT_NMAX,
     DEFAULT_ORBIT_CAP,
@@ -331,6 +334,27 @@ def test_orbit_cap_below_one_is_config_error(command, cap, capsys,
     assert out == "" and f"--orbit-cap must be at least 1, got {cap}" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", [["verify", "--group", "A3"],
+                                     ["orbits", "--group", "A3",
+                                      "--shape", "2,1"]],
+                         ids=["verify", "orbits"])
+def test_order_cap_below_one_is_config_error(command, cap, capsys,
+                                             monkeypatch):
+    """No group fits under an order cap below 1, with --group as without
+    it; that is a configuration error found before any group is built,
+    not a resource cap."""
+    import ncpforge.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("group built before --order-cap was checked")
+
+    monkeypatch.setattr(cli, "build_group", no_build)
+    code, out, err = run_cli(capsys, *command, "--order-cap", cap)
+    assert code == 4
+    assert out == "" and f"--order-cap {cap}" in err
+
+
 def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     """The benchmark's tracer (perfbench/tracing.py) patches ncpforge names
     by hand; each must still exist, and uninstall restores them."""
@@ -371,3 +395,51 @@ def test_verify_does_not_import_numpy_ma():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stderr.strip() == "False"
+
+
+# group specs: well-formed ones with any parameters, the grammar's pieces
+# in any order, labels of groups outside the catalog, and free text
+_LABELS = sorted({s.label for s in catalog_specs()}
+                 | {"H4", "E6", "E7", "E8", "G24", "G25", "G26", "G27",
+                    "G29", "G32", "G33", "G34"})
+_SPECS = st.one_of(
+    st.sampled_from(_LABELS),
+    st.builds("{}{}".format, st.sampled_from("ABD"),
+              st.integers(-2, 10 ** 9)),
+    st.builds("I2:{}".format, st.integers(-2, 10 ** 6)),
+    st.builds("G:{},{},{}".format, st.integers(-1, 8), st.integers(-1, 8),
+              st.integers(-1, 10 ** 9)),
+    st.lists(st.sampled_from(["A", "B", "D", "E", "F", "G", "H", "I2", ":",
+                              ",", " ", "-", "0", "1", "3", "4", "34",
+                              "1000000000"]), max_size=6).map("".join),
+    st.text(max_size=10),
+)
+_SHAPES = st.one_of(
+    st.lists(st.integers(-2, 8), max_size=6).map(
+        lambda parts: ",".join(map(str, parts))),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["verify", "orbits"]),
+       groups=st.lists(_SPECS, max_size=2), shape=_SHAPES,
+       order_cap=st.integers(-3, 500), orbit_cap=st.integers(-2, 10 ** 6),
+       nmax=st.integers(-2, 12))
+def test_every_input_ends_in_a_documented_exit_code(
+        command, groups, shape, order_cap, orbit_cap, nmax):
+    """Whatever the specs, shape and caps, the CLI exits 0, 2, 3 or 4
+    (argparse errors included), never with a traceback."""
+    argv = [command, "--order-cap", str(order_cap),
+            "--orbit-cap", str(orbit_cap)]
+    for group in groups if command == "verify" else groups[:1]:
+        argv += ["--group", group]
+    argv += ["--nmax", str(nmax)] if command == "verify" else [
+        "--shape", shape]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv

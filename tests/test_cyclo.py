@@ -48,7 +48,7 @@ def test_euler_phi_small_values():
 
 
 def test_cyclotomic_coefficients_are_ints():
-    # the division runs over Fraction; a float would still compare equal
+    # a Fraction or a float would still compare equal
     for m in range(1, 61):
         assert all(type(c) is int for c in cyclotomic_polynomial(m)), m
 
@@ -75,6 +75,26 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
+    """prod_{d | m} Phi_d = x^m - 1, multiplied out in ints; Phi_105 is
+    the first with a coefficient other than 0 and +-1."""
+    for m in range(1, 301):
+        acc = [1]
+        for d in (d for d in range(1, m + 1) if m % d == 0):
+            phi = cyclotomic_polynomial(d)
+            assert phi[-1] == 1 and all(type(c) is int for c in phi)
+            out = [0] * (len(acc) + len(phi) - 1)
+            for i, a in enumerate(acc):
+                if a:
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+            acc = out
+        assert acc == [-1] + [0] * (m - 1) + [1], m
+    assert -2 in cyclotomic_polynomial(105)
+    assert all(abs(c) <= 1 for m in range(1, 105)
+               for c in cyclotomic_polynomial(m))
 
 
 @pytest.mark.parametrize("m", CONDUCTORS)

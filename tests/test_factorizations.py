@@ -1,12 +1,12 @@
 """Block factorisations: enumeration, closed forms, chains."""
 
-from fractions import Fraction
+from math import prod
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ncpforge.catalog import GroupSpec, catalog_specs
+from ncpforge.catalog import GroupSpec, catalog_specs, degrees_of
 from ncpforge.errors import NonIntegralCount
 from ncpforge.factorizations import (
     chapoton_identity,
@@ -18,12 +18,11 @@ from ncpforge.factorizations import (
     iter_factorisations,
     red_count_formula,
     two_reflection_factorisations,
-    zeta_polynomial,
-    eval_poly,
 )
 from ncpforge.group import build_group
 from ncpforge.ncp import build_ncp, fuss_catalan
 from ncpforge.parabolic import submax_total_formula
+import reference_fractions as fractions_route
 from reference_scans import mask_factorisations
 
 # Parameters that no reflection group has (degrees 2, 5 need |W| = 10).
@@ -104,14 +103,69 @@ def test_composition_rejects_non_compositions(a3_ncp):
 
 
 def test_zeta_polynomial_interpolates_lattice_counts(a3, a3_ncp):
-    # Z(N+1) counts N-multichains; Z(0) = 0, Z(1) = 1 (empty chain)
-    coeffs = zeta_polynomial(a3.degrees)
-    assert eval_poly(coeffs, 0) == 0
-    assert eval_poly(coeffs, 1) == 1
-    assert eval_poly(coeffs, 2) == a3_ncp.size
-    for chain_length in (2, 3):
-        assert eval_poly(coeffs, chain_length + 1) == \
-            a3_ncp.multichain_count(chain_length)
+    # Z(N+1) counts N-multichains; Z(0) = 0, Z(1) = 1 (empty chain), and
+    # fact_p is the p-th finite difference of Z at 0
+    values, expected = [0, 1] + a3_ncp.multichain_counts(3), {}
+    for p in range(1, 5):
+        values = [b - a for a, b in zip(values, values[1:])]
+        expected[p] = values[0]
+    assert expected == {1: 1, 2: 12, 3: 16, 4: 0}
+    assert fact_counts_zeta(a3.degrees, 4) == expected
+
+
+# (degrees, |W|): the catalog, the infinite families to rank 7, I2(e) to
+# e = 30, the exceptional groups outside the catalog, and two degree sets
+# whose closed forms are not integers
+_EXCEPTIONAL_DEGREES = [
+    (2, 12, 20, 30), (2, 5, 6, 8, 9, 12), (2, 6, 8, 10, 12, 14, 18),
+    (2, 8, 12, 14, 18, 20, 24, 30),                         # H4, E6-E8
+    (4, 6, 14), (6, 9, 12), (6, 12, 18), (6, 12, 30),       # G24-G27
+    (4, 8, 12, 20), (12, 18, 24, 30), (4, 6, 10, 12, 18),   # G29, G32, G33
+    (6, 12, 18, 24, 30, 42),                                # G34
+]
+_SPECS = (catalog_specs()
+          + [GroupSpec(f, n) for f, low in (("A", 1), ("B", 2), ("D", 4))
+             for n in range(low, 8)]
+          + [GroupSpec("G", n, e) for e in range(2, 7) for n in range(3, 8)]
+          + [GroupSpec("I2", 2, e) for e in range(3, 31)])
+DEGREE_TABLE = sorted(
+    {(degrees_of(s), prod(degrees_of(s))) for s in _SPECS}
+    | {(d, prod(d)) for d in _EXCEPTIONAL_DEGREES}
+    | {((3, 5), 15), ((2, 3, 4), 25)})
+
+
+def _outcome(form):
+    """The repr of a closed form's value (so that an int and an integral
+    Fraction differ), or the type of the error it raises."""
+    try:
+        return repr(form())
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("degrees,order", DEGREE_TABLE, ids=[
+    "-".join(map(str, degrees)) + f"/{order}"
+    for degrees, order in DEGREE_TABLE])
+def test_integer_forms_match_the_fraction_route(degrees, order):
+    """Every closed form gives the value, or the error type, that the
+    earlier Fraction arithmetic gave."""
+    group = SimpleNamespace(spec=GroupSpec("A", 1), n=len(degrees),
+                            h=degrees[-1], size=order, degrees=degrees)
+    forms = [(f"fuss_catalan k={k}", fuss_catalan, fractions_route.fuss_catalan,
+              (degrees, k)) for k in range(-1, 9)]
+    forms += [(f"zeta pmax={pmax}", fact_counts_zeta,
+               fractions_route.fact_counts_zeta, (degrees, pmax))
+              for pmax in range(10)]
+    forms += [(f"stirling blocks={b}", fact_count_stirling,
+               fractions_route.fact_count_stirling, (degrees, order, b))
+              for b in range(1, len(degrees) + 1)]
+    forms += [("red", red_count_formula, fractions_route.red_count_formula,
+               (group,)),
+              ("submax", submax_total_formula,
+               fractions_route.submax_total_formula, (group,))]
+    for name, ours, theirs, args in forms:
+        assert _outcome(lambda: ours(*args)) == \
+            _outcome(lambda: theirs(*args)), name
 
 
 @pytest.mark.parametrize("spec,expected", [

@@ -178,6 +178,22 @@ def test_table_mismatch_is_detected(monkeypatch, a3):
         parabolic.table_a1_verify(build_ncp(a3), counted_strata(a3))
 
 
+def test_stratum_degree_and_fiber_are_checked_in_integers(a3):
+    """On A3, u = count |W| / ((n-1)! h^(n-1)) = 3 count / 4: a count off
+    by one raises NonIntegralDegree, and a fiber off (n-2)! h^(n-1) u / |W|
+    raises TableMismatch."""
+    ncp = build_ncp(a3)
+    facts = GroupContext(a3, ncp).by_blocks[a3.n - 1]
+    with pytest.raises(NonIntegralDegree):
+        submax_counts(ncp, length2_strata(ncp), facts[1:])
+    strata = length2_strata(ncp)
+    submax_counts(ncp, strata, facts)
+    assert table_a1_verify(ncp, strata)["pass"]
+    strata[0].fiber += 1
+    with pytest.raises(TableMismatch):
+        table_a1_verify(ncp, strata)
+
+
 @pytest.mark.parametrize(
     "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
     ids=lambda s: s.label)
