@@ -2,8 +2,8 @@
 
 Families shipped: A(n>=1), B(n>=2), D(n>=4) (= G(2,2,n)), I2(e>=3)
 (= G(e,e,2)), G(e,e,n) with e>=2 and n>=3, and H3 and F4, the rows of
-one exceptional table.  Every group is built from one of two generator
-rules, with entries in Z[zeta_m]:
+one exceptional table, which also holds each group's LL row.  Every group
+is built from one of two generator rules, with entries in Z[zeta_m]:
 
 * Cartan rule (A(n), H3, F4): s_i(alpha_j) = alpha_j - a_ij alpha_i in
   the simple-root basis, with the diagram an edge list (i, j, a_ij, a_ji):
@@ -34,6 +34,7 @@ class _Exceptional(NamedTuple):
     degrees: tuple[int, ...]
     conductor: int
     edges: tuple    # (i, j, a_ij, a_ji), a_ij = sum c zeta_m^k over (c, k)
+    ll_row: tuple   # the LL data: (p, u) pairs of the length-2 strata
 
 
 _MINUS_1, _MINUS_2 = ((-1, 0),), ((-2, 0),)
@@ -41,10 +42,12 @@ _GOLDEN = ((1, 2), (1, 3))          # zeta5^2 + zeta5^3 = -2cos(pi/5)
 
 _EXCEPTIONAL = {
     "H3": _Exceptional((2, 6, 10), 5, (
-        (0, 1, _GOLDEN, _GOLDEN), (1, 2, _MINUS_1, _MINUS_1))),
+        (0, 1, _GOLDEN, _GOLDEN), (1, 2, _MINUS_1, _MINUS_1)),
+        ((2, 6), (3, 6), (5, 6))),
     "F4": _Exceptional((2, 6, 8, 12), 1, (
         (0, 1, _MINUS_1, _MINUS_1), (1, 2, _MINUS_1, _MINUS_2),
-        (2, 3, _MINUS_1, _MINUS_1))),
+        (2, 3, _MINUS_1, _MINUS_1)),
+        ((2, 24), (3, 8), (3, 8), (4, 12))),
 }
 
 

@@ -1,7 +1,7 @@
 """Command-line front end: catalog listing, verification suites, orbit dumps.
 
 Exit codes: 0 all selected checks pass, 2 at least one check failed,
-3 a resource cap was hit, 4 configuration error.
+3 a resource cap was hit or memory ran out, 4 configuration error.
 """
 
 from __future__ import annotations
@@ -64,16 +64,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 # -- verification suites -----------------------------------------------------
+# Each `_suite_<name>` returns its checks as (check_id, expected, computed)
+# triples, in report order; `run_group` adds the group label and suite name
+# to every row.  It looks the function up by name when the suite runs, so a
+# wrapper set on the module attribute (perfbench's tracer) is the one called.
 
 class GroupContext:
     """The artefacts of one group that several suites read, each computed
-    at most once.  A context lives for one `run_group` call, so nothing is
-    cached across calls."""
+    at most once, and the caps `nmax` and `orbit_cap` that `run_group`
+    sets.  A context lives for one `run_group` call, so nothing is cached
+    across calls."""
 
     def __init__(self, group, ncp):
         self.group = group
         self.ncp = ncp
-        self.label = group.spec.label
 
     @cached_property
     def by_blocks(self) -> dict[int, np.ndarray]:
@@ -88,11 +92,18 @@ class GroupContext:
     def red(self) -> np.ndarray:
         return self.by_blocks[self.group.n]
 
+    def with_shape(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Factorisations whose block lengths, sorted in descending order,
+        equal the partition `shape` of n.  Counted, not sorted: a first
+        `np.sort` pages in about 0.2 MB of sort kernels."""
+        rows = self.by_blocks[len(shape)]
+        lengths = self.group.length[rows]
+        return rows[np.all([(lengths == part).sum(axis=1) == shape.count(part)
+                            for part in set(shape)], axis=0)]
+
     def primitive(self, k: int) -> np.ndarray:
-        """Factorisations of shape k 1^(n-k): n-k+1 blocks, one of length k
-        (the others then have length 1), in any position."""
-        rows = self.by_blocks[self.group.n - k + 1]
-        return rows[(self.group.length[rows] == k).any(axis=1)]
+        """Factorisations of shape k 1^(n-k), the length-k block anywhere."""
+        return self.with_shape((k,) + (1,) * (self.group.n - k))
 
     @cached_property
     def strata(self):
@@ -103,96 +114,69 @@ class GroupContext:
 
 
 def _suite_ncp(ctx):
-    label, group, ncp = ctx.label, ctx.group, ctx.ncp
-    rows = [CheckRow(label, "ncp", "catalan",
-                     fuss_catalan(group.degrees, 1), ncp.size)]
+    group, ncp = ctx.group, ctx.ncp
     codim = group.n - group.fixed_dim[ncp.members]
-    rows.append(CheckRow(label, "ncp", "length_is_codim",
-                         0, int(np.sum(ncp.rank != codim))))
-    rows.append(CheckRow(label, "ncp", "meet_join_missing",
-                         0, ncp.missing_meets_joins()))
-    return rows
+    return [("catalan", fuss_catalan(group.degrees, 1), ncp.size),
+            ("length_is_codim", 0, int(np.sum(ncp.rank != codim))),
+            ("meet_join_missing", 0, ncp.missing_meets_joins())]
 
 
 def _suite_counts(ctx):
-    label, group, ledger = ctx.label, ctx.group, ctx.ledger
-    n = group.n
-    rows = [CheckRow(label, "counts", "red",
-                     red_count_formula(group), ledger.fact_enumerated[n])]
-    for p in range(1, n + 1):
-        rows.append(CheckRow(label, "counts", f"fact_{p}",
-                             ledger.fact_zeta[p], ledger.fact_enumerated[p]))
-    rows.append(CheckRow(label, "counts", "submax_total",
-                         submax_total_formula(group),
-                         ledger.fact_enumerated.get(n - 1, 0)))
-    return rows
+    group, ledger, n = ctx.group, ctx.ledger, ctx.group.n
+    return ([("red", red_count_formula(group), ledger.fact_enumerated[n])]
+            + [(f"fact_{p}", ledger.fact_zeta[p], ledger.fact_enumerated[p])
+               for p in range(1, n + 1)]
+            + [("submax_total", submax_total_formula(group),
+                ledger.fact_enumerated.get(n - 1, 0))])
 
 
-def _suite_chapoton(ctx, nmax):
-    label, group = ctx.label, ctx.group
+def _suite_chapoton(ctx):
     rows = []
-    multichains = ctx.ncp.multichain_counts(nmax)
-    for chain_length in range(1, nmax + 1):
-        res = chapoton_identity(group, ctx.ledger, chain_length)
-        rows.append(CheckRow(label, "chapoton", f"identity_N{chain_length}",
-                             res["rhs"], res["lhs"]))
-        rows.append(CheckRow(label, "chapoton", f"multichain_N{chain_length}",
-                             res["rhs"],
-                             multichains[chain_length - 1]))
+    multichains = ctx.ncp.multichain_counts(ctx.nmax)
+    for chain_length, chains in enumerate(multichains, 1):
+        res = chapoton_identity(ctx.group, ctx.ledger, chain_length)
+        rows += [(f"identity_N{chain_length}", res["rhs"], res["lhs"]),
+                 (f"multichain_N{chain_length}", res["rhs"], chains)]
     return rows
 
 
-def _suite_hurwitz(ctx, orbit_cap):
-    label, group, ncp = ctx.label, ctx.group, ctx.ncp
-    orbits = orbit_decomposition(ncp, ctx.red, cap=orbit_cap)
-    rows = [CheckRow(label, "hurwitz", "red_orbits", 1, len(orbits)),
-            CheckRow(label, "hurwitz", "red_orbit_size",
-                     red_count_formula(group), orbits[0].size)]
+def _suite_hurwitz(ctx):
+    group, ncp = ctx.group, ctx.ncp
+    orbits = orbit_decomposition(ncp, ctx.red, cap=ctx.orbit_cap)
+    rows = [("red_orbits", 1, len(orbits)),
+            ("red_orbit_size", red_count_formula(group), orbits[0].size)]
     for k in range(2, group.n + 1):
         res = classify_primitive_orbits(ncp, k, ctx.primitive(k),
-                                        cap=orbit_cap)
-        rows.append(CheckRow(label, "hurwitz", f"primitive_k{k}_orbits",
-                             len(res["divisor_classes"]),
-                             len(res["orbits"])))
-        rows.append(CheckRow(label, "hurwitz", f"primitive_k{k}_total",
-                             sum(o.size for o in res["orbits"]),
-                             res["total"]))
+                                        cap=ctx.orbit_cap)
+        rows += [(f"primitive_k{k}_orbits", len(res["divisor_classes"]),
+                  len(res["orbits"])),
+                 (f"primitive_k{k}_total",
+                  sum(o.size for o in res["orbits"]), res["total"])]
     strong = strong_conjugacy_classes(ncp)
-    ordinary = conjugacy_partition_on_ncp(ncp)
-    rows.append(CheckRow(label, "hurwitz", "strong_conjugacy_is_conjugacy",
-                         True, strong == ordinary))
-    return rows
+    return rows + [("strong_conjugacy_is_conjugacy", True,
+                    strong == conjugacy_partition_on_ncp(ncp))]
 
 
 def _suite_strata(ctx):
-    label, group, strata = ctx.label, ctx.group, ctx.strata
-    rows = [CheckRow(label, "strata", "num_strata",
-                     len(reference_row(group.spec)), len(strata)),
-            CheckRow(label, "strata", "submax_total",
-                     submax_total_formula(group),
-                     sum(s.count for s in strata)),
-            CheckRow(label, "strata", "r_is_order",
-                     sorted(s.order for s in strata),
-                     sorted(s.r for s in strata)),
-            CheckRow(label, "strata", "r_degree_shortcut",
-                     sorted(s.r for s in strata),
-                     sorted(s.r_from_degrees for s in strata))]
-    return rows
+    group, strata = ctx.group, ctx.strata
+    return [("num_strata", len(reference_row(group.spec)), len(strata)),
+            ("submax_total", submax_total_formula(group),
+             sum(s.count for s in strata)),
+            ("r_is_order", sorted(s.order for s in strata),
+             sorted(s.r for s in strata)),
+            ("r_degree_shortcut", sorted(s.r for s in strata),
+             sorted(s.r_from_degrees for s in strata))]
 
 
 def _suite_table_a1(ctx):
-    label, group = ctx.label, ctx.group
-    n, h = group.n, group.h
+    n, h = ctx.group.n, ctx.group.h
     rep = table_a1_verify(ctx.ncp, ctx.strata)
-    rows = [CheckRow(label, "table-a1", "ll_data",
-                     rep["expected"], rep["computed"]),
-            CheckRow(label, "table-a1", "degree_sum",
-                     n * (n - 1) * h, rep["degree_sum"])]
+    rows = [("ll_data", rep["expected"], rep["computed"]),
+            ("degree_sum", n * (n - 1) * h, rep["degree_sum"])]
     if n >= 2:
         # the fiber identity comes from concatenating a length-2 first
         # factor, which only exists in rank >= 2
-        rows.append(CheckRow(label, "table-a1", "fiber_identity",
-                             rep["red_count"], rep["fiber_total"]))
+        rows.append(("fiber_identity", rep["red_count"], rep["fiber_total"]))
     return rows
 
 
@@ -204,36 +188,26 @@ def run_group(spec, suites, order_cap, orbit_cap, nmax) -> GroupSection:
     except (OrderCapExceeded, OrbitCapExceeded):
         raise
     except NcpForgeError as exc:
-        section = GroupSection(label=label, order=order_of(spec),
-                               degrees=list(degrees_of(spec)),
-                               h=degrees_of(spec)[-1], num_reflections=0)
-        section.checks.append(CheckRow(label, "build", "group_build",
-                                       "ok", f"{type(exc).__name__}: {exc}"))
-        return section
+        return GroupSection(
+            label=label, order=order_of(spec), degrees=list(degrees_of(spec)),
+            h=degrees_of(spec)[-1], num_reflections=0,
+            checks=[CheckRow(label, "build", "group_build", "ok",
+                             f"{type(exc).__name__}: {exc}")])
     section = GroupSection(
         label=label, order=group.size, degrees=list(group.degrees),
         h=group.h, num_reflections=len(group.reflections),
         ncp_size=ncp.size)
     ctx = GroupContext(group, ncp)
+    ctx.nmax, ctx.orbit_cap = nmax, orbit_cap
     for suite in suites:
+        run_suite = globals()["_suite_" + suite.replace("-", "_")]
         try:
-            if suite == "ncp":
-                section.checks.extend(_suite_ncp(ctx))
-            elif suite == "counts":
-                section.checks.extend(_suite_counts(ctx))
-            elif suite == "chapoton":
-                section.checks.extend(_suite_chapoton(ctx, nmax))
-            elif suite == "hurwitz":
-                section.checks.extend(_suite_hurwitz(ctx, orbit_cap))
-            elif suite == "strata":
-                section.checks.extend(_suite_strata(ctx))
-            elif suite == "table-a1":
-                section.checks.extend(_suite_table_a1(ctx))
+            rows = run_suite(ctx)
         except (OrderCapExceeded, OrbitCapExceeded):
             raise
         except NcpForgeError as exc:
-            section.checks.append(CheckRow(
-                label, suite, type(exc).__name__, "ok", str(exc)))
+            rows = [(type(exc).__name__, "ok", str(exc))]
+        section.checks += [CheckRow(label, suite, *row) for row in rows]
     return section
 
 
@@ -277,6 +251,9 @@ def cmd_catalog(args, out) -> int:
         entries.append({"group": spec.label, "order": order,
                         "degrees": list(degrees_of(spec)),
                         "coxeter_number": degrees_of(spec)[-1]})
+    if not entries:
+        raise ConfigError(
+            f"--max-order {args.max_order} selects no catalog group")
     if args.format == "json":
         text = json.dumps({"schema_version": SCHEMA_VERSION,
                            "catalog": entries}, indent=2) + "\n"
@@ -347,9 +324,7 @@ def cmd_orbits(args, out) -> int:
         raise ConfigError(
             f"shape {list(shape)} is not a partition of n = {group.n}")
     ncp = build_ncp(group)
-    rows = factorisations(ncp)[len(shape)]
-    lengths = np.sort(group.length[rows], axis=1)[:, ::-1]
-    tuples = rows[(lengths == shape).all(axis=1)]
+    tuples = GroupContext(group, ncp).with_shape(shape)
     orbits = orbit_decomposition(ncp, tuples, cap=args.orbit_cap)
     described = sorted((o.size, _orbit_descriptor(group, o)) for o in orbits)
     summary = {
@@ -418,6 +393,9 @@ def main(argv=None) -> int:
             return args.func(args, out)
     except (OrderCapExceeded, OrbitCapExceeded) as exc:
         print(f"ncpforge: resource cap: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:
+        print(f"ncpforge: resource cap: out of memory: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ConfigError as exc:
         print(f"ncpforge: config error: {exc}", file=sys.stderr)

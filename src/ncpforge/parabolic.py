@@ -15,7 +15,7 @@ from math import factorial, isqrt
 
 import numpy as np
 
-from .catalog import GroupSpec
+from .catalog import _EXCEPTIONAL, GroupSpec
 from .errors import (
     ClassificationMismatch,
     ElementNotInGroup,
@@ -190,8 +190,9 @@ def submax_counts(ncp: NcpLattice, strata: list[Stratum2], facts) -> int:
 # -- the reference table ------------------------------------------------------
 
 def reference_row(spec: GroupSpec) -> list[tuple[int, int]]:
-    """The (p, u) pairs of the embedded table, evaluated at (n, e); terms
-    with u = 0 do not occur and are dropped.  Sorted multiset."""
+    """The (p, u) pairs of the embedded table, evaluated at (n, e), or the
+    row of an exceptional group in the catalog's table; terms with u = 0
+    do not occur and are dropped.  Sorted multiset."""
     f, n = spec.family, spec.n
     if f == "A":
         pairs = [(2, n * (n - 1) * (n - 2) // 2), (3, n * (n - 1))]
@@ -217,10 +218,8 @@ def reference_row(spec: GroupSpec) -> list[tuple[int, int]]:
         else:
             pairs = [(2, n * (n - 2) * (n - 3) * e // 2),
                      (3, n * (n - 2) * e), (e, n)]
-    elif f == "H3":
-        pairs = [(2, 6), (3, 6), (5, 6)]
-    elif f == "F4":
-        pairs = [(2, 24), (3, 8), (3, 8), (4, 12)]
+    elif f in _EXCEPTIONAL:
+        pairs = _EXCEPTIONAL[f].ll_row
     else:
         raise TableMismatch(f"no table row for {spec.label}")
     return sorted((p, u) for p, u in pairs if u > 0)

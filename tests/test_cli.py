@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpforge.catalog import catalog_specs, parse_spec
+from ncpforge.catalog import GroupSpec, catalog_specs, parse_spec
 from ncpforge.cli import (
     DEFAULT_NMAX,
     DEFAULT_ORBIT_CAP,
@@ -25,7 +25,8 @@ from ncpforge.cli import (
 )
 import ncpforge
 from ncpforge.errors import TableMismatch
-from ncpforge.group import build_group
+from ncpforge.group import ReflectionGroup, build_group
+from ncpforge.ncp import NcpLattice
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +47,17 @@ def test_catalog_max_order_excludes_f4(capsys):
     assert code == 0
     assert "F4" not in out
     assert "B2" in out
+
+
+@pytest.mark.parametrize("max_order", ["1", "-5"])
+def test_catalog_max_order_selecting_nothing_is_config_error(max_order,
+                                                             capsys):
+    """No catalog group has order below |A1| = 2; an empty listing is a
+    configuration error, as an empty `verify` selection is."""
+    code, out, err = run_cli(capsys, "catalog", "--max-order", max_order)
+    assert code == 4
+    assert out == ""
+    assert f"--max-order {max_order} selects no catalog group" in err
 
 
 def test_catalog_json(capsys):
@@ -163,6 +175,34 @@ def test_each_suite_alone_matches_all_suites(label):
         assert alone and alone == [r for r in together if r.suite == suite]
 
 
+@pytest.mark.parametrize(
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+    ids=lambda s: s.label)
+def test_report_does_not_depend_on_the_choice_of_c(spec, monkeypatch):
+    """Every row is a count or a class invariant, so replacing c by a
+    conjugate s c s^-1, for each generator s that moves it, gives the same
+    (check_id, expected, computed) rows in the same order."""
+    import ncpforge.cli as cli
+
+    group = ReflectionGroup(spec)       # not the cached group: c changes
+    monkeypatch.setattr(cli, "build_group", lambda *args, **kwargs: group)
+    monkeypatch.setattr(cli, "build_ncp", NcpLattice)
+    caps = (DEFAULT_ORDER_CAP, DEFAULT_ORBIT_CAP, DEFAULT_NMAX)
+
+    def triples():
+        return [(row.check_id, row.expected, row.computed)
+                for row in run_group(spec, list(SUITES), *caps).checks]
+
+    at_c, c = triples(), group.coxeter
+    conjugates = [group.product(s, c, group.inv[s])
+                  for s in group.generators]
+    assert group.n == 1 or any(w != c for w in conjugates)
+    for w in conjugates:
+        if w != c:
+            group.coxeter = w
+            assert triples() == at_c
+
+
 def test_exit_code_config_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--group", "Z9")
     assert code == 4
@@ -173,6 +213,22 @@ def test_exit_code_resource_cap(capsys):
                            "--order-cap", "100")
     assert code == 3
     assert "resource cap" in err
+
+
+def test_out_of_memory_is_a_resource_cap(capsys, monkeypatch):
+    """A failed allocation ends the run with exit 3 and one stderr line,
+    not a traceback."""
+    import ncpforge.cli as cli
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(cli, "build_group", no_memory)
+    code, out, err = run_cli(capsys, "verify", "--group", "A3")
+    assert code == 3
+    assert out == ""
+    assert err == ("ncpforge: resource cap: out of memory: "
+                   "Unable to allocate 1.00 TiB\n")
 
 
 @pytest.mark.parametrize("argv", [
