@@ -334,7 +334,7 @@ def test_argparse_errors_use_config_exit_code(capsys):
 
 ORBIT_GOLDENS = [("A3", "2,1"), ("B3", "2,1"), ("H3", "2,1"),
                  ("D4", "2,1,1"), ("F4", "2,2"), ("G:3,3,4", "3,1"),
-                 ("B5", "2,1,1,1")]
+                 ("B5", "2,1,1,1"), ("A5", "2,1,1,1"), ("F4", "3,1")]
 
 
 def golden_case(group: str, shape: str) -> str:
