@@ -322,19 +322,36 @@ class ReflectionGroup:
         element, the multiplicity of the trivial character on <w>; it is
         constant on conjugacy classes, so one representative per class.
         tr g = sum_j coordinate j of V[g(e_j)], a sum of power-basis
-        coefficients that is rational iff all past the first are zero."""
+        coefficients that is rational iff all past the first are zero.
+        The powers of all representatives are walked together: each live
+        row holds the basis images of a power and the trace sum so far,
+        and leaves the walk when its images return to the start."""
         diagonal = np.arange(self.n)
-        dims = np.empty(len(self.class_reps), dtype=np.int32)
-        for cid, w in enumerate(self.class_reps.tolist()):
-            powers = self.powers(w)
-            total = self.coords[powers, diagonal].sum(axis=(0, 1))
-            dim, rest = divmod(int(total[0]), len(powers))
-            if total[1:].any() or rest or not 0 <= dim <= self.n:
-                raise CoxeterValidationFailed(
-                    f"{self.spec.label}: character average of element {w} "
-                    f"is not a dimension in 0..{self.n}")
-            dims[cid] = dim
-        return dims[self.class_id]
+        reps = self.class_reps
+        totals = np.empty((len(reps), self.coords.shape[-1]), dtype=np.int64)
+        orders = np.empty(len(reps), dtype=np.int64)
+        live = np.arange(len(reps))
+        images = np.broadcast_to(diagonal, (len(reps), self.n))
+        acc = np.zeros_like(totals)
+        order = 0
+        while live.size:
+            for j in range(self.n):
+                acc += self.coords[images[:, j], j]
+            order += 1
+            images = self.mult.perms[reps[live, None], images]
+            back = (images == diagonal).all(axis=1)
+            if back.any():
+                totals[live[back]], orders[live[back]] = acc[back], order
+                live, images, acc = live[~back], images[~back], acc[~back]
+        dims, rest = np.divmod(totals[:, 0], orders)
+        bad = (totals[:, 1:].any(axis=1) | (rest != 0)
+               | (dims < 0) | (dims > self.n))
+        if bad.any():
+            raise CoxeterValidationFailed(
+                f"{self.spec.label}: character average of element "
+                f"{int(reps[np.argmax(bad)])} is not a dimension in "
+                f"0..{self.n}")
+        return dims.astype(np.int32)[self.class_id]
 
     def _conjugacy_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Classes as the components of the graph joining each element w
@@ -470,8 +487,9 @@ class ReflectionGroup:
         reflection per orbit of conjugation by w is tested.  Both sums are
         rows of `coords`, summed over the powers k of w with equal k mod h;
         coefficient a of power k stands for zeta_m^a zeta_h^-k, so it is
-        added at that exponent of zeta_M, M = lcm(m, h), and the sums are
-        multiplied once by the table of zeta_M powers (`_projector`)."""
+        added at that exponent of zeta_M, M = lcm(m, h), one coefficient a
+        at a time, and the sums are multiplied once by the table of zeta_M
+        powers (`_projector`)."""
         if w is None:
             w = self.coxeter
         powers = np.array(self.powers(w))
@@ -488,21 +506,22 @@ class ReflectionGroup:
         orbit = components(len(refl), [(np.arange(len(refl)), pos)])
         tested = refl[orbit == np.arange(len(refl))]
         exponents, zeta = _projector(self.conductor, self.h)
-        images = self.coords[powers]
-        moved = self.coords[self.mult.perms[tested][:, powers]] - images
-        folds = (-1, self.h) + images.shape[1:]
-
-        def project(folded):
-            """zeta-power sums (b, ...) of folded (k, ..., a)."""
-            terms = np.moveaxis(folded, -1, 1)
-            sums = np.zeros((len(zeta),) + terms.shape[2:], dtype=np.int64)
-            np.add.at(sums, exponents.ravel(),
-                      terms.reshape((-1,) + terms.shape[2:]))
-            return np.tensordot(zeta, sums, axes=(0, 0))
-
-        eigen = project(images.reshape(folds).sum(axis=0))
-        off = project(moved.reshape((len(tested),) + folds).sum(axis=1)
-                      .swapaxes(0, 1))
+        moves = self.mult.perms[tested][:, powers]
+        folds = (-1, self.h, self.n, self.n)
+        eigen = np.zeros((len(zeta),) + folds[2:], dtype=np.int64)
+        off = np.zeros((len(zeta), len(tested)) + folds[2:], dtype=np.int64)
+        # one power-basis coefficient a at a time; for fixed a the
+        # exponents of the h folded powers are distinct, so a plain
+        # indexed add scatters them
+        for a in range(self.coords.shape[-1]):
+            column = self.coords[..., a]
+            images = column[powers]
+            eigen[exponents[:, a]] += images.reshape(folds).sum(axis=0)
+            off[exponents[:, a]] += ((column[moves] - images)
+                                     .reshape((len(tested),) + folds)
+                                     .sum(axis=1).swapaxes(0, 1))
+        eigen = np.tensordot(zeta, eigen, axes=(0, 0))
+        off = np.tensordot(zeta, off, axes=(0, 0))
         return bool(eigen.any() and off.any(axis=(0, 2, 3)).all())
 
     def __repr__(self):

@@ -5,14 +5,23 @@ The standard braid generator sigma_i sends (..., g_i, g_{i+1}, ...) to
 other way.  Every factor divides c, so products are read from the tables
 of `NcpLattice`, never computed in W.  `hurwitz_act` applies a generator
 to one tuple or to every row of an index array at once.
+
+The suites check two theorems with this action: B_p acts transitively on
+Red(c), and the orbits of the primitive factorisations of shape
+k 1^(n-k) biject with the conjugacy classes of the length-k divisors of
+c, each orbit holding the long factors of one class.
 `orbit_decomposition` partitions a set of tuples, given as the rows of an
 index array (a block count's array from `factorisations`), into Hurwitz
 orbits: the `group.components` of the graph joining each tuple to its
 image under each sigma_i, with one whole-array `hurwitz_act` per position.
-`hurwitz_orbit` closes a single seed by BFS and is the per-seed reference.
-Strong conjugacy classes are the components of the graph joining w to
-x w x^-1, found the same way.  An orbit keeps its members as sorted rows,
-so listings are reproducible.
+Tuples are coded in member positions of NCP (ranked among the positions
+the set uses), so each image is found by one gather and one search among
+the codes.  `classify_primitive_orbits` reads the bijection off the
+(orbit, class) pairs of all rows at once.  `hurwitz_orbit` closes a
+single seed by BFS and is the per-seed reference.  Strong conjugacy
+classes are the components of the graph joining w to x w x^-1, found the
+same way.  An orbit keeps its members as sorted rows, so listings are
+reproducible.
 """
 
 from __future__ import annotations
@@ -22,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ClassificationMismatch, ElementNotInGroup,
-                     IndexOutOfRange, NotADivisor, OrbitCapExceeded)
+from .errors import (ClassificationMismatch, IndexOutOfRange, NotADivisor,
+                     OrbitCapExceeded)
 from .group import _CODE_LIMIT, components
 from .ncp import NcpLattice
 
@@ -108,38 +117,54 @@ def orbit_decomposition(ncp: NcpLattice, tuples,
                         cap: int = DEFAULT_ORBIT_CAP) -> list[HurwitzOrbit]:
     """Partition a set of factorisation tuples, all of one length (the
     rows of an index array, or a list of tuples), into Hurwitz orbits: the
-    connected components of the braid action on it.
+    connected components of the braid action on it.  Orbits come in order
+    of their least members, which are their seeds."""
+    return _orbits(*_orbit_labels(ncp, tuples, cap))
+
+
+def _orbits(rows: np.ndarray, orbit_of: np.ndarray,
+            sizes: np.ndarray) -> list[HurwitzOrbit]:
+    """The rows grouped into orbits by their orbit numbers."""
+    members = rows[np.argsort(orbit_of, kind="stable")]
+    ends = np.cumsum(sizes).tolist()
+    return [HurwitzOrbit(members[end - size:end])
+            for size, end in zip(sizes.tolist(), ends)]
+
+
+def _orbit_labels(ncp: NcpLattice, tuples, cap: int):
+    """The distinct tuples as sorted rows, the orbit number of each row
+    (orbits numbered by their least rows) and the orbit sizes.
 
     Each tuple is coded by the mixed-radix number of the ranks of its
-    entries among the set's distinct entries, so the sorted codes list the
-    distinct tuples in order.  Each sigma_i maps all of them at once and
-    its images are looked up among the codes; the edges are undirected, so
-    sigma_i^{-1} adds nothing.  Orbits come in order of their least
-    members, which are their seeds."""
+    entries' member positions among the set's distinct ones, so the sorted
+    codes list the distinct tuples in order.  Each sigma_i maps all of
+    them at once and its images are looked up among the codes; the edges
+    are undirected, so sigma_i^{-1} adds nothing."""
     given = np.asarray(tuples)
     if not len(given):
-        return []
-    # a negative entry would not count; the braid action refuses every
-    # other entry outside NCP
-    if given.min() < 0:
-        raise ElementNotInGroup("an element is not a divisor of c")
-    entries = np.flatnonzero(np.bincount(given.ravel()))
+        empty = np.zeros(0, dtype=np.intp)
+        return np.zeros((0, 0), dtype=np.intp), empty, empty
+    # refuses every entry outside NCP
+    position = ncp.member_index(given)
+    present = np.zeros(ncp.size, dtype=bool)
+    present[position] = True
+    entry_rank = np.cumsum(present) - 1
+    entries = int(entry_rank[-1]) + 1
     p = given.shape[1]
-    if len(entries) ** p > _CODE_LIMIT:
+    if entries ** p > _CODE_LIMIT:
         raise OrbitCapExceeded(
-            f"codes of {len(entries)}^{p} tuples do not fit in 64 bits")
-    radix = len(entries) ** np.arange(p - 1, -1, -1, dtype=np.int64)
-    codes, first = np.unique(np.searchsorted(entries, given) @ radix,
-                             return_index=True)
+            f"codes of {entries}^{p} tuples do not fit in 64 bits")
+    radix = entries ** np.arange(p - 1, -1, -1, dtype=np.int64)
+    codes, first = np.unique(entry_rank[position] @ radix, return_index=True)
     rows = given[first]
     size = len(rows)
 
     def locate(images: np.ndarray) -> np.ndarray:
-        ranks = np.minimum(np.searchsorted(entries, images), len(entries) - 1)
-        code = ranks @ radix
+        image_position = ncp.position[images]
+        code = entry_rank[image_position] @ radix
         pos = np.minimum(np.searchsorted(codes, code), size - 1)
-        if not (np.all(entries[ranks] == images)
-                and np.all(codes[pos] == code)):
+        if not (present[image_position].all()
+                and np.array_equal(codes[pos], code)):
             raise ClassificationMismatch(
                 "orbit left the supplied tuple set; invariants violated")
         return pos
@@ -148,13 +173,13 @@ def orbit_decomposition(ncp: NcpLattice, tuples,
     label = components(size, [
         (nodes, locate(hurwitz_act(ncp, rows, BraidGen(i))))
         for i in range(1, p)])
-    _, orbit_of, sizes = np.unique(label, return_inverse=True,
-                                   return_counts=True)
+    # components labels each node by the least node of its orbit
+    is_seed = label == nodes
+    orbit_of = (np.cumsum(is_seed) - 1)[label]
+    sizes = np.bincount(orbit_of)
     if sizes.max() > cap:
         raise OrbitCapExceeded(f"orbit exceeded cap {cap}")
-    members = rows[np.argsort(orbit_of, kind="stable")]
-    return [HurwitzOrbit(part)
-            for part in np.split(members, np.cumsum(sizes)[:-1])]
+    return rows, orbit_of, sizes
 
 
 def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
@@ -164,25 +189,31 @@ def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
     all factorisations of c of that shape, the long factor anywhere, as
     the rows of an index array.
     "divisor_classes" is the set of conjugacy classes of the length-k
-    divisors of c."""
+    divisors of c.
+
+    The (orbit, class) pairs of the length-k factors of all rows are
+    coded as orbit * classes + class; the bijection holds iff their
+    distinct codes name every orbit once and their classes are the
+    divisor classes."""
     group = ncp.group
     if k < 2 or k > group.n:
         raise ValueError("primitive shapes need 2 <= k <= n")
-    orbits = orbit_decomposition(ncp, tuples, cap=cap)
-    found = [np.flatnonzero(np.bincount(
-        group.class_id[o.rows[group.length[o.rows] == k]]))
-             for o in orbits]
-    class_of_orbit = [int(c[0]) for c in found if len(c) == 1]
+    rows, orbit_of, sizes = _orbit_labels(ncp, tuples, cap)
+    row, col = np.nonzero(group.length[rows] == k)
+    classes = len(group.class_reps)
+    codes = np.sort(orbit_of[row] * classes + group.class_id[rows[row, col]])
+    pairs = codes[np.diff(codes, prepend=-1) != 0]
+    orbit_numbers, class_of_orbit = np.divmod(pairs, classes)
     expected_classes = set(
         group.class_id[ncp.members[ncp.rank == k]].tolist())
-    if (len(class_of_orbit) != len(orbits)
-            or sorted(class_of_orbit) != sorted(expected_classes)):
+    if not (np.array_equal(orbit_numbers, np.arange(len(sizes)))
+            and sorted(class_of_orbit.tolist()) == sorted(expected_classes)):
         raise ClassificationMismatch(
             f"{group.spec.label}: Hurwitz orbits do not biject with the "
             f"classes of length-{k} divisors")
     return {
-        "orbits": orbits,
-        "orbit_classes": class_of_orbit,
+        "orbits": _orbits(rows, orbit_of, sizes),
+        "orbit_classes": class_of_orbit.tolist(),
         "divisor_classes": expected_classes,
         "total": len(tuples),
     }

@@ -83,10 +83,11 @@ class NcpLattice:
         """The member position of an element index, or of each entry of an
         array of them; an element outside NCP raises ElementNotInGroup."""
         w = np.asarray(w)
-        if (not ((0 <= w) & (w < len(self.position))).all()
-                or (self.position[w] < 0).any()):
-            raise ElementNotInGroup("an element is not a divisor of c")
-        return self.position[w]
+        if ((0 <= w) & (w < len(self.position))).all():
+            position = self.position[w]
+            if (position >= 0).all():
+                return position
+        raise ElementNotInGroup("an element is not a divisor of c")
 
     def meet(self, u: int, v: int) -> int:
         """Greatest lower bound (element indices in and out)."""
@@ -123,27 +124,53 @@ class NcpLattice:
         The down-sets are packed as bits in (-rank, index) order and the
         up-sets in (rank, index) order, so the first set bit of two
         members' common set is exactly the candidate that `meet` (`join`)
-        picks.  All pairs are checked at once, a fixed chunk at a time."""
-        size, leq, rank = self.size, self.leq, self.rank
+        picks.  All pairs are checked at once, a fixed chunk at a time.
+
+        The meets are checked first.  If every pair has its meet, the
+        order has a greatest element and rank strictly increases along
+        every strict relation, no pair misses its join, and the join pass
+        is skipped: a finite meet-semilattice with a greatest element is
+        a lattice, and under strict grading the join of two members is
+        their only common upper bound of least rank, so it is the
+        candidate.  NCP always qualifies, with c on top and
+        l(y) = l(x) + l(x^-1 y) for x <= y."""
+        leq, rank = self.leq, self.rank
         down_order = np.argsort(-rank, kind="stable")
+        no_meet = self._pairs_without_extreme(leq.T, down_order)
+        if not len(no_meet) and self._graded_with_top():
+            return 0
         up_order = np.argsort(rank, kind="stable")
-        # bit p of down[i] is set iff down_order[p] <= i, and bit p of
-        # up[i] iff i <= up_order[p]
-        down = np.packbits(leq.T[:, down_order], axis=1, bitorder="little")
-        up = np.packbits(leq[:, up_order], axis=1, bitorder="little")
-        # pair number t of row i is row_start[i] + (j - i)
+        no_join = self._pairs_without_extreme(leq, up_order)
+        return len(no_meet) + len(np.setdiff1d(no_join, no_meet,
+                                               assume_unique=True))
+
+    def _pairs_without_extreme(self, sets, order) -> np.ndarray:
+        """The numbers t of the member pairs i <= j (pair t of row i is
+        row_start[i] + j - i) for which `_no_extreme` holds, row k of
+        `sets` being the set of member k (leq.T: down-sets, leq: up-sets)
+        and `order` the order of the members in the bits."""
+        size = self.size
+        # bit p of bits[k] is set iff sets[k, order[p]]
+        bits = np.packbits(sets[:, order], axis=1, bitorder="little")
         row_len = np.arange(size, 0, -1)
         row_start = np.cumsum(row_len) - row_len
         pairs = size * (size + 1) // 2
-        missing = 0
+        found = []
         for start in range(0, pairs, _PAIR_CHUNK):
             t = np.arange(start, min(start + _PAIR_CHUNK, pairs))
             i = np.searchsorted(row_start, t, side="right") - 1
             j = i + t - row_start[i]
-            bad = (_no_extreme(down, down_order, i, j)
-                   | _no_extreme(up, up_order, i, j))
-            missing += int(np.count_nonzero(bad))
-        return missing
+            found.append(t[_no_extreme(bits, order, i, j)])
+        return np.concatenate(found)
+
+    def _graded_with_top(self) -> bool:
+        """Whether some member lies above all, and rank x < rank y for
+        every x <= y other than x = y."""
+        leq, rank = self.leq, self.rank
+        strict = np.count_nonzero(leq & (rank[:, None] < rank))
+        return (bool(leq.all(axis=0).any())
+                and strict + np.count_nonzero(leq.diagonal())
+                == np.count_nonzero(leq))
 
     # -- counting ----------------------------------------------------------
 

@@ -1,9 +1,11 @@
-"""Whole-array forms of computations that the package now does in bounded
-working sets, kept as oracles for the tests.
+"""Earlier forms of computations that the package now does in bounded
+working sets or with fewer passes, kept as oracles for the tests.
 
-Each function is the earlier package code: one step allocates a temporary
-of the size of W (or of chains x |NCP|) where the package loops over
-chunks, classes, columns or successor lists.
+Each function is the earlier package code.  Most allocate a temporary of
+the size of W (or of chains x |NCP|) where the package loops over chunks,
+classes, columns or successor lists; the Hurwitz references look entries
+up among element indices where the package ranks member positions, and
+classify each orbit on its own.
 """
 
 from __future__ import annotations
@@ -11,6 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from ncpforge.cyclo import CycNum
+from ncpforge.errors import (ClassificationMismatch, CoxeterValidationFailed,
+                             ElementNotInGroup, OrbitCapExceeded)
+from ncpforge.group import _CODE_LIMIT, components
+from ncpforge.hurwitz import (DEFAULT_ORBIT_CAP, BraidGen, HurwitzOrbit,
+                              hurwitz_act)
 
 
 def unchunked_products(group, a, b) -> np.ndarray:
@@ -64,3 +71,88 @@ def product_integer_columns(g, n: int, m: int, phi: int):
                             for i, p in enumerate(products)
                             for a, c in enumerate(p) if c])
     return columns
+
+
+def per_class_fixed_dims(group) -> np.ndarray:
+    """`fixed_dim` by one `powers(w)` walk per conjugacy class."""
+    diagonal = np.arange(group.n)
+    dims = np.empty(len(group.class_reps), dtype=np.int32)
+    for cid, w in enumerate(group.class_reps.tolist()):
+        powers = group.powers(w)
+        total = group.coords[powers, diagonal].sum(axis=(0, 1))
+        dim, rest = divmod(int(total[0]), len(powers))
+        if total[1:].any() or rest or not 0 <= dim <= group.n:
+            raise CoxeterValidationFailed(
+                f"{group.spec.label}: character average of element {w} "
+                f"is not a dimension in 0..{group.n}")
+        dims[cid] = dim
+    return dims[group.class_id]
+
+
+def searched_orbit_decomposition(ncp, tuples, cap=DEFAULT_ORBIT_CAP):
+    """`orbit_decomposition` with the entries ranked among the distinct
+    element indices by `searchsorted`, images located the same way, and
+    orbits numbered by `np.unique` of the component labels."""
+    given = np.asarray(tuples)
+    if not len(given):
+        return []
+    if given.min() < 0:
+        raise ElementNotInGroup("an element is not a divisor of c")
+    entries = np.flatnonzero(np.bincount(given.ravel()))
+    p = given.shape[1]
+    if len(entries) ** p > _CODE_LIMIT:
+        raise OrbitCapExceeded(
+            f"codes of {len(entries)}^{p} tuples do not fit in 64 bits")
+    radix = len(entries) ** np.arange(p - 1, -1, -1, dtype=np.int64)
+    codes, first = np.unique(np.searchsorted(entries, given) @ radix,
+                             return_index=True)
+    rows = given[first]
+    size = len(rows)
+
+    def locate(images: np.ndarray) -> np.ndarray:
+        ranks = np.minimum(np.searchsorted(entries, images), len(entries) - 1)
+        code = ranks @ radix
+        pos = np.minimum(np.searchsorted(codes, code), size - 1)
+        if not (np.all(entries[ranks] == images)
+                and np.all(codes[pos] == code)):
+            raise ClassificationMismatch(
+                "orbit left the supplied tuple set; invariants violated")
+        return pos
+
+    nodes = np.arange(size)
+    label = components(size, [
+        (nodes, locate(hurwitz_act(ncp, rows, BraidGen(i))))
+        for i in range(1, p)])
+    _, orbit_of, sizes = np.unique(label, return_inverse=True,
+                                   return_counts=True)
+    if sizes.max() > cap:
+        raise OrbitCapExceeded(f"orbit exceeded cap {cap}")
+    members = rows[np.argsort(orbit_of, kind="stable")]
+    return [HurwitzOrbit(part)
+            for part in np.split(members, np.cumsum(sizes)[:-1])]
+
+
+def per_orbit_classification(ncp, k, tuples, cap=DEFAULT_ORBIT_CAP) -> dict:
+    """`classify_primitive_orbits` by one `bincount` of the classes of
+    the length-k factors per orbit of `searched_orbit_decomposition`."""
+    group = ncp.group
+    if k < 2 or k > group.n:
+        raise ValueError("primitive shapes need 2 <= k <= n")
+    orbits = searched_orbit_decomposition(ncp, tuples, cap=cap)
+    found = [np.flatnonzero(np.bincount(
+        group.class_id[o.rows[group.length[o.rows] == k]]))
+             for o in orbits]
+    class_of_orbit = [int(c[0]) for c in found if len(c) == 1]
+    expected_classes = set(
+        group.class_id[ncp.members[ncp.rank == k]].tolist())
+    if (len(class_of_orbit) != len(orbits)
+            or sorted(class_of_orbit) != sorted(expected_classes)):
+        raise ClassificationMismatch(
+            f"{group.spec.label}: Hurwitz orbits do not biject with the "
+            f"classes of length-{k} divisors")
+    return {
+        "orbits": orbits,
+        "orbit_classes": class_of_orbit,
+        "divisor_classes": expected_classes,
+        "total": len(tuples),
+    }

@@ -33,7 +33,8 @@ from ncpforge.group import ReflectionGroup, build_group
 from ncpforge.ncp import build_ncp
 from conftest import element_of_permutation
 from reference_build import exact_generators, matmul_closure
-from reference_scans import product_integer_columns, unchunked_products
+from reference_scans import (per_class_fixed_dims, product_integer_columns,
+                             unchunked_products)
 
 # the catalog, and two groups of order 3840 and 9720 with conductors 2, 3
 WIDE_SPECS = catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)]
@@ -563,6 +564,33 @@ def test_fixed_dim_is_the_fixed_space_dimension(spec):
     g = build_group(spec)
     for w in g.class_reps.tolist():
         assert g.fixed_dim[w] == g.fixed_space(w).dim
+
+
+@pytest.mark.parametrize(
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3),
+                               GroupSpec("I2", 2, 105)],
+    ids=lambda s: s.label)
+def test_fixed_dims_match_one_walk_per_class(spec):
+    g = build_group(spec)
+    dims = g._fixed_dims()
+    assert dims.dtype == np.int32
+    assert np.array_equal(dims, per_class_fixed_dims(g))
+
+
+def test_fixed_dims_refuse_a_trace_sum_that_is_no_dimension(monkeypatch):
+    """One coordinate of a vector outside the basis shifted: the walk
+    names the same first class whose character average fails as the
+    per-class loop does, and it is not the identity's."""
+    g = ReflectionGroup(GroupSpec("H3", 3))
+    coords = g.coords.copy()
+    coords[g.n, 0, 1] += 1
+    monkeypatch.setattr(g, "coords", coords)
+    with pytest.raises(CoxeterValidationFailed) as walk:
+        g._fixed_dims()
+    with pytest.raises(CoxeterValidationFailed) as loop:
+        per_class_fixed_dims(g)
+    assert str(walk.value) == str(loop.value)
+    assert f"element {g.identity} " not in str(walk.value)
 
 
 @pytest.mark.parametrize("spec,largest", [

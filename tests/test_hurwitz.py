@@ -28,6 +28,8 @@ from ncpforge.hurwitz import (
 )
 from ncpforge.ncp import build_ncp, order_tables
 from conftest import element_of_permutation
+from reference_scans import (per_orbit_classification,
+                             searched_orbit_decomposition)
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +255,54 @@ def test_orbit_decomposition_matches_per_seed_bfs(spec):
         expected = bfs_partition(ncp, tuples)
         assert [(o.seed, o.members) for o in orbits] == \
             [(o.seed, o.members) for o in expected]
+
+
+def orbit_listing(orbits):
+    return [(o.seed, o.members) for o in orbits]
+
+
+@pytest.mark.parametrize(
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+    ids=lambda s: s.label)
+def test_orbit_kernel_matches_searched_reference(spec):
+    """Red(c) and every primitive shape: the same orbits, seeds and
+    members, and the same classes, as the element-index kernel."""
+    group = build_group(spec)
+    ncp = build_ncp(group)
+    ctx = GroupContext(group, ncp)
+    assert orbit_listing(orbit_decomposition(ncp, ctx.red)) == \
+        orbit_listing(searched_orbit_decomposition(ncp, ctx.red))
+    for k in range(2, group.n + 1):
+        tuples = ctx.primitive(k)
+        res = classify_primitive_orbits(ncp, k, tuples)
+        ref = per_orbit_classification(ncp, k, tuples)
+        assert orbit_listing(res["orbits"]) == orbit_listing(ref["orbits"])
+        for key in ("orbit_classes", "divisor_classes", "total"):
+            assert res[key] == ref[key]
+
+
+def test_an_empty_tuple_set_has_no_orbits(b3_ncp):
+    """No orbits, and so no bijection with the classes of length 2."""
+    for empty in ([], np.zeros((0, 3), dtype=np.int32)):
+        assert orbit_decomposition(b3_ncp, empty) == []
+        assert searched_orbit_decomposition(b3_ncp, empty) == []
+        with pytest.raises(ClassificationMismatch):
+            classify_primitive_orbits(b3_ncp, 2, empty)
+
+
+def test_merged_divisor_classes_are_a_mismatch(b3, b3_ncp, monkeypatch):
+    """Two classes of length-2 divisors read as one: one class then holds
+    two orbits, and the bijection check fails."""
+    tuples = GroupContext(b3, b3_ncp).primitive(2)
+    assert len(classify_primitive_orbits(b3_ncp, 2, tuples)["orbits"]) == 3
+    first, second = sorted(set(
+        b3.class_id[b3_ncp.members[b3_ncp.rank == 2]].tolist()))[:2]
+    monkeypatch.setattr(b3, "class_id", np.where(
+        b3.class_id == second, first, b3.class_id))
+    with pytest.raises(ClassificationMismatch):
+        classify_primitive_orbits(b3_ncp, 2, tuples)
+    with pytest.raises(ClassificationMismatch):
+        per_orbit_classification(b3_ncp, 2, tuples)
 
 
 def test_orbit_decomposition_of_a_set_missing_a_tuple(b3, b3_ncp):

@@ -299,6 +299,86 @@ def test_packed_lattice_check_matches_references_on_any_order(order):
         == per_pair_missing(order)
 
 
+def prime_factor_count(number: int) -> int:
+    """The number of prime factors of a positive number, with
+    multiplicity."""
+    count, p = 0, 2
+    while number > 1:
+        while number % p == 0:
+            number //= p
+            count += 1
+        p += 1
+    return count
+
+
+@st.composite
+def graded_orders_with_top(draw):
+    """A hand-built order in which rank strictly increases along every
+    strict relation and one member lies above all: either the divisors of
+    a number under divisibility, ranked by the number of prime factors (a
+    lattice), or covers drawn only where rank increases under an added
+    top (often no lattice)."""
+    if draw(st.booleans()):
+        number = draw(st.integers(1, 720))
+        divisors = [d for d in range(1, number + 1) if number % d == 0]
+        rank = [prime_factor_count(d) for d in divisors]
+        covers = [(a, b) for a, x in enumerate(divisors)
+                  for b, y in enumerate(divisors) if x != y and y % x == 0]
+        return hand_built_order(rank, covers)
+    size = draw(st.integers(1, 18))
+    rank = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    pairs = draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                     st.integers(0, size - 1)),
+                          max_size=3 * size))
+    covers = [(a, b) for a, b in pairs if rank[a] < rank[b]]
+    covers += [(a, size) for a in range(size)]
+    return hand_built_order(rank + [5], covers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_orders_with_top())
+def test_meet_pass_alone_matches_references_on_graded_orders(order):
+    """Lattices take the meet pass alone, the others the join pass too;
+    both count as the references do."""
+    assert order._graded_with_top()
+    assert order.missing_meets_joins() == row_pass_missing(order) \
+        == per_pair_missing(order)
+
+
+def count_no_extreme_calls(order, monkeypatch) -> int:
+    calls = []
+    real = ncp_module._no_extreme
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ncp_module, "_no_extreme", counted)
+    order.missing_meets_joins()
+    monkeypatch.setattr(ncp_module, "_no_extreme", real)
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+    ids=lambda s: s.label)
+def test_lattice_check_on_ncp_is_the_meet_pass_alone(spec, monkeypatch):
+    ncp = build_ncp(build_group(spec))
+    pairs = ncp.size * (ncp.size + 1) // 2
+    chunks = -(-pairs // ncp_module._PAIR_CHUNK)
+    assert count_no_extreme_calls(ncp, monkeypatch) == chunks
+
+
+def test_bowtie_takes_the_join_pass_too(monkeypatch):
+    """The bowtie is strictly graded with a top, but c and d have no
+    meet, so the join pass runs as well."""
+    bowtie = hand_built_order(
+        [0, 1, 1, 2, 2, 3],
+        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+    assert bowtie._graded_with_top()
+    assert count_no_extreme_calls(bowtie, monkeypatch) == 2
+
+
 def test_lattice_is_cached_on_its_group_and_freed_with_it():
     refs = []
     for _ in range(3):
