@@ -323,14 +323,15 @@ class ReflectionGroup:
         constant on conjugacy classes, so one representative per class.
         tr g = sum_j coordinate j of V[g(e_j)], a sum of power-basis
         coefficients that is rational iff all past the first are zero.
-        The powers of all representatives are walked together: each live
-        row holds the basis images of a power and the trace sum so far,
-        and leaves the walk when its images return to the start."""
+        The powers of all representatives are walked together, each one
+        leaving the walk when its basis images return to the start."""
         diagonal = np.arange(self.n)
         reps = self.class_reps
         totals = np.empty((len(reps), self.coords.shape[-1]), dtype=np.int64)
         orders = np.empty(len(reps), dtype=np.int64)
-        live = np.arange(len(reps))
+        # row r of the walk: class live[r], its representative walking[r],
+        # the basis images of its current power and its trace sum so far
+        live, walking = np.arange(len(reps)), reps[:, None]
         images = np.broadcast_to(diagonal, (len(reps), self.n))
         acc = np.zeros_like(totals)
         order = 0
@@ -338,11 +339,13 @@ class ReflectionGroup:
             for j in range(self.n):
                 acc += self.coords[images[:, j], j]
             order += 1
-            images = self.mult.perms[reps[live, None], images]
+            images = self.mult.perms[walking, images]
             back = (images == diagonal).all(axis=1)
             if back.any():
                 totals[live[back]], orders[live[back]] = acc[back], order
-                live, images, acc = live[~back], images[~back], acc[~back]
+                more = ~back
+                live, walking = live[more], walking[more]
+                images, acc = images[more], acc[more]
         dims, rest = np.divmod(totals[:, 0], orders)
         bad = (totals[:, 1:].any(axis=1) | (rest != 0)
                | (dims < 0) | (dims > self.n))
