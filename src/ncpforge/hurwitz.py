@@ -201,7 +201,9 @@ def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
     rows, orbit_of, sizes = _orbit_labels(ncp, tuples, cap)
     row, col = np.nonzero(group.length[rows] == k)
     classes = len(group.class_reps)
-    codes = np.sort(orbit_of[row] * classes + group.class_id[rows[row, col]])
+    codes = orbit_of[row] * classes + group.class_id[rows[row, col]]
+    # a stable argsort, as np.unique's, pages in no further sort kernel
+    codes = codes[np.argsort(codes, kind="stable")]
     pairs = codes[np.diff(codes, prepend=-1) != 0]
     orbit_numbers, class_of_orbit = np.divmod(pairs, classes)
     expected_classes = set(
