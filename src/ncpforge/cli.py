@@ -54,6 +54,11 @@ EXIT_CONFIG = 4
 
 SUITES = ("ncp", "counts", "chapoton", "hurwitz", "strata", "table-a1")
 DEFAULT_NMAX = 6
+ORDER_CAP_HELP = "refuse a group of order above N before it is built, exit 3"
+ORBIT_CAP_HELP = ("exit 3 when a Hurwitz orbit has more than N tuples; "
+                  "checked after the whole tuple set is labelled into "
+                  "orbits, so it bounds no work or memory "
+                  "(default %(default)s)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,17 +303,10 @@ def _orbit_descriptor(group, orbit) -> list[list[int]]:
     [order, reflection length, class size]: invariants of the factors'
     conjugacy classes, so the descriptor does not depend on how elements
     are numbered."""
-    of_class: dict[int, list[int]] = {}
-    class_size = np.bincount(group.class_id)
-
-    def describe(w: int) -> list[int]:
-        cid = int(group.class_id[w])
-        if cid not in of_class:
-            of_class[cid] = [group.element_order(w), int(group.length[w]),
-                             int(class_size[cid])]
-        return of_class[cid]
-
-    return min([describe(w) for w in t] for t in orbit.members)
+    of_class = np.column_stack((group.class_order,
+                                group.length[group.class_reps],
+                                np.bincount(group.class_id)))
+    return min(of_class[group.class_id[orbit.rows]].tolist())
 
 
 def cmd_orbits(args, out) -> int:
@@ -367,8 +365,12 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--format", choices=("json", "csv", "text"),
                        default="text")
     p_ver.add_argument("--output", default=None)
-    p_ver.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
-    p_ver.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
+    p_ver.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
+                       metavar="N",
+                       help=ORDER_CAP_HELP + "; without --group, only the "
+                       "catalog groups within N run (default %(default)s)")
+    p_ver.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP,
+                       metavar="N", help=ORBIT_CAP_HELP)
     p_ver.add_argument("--nmax", type=int, default=DEFAULT_NMAX,
                        help="largest multichain length for the Chapoton suite")
     p_ver.set_defaults(func=cmd_verify)
@@ -379,8 +381,11 @@ def build_parser() -> _Parser:
                        help="comma-separated partition of n, e.g. 2,1,1")
     p_orb.add_argument("--format", choices=("text", "json"), default="text")
     p_orb.add_argument("--output", default=None)
-    p_orb.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
-    p_orb.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
+    p_orb.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
+                       metavar="N",
+                       help=ORDER_CAP_HELP + " (default %(default)s)")
+    p_orb.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP,
+                       metavar="N", help=ORBIT_CAP_HELP)
     p_orb.set_defaults(func=cmd_orbits)
     return parser
 

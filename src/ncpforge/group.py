@@ -25,13 +25,15 @@ single-element lookups through `mult` and `inv`, and reject indices
 outside 0..|W|-1.
 
 Three traversals serve every search over W: `powers` lists the basis
-images of the powers of one element (orders, fixed-space dimensions and
-fixators), `word_lengths` is the breadth-first search from the identity
-(generated subgroups), and the module-level `components` labels
+images of the powers of one element (read by the fixator and the
+regularity check), `word_lengths` is the breadth-first search from the
+identity (generated subgroups), and the module-level `components` labels
 connected components (conjugacy classes, Hurwitz orbits, strong
-conjugacy).  Reflection length is a class function, so the build finds
-it by a breadth-first search over conjugacy classes, from one
-representative each.  A sum of vectors of V, such as a trace or the
+conjugacy).  Element order, fixed-space dimension and reflection length
+are class functions, so the build finds them from one representative per
+class: orders and dimensions by one walk over the powers of all
+representatives at once, lengths by a breadth-first search over
+classes.  A sum of vectors of V, such as a trace or the
 images of a flat's spanning vectors under the elements, is an integer
 gather from `coords` and one sum, and so is the zeta_h-regularity check:
 the projector sum_k zeta_h^-k w^k onto the eigenspace, applied to the basis
@@ -211,7 +213,7 @@ class ReflectionGroup:
         self.inv = self.mult.locate(preimages)
         self.class_id, self.class_reps = self._conjugacy_classes()
 
-        self.fixed_dim = self._fixed_dims()
+        self.fixed_dim, self.class_order = self._fixed_dims()
         self._fixed_spaces: dict[int, Subspace] = {}
         # the identity fixes all n dimensions, so it is not among these
         self.reflections = np.flatnonzero(self.fixed_dim == self.n - 1)
@@ -317,14 +319,15 @@ class ReflectionGroup:
                 "reflection of order 2")
         return np.concatenate(levels)[order], codes
 
-    def _fixed_dims(self) -> np.ndarray:
+    def _fixed_dims(self) -> tuple[np.ndarray, np.ndarray]:
         """dim Ker(w - 1) = (1/ord w) sum_{k < ord w} tr(w^k) for every
-        element, the multiplicity of the trivial character on <w>; it is
-        constant on conjugacy classes, so one representative per class.
-        tr g = sum_j coordinate j of V[g(e_j)], a sum of power-basis
-        coefficients that is rational iff all past the first are zero.
-        The powers of all representatives are walked together, each one
-        leaving the walk when its basis images return to the start."""
+        element, the multiplicity of the trivial character on <w>, and the
+        order of each conjugacy class's elements; both are constant on
+        classes, so one representative per class.  tr g = sum_j
+        coordinate j of V[g(e_j)], a sum of power-basis coefficients that
+        is rational iff all past the first are zero.  The powers of all
+        representatives are walked together, each one leaving the walk
+        when its basis images return to the start, after ord w steps."""
         diagonal = np.arange(self.n)
         reps = self.class_reps
         totals = np.empty((len(reps), self.coords.shape[-1]), dtype=np.int64)
@@ -354,7 +357,7 @@ class ReflectionGroup:
                 f"{self.spec.label}: character average of element "
                 f"{int(reps[np.argmax(bad)])} is not a dimension in "
                 f"0..{self.n}")
-        return dims.astype(np.int32)[self.class_id]
+        return dims.astype(np.int32)[self.class_id], orders
 
     def _conjugacy_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Classes as the components of the graph joining each element w
@@ -364,10 +367,17 @@ class ReflectionGroup:
         class sizes."""
         elements = np.arange(self.size)
         label = components(self.size, [
-            (elements, self.mult[g, self.mult[elements, self.inv[g]]])
+            (elements, self._conjugates(g, elements))
             for g in self.generators])
         reps, class_id = np.unique(label, return_inverse=True)
         return class_id.astype(np.int32), reps.astype(np.int32)
+
+    def _conjugates(self, g: int, x: np.ndarray) -> np.ndarray:
+        """g x g^-1 for each element of the index array x: one gather of
+        the basis images, g after x after those of g^-1, and one lookup."""
+        perms = self.mult.perms
+        return self.mult.locate(
+            perms[g][perms[x][:, perms[self.inv[g], :self.n]]])
 
     def _reflection_lengths(self) -> np.ndarray:
         """Reflection length of every element, -1 where the reflections do
@@ -436,7 +446,8 @@ class ReflectionGroup:
                 return out
 
     def element_order(self, w: int) -> int:
-        return len(self.powers(w))
+        self._check_member(w)
+        return int(self.class_order[self.class_id[w]])
 
     def word_lengths(self, gens) -> np.ndarray:
         """Distance of every element from the identity by left
@@ -499,7 +510,7 @@ class ReflectionGroup:
         if len(powers) % self.h:
             return False
         refl = self.reflections
-        conjugates = self.mult[w, self.mult[refl, self.inv[w]]]
+        conjugates = self._conjugates(w, refl)
         pos = np.minimum(np.searchsorted(refl, conjugates), len(refl) - 1)
         if not np.array_equal(refl[pos], conjugates):
             raise CoxeterValidationFailed(

@@ -115,62 +115,39 @@ class NcpLattice:
             f"{self.group.spec.label}: no {what} for the pair")
 
     def missing_meets_joins(self) -> int:
-        """Number of member pairs i <= j without a meet or a join, counted
-        as `meet` and `join` would find them: the candidate is the first
-        common lower (upper) bound of greatest (least) rank, and the pair
-        is missing when there is no bound or some bound is not below
-        (above) the candidate.
+        """Number of member pairs i <= j without a meet, counted as `meet`
+        would find them: the candidate is the first common lower bound of
+        greatest rank, and the pair is missing when there is no bound or
+        some bound is not below the candidate.
 
-        The down-sets are packed as bits in (-rank, index) order and the
-        up-sets in (rank, index) order, so the first set bit of two
-        members' common set is exactly the candidate that `meet` (`join`)
-        picks.  All pairs are checked at once, a fixed chunk at a time.
+        The down-sets are packed as bits in (-rank, index) order, so the
+        first set bit of two members' common down-set is exactly the
+        candidate that `meet` picks.  All pairs are checked at once, a
+        fixed chunk at a time.
 
-        The meets are checked first.  If every pair has its meet, the
-        order has a greatest element and rank strictly increases along
-        every strict relation, no pair misses its join, and the join pass
-        is skipped: a finite meet-semilattice with a greatest element is
-        a lattice, and under strict grading the join of two members is
-        their only common upper bound of least rank, so it is the
-        candidate.  NCP always qualifies, with c on top and
-        l(y) = l(x) + l(x^-1 y) for x <= y."""
-        leq, rank = self.leq, self.rank
-        down_order = np.argsort(-rank, kind="stable")
-        no_meet = self._pairs_without_extreme(leq.T, down_order)
-        if not len(no_meet) and self._graded_with_top():
-            return 0
-        up_order = np.argsort(rank, kind="stable")
-        no_join = self._pairs_without_extreme(leq, up_order)
-        return len(no_meet) + len(np.setdiff1d(no_join, no_meet,
-                                               assume_unique=True))
-
-    def _pairs_without_extreme(self, sets, order) -> np.ndarray:
-        """The numbers t of the member pairs i <= j (pair t of row i is
-        row_start[i] + j - i) for which `_no_extreme` holds, row k of
-        `sets` being the set of member k (leq.T: down-sets, leq: up-sets)
-        and `order` the order of the members in the bits."""
-        size = self.size
-        # bit p of bits[k] is set iff sets[k, order[p]]
-        bits = np.packbits(sets[:, order], axis=1, bitorder="little")
+        No join is checked: a finite meet-semilattice with a greatest
+        element is a lattice, and under strict grading the join of two
+        members is their only common upper bound of least rank, so it is
+        the candidate that `join` picks.  Every NcpLattice has both
+        premises by construction: c lies above every member, since
+        membership is l(w) + l(w^-1 c) = l(c), and x <= y means
+        rank x + l(x^-1 y) = rank y, where only the identity has length
+        0."""
+        size, rank = self.size, self.rank
+        order = np.argsort(-rank, kind="stable")
+        # bit p of bits[k] is set iff order[p] <= k
+        bits = np.packbits(self.leq.T[:, order], axis=1, bitorder="little")
         row_len = np.arange(size, 0, -1)
         row_start = np.cumsum(row_len) - row_len
         pairs = size * (size + 1) // 2
-        found = []
+        missing = 0
+        # pair t of row i is row_start[i] + j - i
         for start in range(0, pairs, _PAIR_CHUNK):
             t = np.arange(start, min(start + _PAIR_CHUNK, pairs))
             i = np.searchsorted(row_start, t, side="right") - 1
             j = i + t - row_start[i]
-            found.append(t[_no_extreme(bits, order, i, j)])
-        return np.concatenate(found)
-
-    def _graded_with_top(self) -> bool:
-        """Whether some member lies above all, and rank x < rank y for
-        every x <= y other than x = y."""
-        leq, rank = self.leq, self.rank
-        strict = np.count_nonzero(leq & (rank[:, None] < rank))
-        return (bool(leq.all(axis=0).any())
-                and strict + np.count_nonzero(leq.diagonal())
-                == np.count_nonzero(leq))
+            missing += int(np.count_nonzero(_no_extreme(bits, order, i, j)))
+        return missing
 
     # -- counting ----------------------------------------------------------
 

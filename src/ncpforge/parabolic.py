@@ -18,7 +18,6 @@ import numpy as np
 from .catalog import _EXCEPTIONAL, GroupSpec
 from .errors import (
     ClassificationMismatch,
-    ElementNotInGroup,
     NonIntegralDegree,
     NotADivisor,
     TableMismatch,
@@ -82,8 +81,7 @@ def parabolic_of(ncp: NcpLattice, w: int) -> ParabolicSubgroup:
     equals the reflection length of w.
     """
     group = ncp.group
-    if not 0 <= w < group.size:
-        raise ElementNotInGroup(f"index {w} outside 0..{group.size - 1}")
+    group._check_member(w)
     if ncp.position[w] < 0:
         raise NotADivisor(f"element {w} does not divide the Coxeter element")
     elements = pointwise_fixator(group, w)
@@ -92,8 +90,7 @@ def parabolic_of(ncp: NcpLattice, w: int) -> ParabolicSubgroup:
         raise ClassificationMismatch(
             f"{group.spec.label}: parabolic rank {rank} differs from "
             f"reflection length {int(group.length[w])}")
-    reflections = [x for x in elements if x != group.identity
-                   and group.fixed_dim[x] == group.n - 1]
+    reflections = [x for x in elements if group.fixed_dim[x] == group.n - 1]
     if subgroup_closure(group, reflections) != elements:
         raise ClassificationMismatch(
             f"{group.spec.label}: fixator not generated by its reflections")

@@ -27,6 +27,22 @@ def unchunked_products(group, a, b) -> np.ndarray:
     return group.mult.locate(images)
 
 
+def two_lookup_conjugates(group, g: int, x) -> np.ndarray:
+    """g x g^-1 for each element of x by two `mult` lookups, g (x g^-1)."""
+    return group.mult[g, group.mult[x, group.inv[g]]]
+
+
+def two_lookup_classes(group) -> tuple[np.ndarray, np.ndarray]:
+    """`class_id` and `class_reps` from the edges w -> g w g^-1 for each
+    generator g, every conjugate by `two_lookup_conjugates`."""
+    elements = np.arange(group.size)
+    label = components(group.size, [
+        (elements, two_lookup_conjugates(group, g, elements))
+        for g in group.generators])
+    reps, class_id = np.unique(label, return_inverse=True)
+    return class_id.astype(np.int32), reps.astype(np.int32)
+
+
 def mask_factorisations(ncp) -> dict[int, np.ndarray]:
     """`factorisations` by one (chains, |NCP|) boolean mask per step: the
     members strictly above each chain's end."""

@@ -248,6 +248,21 @@ def test_order_cap_boundary(capsys, cap, code):
                    "--order-cap", cap)[0] == code
 
 
+@pytest.mark.parametrize("argv,cap,code", [
+    (("verify", "--group", "A3", "--suite", "hurwitz"), "16", 0),
+    (("verify", "--group", "A3", "--suite", "hurwitz"), "15", 3),
+    (("orbits", "--group", "A3", "--shape", "2,1"), "8", 0),
+    (("orbits", "--group", "A3", "--shape", "2,1"), "7", 3),
+], ids=["verify-16", "verify-15", "orbits-8", "orbits-7"])
+def test_orbit_cap_boundary(capsys, argv, cap, code):
+    """The orbit cap bounds the tuples of one orbit: Red(c) of A3 is one
+    orbit of 16 tuples, and the shape 2,1 falls into orbits of 4 and 8
+    tuples.  A cap of exactly the largest orbit passes, one less exits 3."""
+    code_out, _, err = run_cli(capsys, *argv, "--orbit-cap", cap)
+    assert code_out == code
+    assert ("exceeded cap" in err) == (code == 3)
+
+
 def test_exit_code_check_failed(capsys, monkeypatch):
     import ncpforge.cli as cli
 

@@ -34,6 +34,7 @@ from ncpforge.ncp import build_ncp
 from conftest import element_of_permutation
 from reference_build import exact_generators, matmul_closure
 from reference_scans import (per_class_fixed_dims, product_integer_columns,
+                             two_lookup_classes, two_lookup_conjugates,
                              unchunked_products)
 
 # the catalog, and two groups of order 3840 and 9720 with conductors 2, 3
@@ -489,9 +490,9 @@ def test_components_match_breadth_first_search(case):
                                       for p in pairs]))
 
 
-@pytest.mark.parametrize("fixture", ["b3", "g333"])
-def test_powers_match_repeated_products(request, fixture):
-    g = request.getfixturevalue(fixture)
+@pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.label)
+def test_powers_match_repeated_products(spec):
+    g = build_group(spec)
     for w in range(g.size):
         acc = g.identity
         for images in g.powers(w):
@@ -572,9 +573,25 @@ def test_fixed_dim_is_the_fixed_space_dimension(spec):
     ids=lambda s: s.label)
 def test_fixed_dims_match_one_walk_per_class(spec):
     g = build_group(spec)
-    dims = g._fixed_dims()
+    dims, orders = g._fixed_dims()
     assert dims.dtype == np.int32
     assert np.array_equal(dims, per_class_fixed_dims(g))
+    assert orders.tolist() == [len(g.powers(w)) for w in g.class_reps]
+    assert np.array_equal(orders, g.class_order)
+
+
+@pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.label)
+def test_conjugation_by_one_gather_matches_two_lookups(spec):
+    """The classes, and the conjugates of the reflections by c (which the
+    regularity check reads) and by each generator, against conjugation by
+    two `mult` lookups."""
+    g = build_group(spec)
+    class_id, class_reps = two_lookup_classes(g)
+    assert np.array_equal(g.class_id, class_id)
+    assert np.array_equal(g.class_reps, class_reps)
+    for w in [g.coxeter] + g.generators:
+        assert np.array_equal(g._conjugates(w, g.reflections),
+                              two_lookup_conjugates(g, w, g.reflections))
 
 
 def test_fixed_dims_refuse_a_trace_sum_that_is_no_dimension(monkeypatch):

@@ -1,5 +1,6 @@
 """Lattice structure of NCP: axioms, Brady-Watt flats, rank function."""
 
+import copy
 import gc
 import os
 import subprocess
@@ -172,14 +173,16 @@ def test_self_duality_of_rank_counts(a3_ncp, a3):
     assert all(counts[k] == counts[a3.n - k] for k in counts)
 
 
-def per_pair_missing(ncp) -> int:
-    """The lattice check as one meet and one join query per pair."""
+def per_pair_missing(ncp, joins=True) -> int:
+    """The lattice check as one meet and (unless `joins` is false) one
+    join query per pair."""
     missing = 0
     for i in range(ncp.size):
         for j in range(i, ncp.size):
             try:
                 ncp.meet(ncp.members[i], ncp.members[j])
-                ncp.join(ncp.members[i], ncp.members[j])
+                if joins:
+                    ncp.join(ncp.members[i], ncp.members[j])
             except MeetJoinMissing:
                 missing += 1
     return missing
@@ -194,10 +197,11 @@ def test_missing_meets_joins_matches_per_pair_queries(spec):
     assert ncp.missing_meets_joins() == per_pair_missing(ncp) == 0
 
 
-def row_pass_missing(ncp) -> int:
+def row_pass_missing(ncp, joins=True) -> int:
     """The lattice check as one whole-array pass per row i: the common
     lower bounds of i and every j >= i, the one of greatest rank (first in
-    index order), and whether some bound is not below it; joins dually."""
+    index order), and whether some bound is not below it; joins dually,
+    unless `joins` is false."""
     leq, rank = ncp.leq, ncp.rank
     below_all, above_all = rank.min() - 1, rank.max() + 1
     missing = 0
@@ -206,10 +210,11 @@ def row_pass_missing(ncp) -> int:
         lower = leq[:, i:] & leq[:, i, None]
         best = np.argmax(np.where(lower, rank[:, None], below_all), axis=0)
         bad = ~lower.any(axis=0) | (lower & ~leq[:, best]).any(axis=0)
-        # upper[j, k]: i <= k and j <= k, for the rows j >= i
-        upper = leq[i:, :] & leq[i]
-        best = np.argmin(np.where(upper, rank, above_all), axis=1)
-        bad |= ~upper.any(axis=1) | (upper & ~leq[best, :]).any(axis=1)
+        if joins:
+            # upper[j, k]: i <= k and j <= k, for the rows j >= i
+            upper = leq[i:, :] & leq[i]
+            best = np.argmin(np.where(upper, rank, above_all), axis=1)
+            bad |= ~upper.any(axis=1) | (upper & ~leq[best, :]).any(axis=1)
         missing += int(np.count_nonzero(bad))
     return missing
 
@@ -237,7 +242,8 @@ def test_bowtie_in_tiny_chunks(monkeypatch):
     bowtie = hand_built_order(
         [0, 1, 1, 2, 2, 3],
         [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
-    assert bowtie.missing_meets_joins() == row_pass_missing(bowtie) == 2
+    assert bowtie.missing_meets_joins() \
+        == row_pass_missing(bowtie, joins=False) == 1
 
 
 def hand_built_order(rank, covers) -> NcpLattice:
@@ -261,11 +267,15 @@ def hand_built_order(rank, covers) -> NcpLattice:
 
 def test_missing_meets_joins_detects_a_bowtie():
     # bottom 0; a = 1 and b = 2 both below c = 3 and d = 4; top 5: a and b
-    # have no join, c and d no meet
+    # have no join, c and d no meet.  The count is of meets: the missing
+    # join cannot occur without a missing meet (see the theorem test)
     bowtie = hand_built_order(
         [0, 1, 1, 2, 2, 3],
         [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
-    assert bowtie.missing_meets_joins() == per_pair_missing(bowtie) == 2
+    assert graded_with_top(bowtie)
+    assert bowtie.missing_meets_joins() \
+        == per_pair_missing(bowtie, joins=False) == 1
+    assert per_pair_missing(bowtie) == 2
 
 
 def test_meet_without_lower_bound_is_missing():
@@ -295,8 +305,9 @@ def ranked_orders(draw):
 @settings(max_examples=300, deadline=None)
 @given(ranked_orders())
 def test_packed_lattice_check_matches_references_on_any_order(order):
-    assert order.missing_meets_joins() == row_pass_missing(order) \
-        == per_pair_missing(order)
+    assert order.missing_meets_joins() \
+        == row_pass_missing(order, joins=False) \
+        == per_pair_missing(order, joins=False)
 
 
 def prime_factor_count(number: int) -> int:
@@ -335,14 +346,56 @@ def graded_orders_with_top(draw):
     return hand_built_order(rank + [5], covers)
 
 
+def graded_with_top(order) -> bool:
+    """Whether some member lies above all, and rank x < rank y for every
+    x <= y other than x = y: the premises under which a pass over the
+    meets alone decides the lattice property."""
+    leq, rank = order.leq, order.rank
+    strict = np.count_nonzero(leq & (rank[:, None] < rank))
+    return (bool(leq.all(axis=0).any())
+            and strict + np.count_nonzero(leq.diagonal())
+            == np.count_nonzero(leq))
+
+
 @settings(max_examples=300, deadline=None)
 @given(graded_orders_with_top())
 def test_meet_pass_alone_matches_references_on_graded_orders(order):
-    """Lattices take the meet pass alone, the others the join pass too;
-    both count as the references do."""
-    assert order._graded_with_top()
-    assert order.missing_meets_joins() == row_pass_missing(order) \
-        == per_pair_missing(order)
+    """A finite meet-semilattice with a top is a lattice: on a strictly
+    graded order with a top, no meet is missing exactly when no meet and
+    no join is, and the count is that of the missing meets."""
+    assert graded_with_top(order)
+    count = order.missing_meets_joins()
+    assert count == row_pass_missing(order, joins=False) \
+        == per_pair_missing(order, joins=False)
+    assert (count == 0) == (row_pass_missing(order) == 0) \
+        == (per_pair_missing(order) == 0)
+
+
+@pytest.mark.parametrize(
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+    ids=lambda s: s.label)
+def test_every_ncp_lattice_is_graded_with_a_top(spec):
+    """The premises of the meet-only check hold on every built lattice:
+    c lies above all members, and rank strictly increases along every
+    strict relation."""
+    ncp = build_ncp(build_group(spec))
+    assert graded_with_top(ncp)
+    assert ncp.leq[:, ncp.top].all()
+
+
+def test_a_cleared_order_entry_is_counted_as_missing_meets(b3_ncp):
+    """A copy of B3's lattice with the bottom no longer below one atom:
+    that atom and each other atom have no common lower bound, so their
+    meets go missing and the count finds exactly the reference's pairs."""
+    broken = copy.copy(b3_ncp)
+    broken.leq = b3_ncp.leq.copy()
+    atom = int(np.flatnonzero(b3_ncp.rank == 1)[0])
+    broken.leq[b3_ncp.bottom, atom] = False
+    count = broken.missing_meets_joins()
+    assert count > 0
+    assert count == per_pair_missing(broken, joins=False) \
+        == row_pass_missing(broken, joins=False)
+    assert b3_ncp.missing_meets_joins() == 0
 
 
 def count_no_extreme_calls(order, monkeypatch) -> int:
@@ -367,16 +420,6 @@ def test_lattice_check_on_ncp_is_the_meet_pass_alone(spec, monkeypatch):
     pairs = ncp.size * (ncp.size + 1) // 2
     chunks = -(-pairs // ncp_module._PAIR_CHUNK)
     assert count_no_extreme_calls(ncp, monkeypatch) == chunks
-
-
-def test_bowtie_takes_the_join_pass_too(monkeypatch):
-    """The bowtie is strictly graded with a top, but c and d have no
-    meet, so the join pass runs as well."""
-    bowtie = hand_built_order(
-        [0, 1, 1, 2, 2, 3],
-        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
-    assert bowtie._graded_with_top()
-    assert count_no_extreme_calls(bowtie, monkeypatch) == 2
 
 
 def test_lattice_is_cached_on_its_group_and_freed_with_it():
