@@ -374,10 +374,11 @@ class ReflectionGroup:
 
     def _conjugates(self, g: int, x: np.ndarray) -> np.ndarray:
         """g x g^-1 for each element of the index array x: one gather of
-        the basis images, g after x after those of g^-1, and one lookup."""
+        the basis images, g after x after those of g^-1, and one lookup.
+        Only the n images of each x are gathered, not its whole row."""
         perms = self.mult.perms
         return self.mult.locate(
-            perms[g][perms[x][:, perms[self.inv[g], :self.n]]])
+            perms[g][perms[x[:, None], perms[self.inv[g], :self.n]]])
 
     def _reflection_lengths(self) -> np.ndarray:
         """Reflection length of every element, -1 where the reflections do
