@@ -1,14 +1,17 @@
 """Catalog of supported well-generated irreducible reflection groups.
 
 Families shipped: A(n>=1), B(n>=2), D(n>=4) (= G(2,2,n)), I2(e>=3)
-(= G(e,e,2)), G(e,e,n) with e>=2 and n>=3, and H3 and F4, the rows of
-one exceptional table, which also holds each group's LL row.  Every group
-is built from one of two generator rules, with entries in Z[zeta_m]:
+(= G(e,e,2)), G(e,e,n) with e>=2 and n>=3, and H3, F4, H4, E6 and E7,
+the rows of one exceptional table, which also holds each group's LL row.
+H4, E6 and E7 are off the default catalog (E7 has order 2,903,040) and
+are built when named.  Every group is built from one of two generator
+rules, with entries in Z[zeta_m]:
 
-* Cartan rule (A(n), H3, F4): s_i(alpha_j) = alpha_j - a_ij alpha_i in
-  the simple-root basis, with the diagram an edge list (i, j, a_ij, a_ji):
-  a 3-edge has a_ij = a_ji = -1, F4's 4-edge a_ij = -1 and a_ji = -2, and
-  H3's 5-edge zeta5^2 + zeta5^3 = -2cos(pi/5) both ways;
+* Cartan rule (A(n) and the exceptional rows): s_i(alpha_j) = alpha_j -
+  a_ij alpha_i in the simple-root basis, with the diagram an edge list
+  (i, j, a_ij, a_ji): a 3-edge has a_ij = a_ji = -1, F4's 4-edge a_ij = -1
+  and a_ji = -2, and the 5-edge of H3 and H4 zeta5^2 + zeta5^3 =
+  -2cos(pi/5) both ways;
 * monomial rule (B, D, I2, G(e,e,n)): monomial matrices of G(e,p,n) over
   Q(zeta_e), B being G(2,1,n) and D being G(2,2,n) over Q(zeta_2).
 
@@ -35,19 +38,29 @@ class _Exceptional(NamedTuple):
     conductor: int
     edges: tuple    # (i, j, a_ij, a_ji), a_ij = sum c zeta_m^k over (c, k)
     ll_row: tuple   # the LL data: (p, u) pairs of the length-2 strata
+    default: bool = True  # listed by `catalog_specs`
 
 
 _MINUS_1, _MINUS_2 = ((-1, 0),), ((-2, 0),)
 _GOLDEN = ((1, 2), (1, 3))          # zeta5^2 + zeta5^3 = -2cos(pi/5)
+_H3_EDGES = ((0, 1, _GOLDEN, _GOLDEN), (1, 2, _MINUS_1, _MINUS_1))
+_E6_EDGES = tuple((i, j, _MINUS_1, _MINUS_1)
+                  for i, j in ((0, 2), (2, 3), (3, 4), (4, 5), (1, 3)))
 
 _EXCEPTIONAL = {
-    "H3": _Exceptional((2, 6, 10), 5, (
-        (0, 1, _GOLDEN, _GOLDEN), (1, 2, _MINUS_1, _MINUS_1)),
-        ((2, 6), (3, 6), (5, 6))),
+    "H3": _Exceptional((2, 6, 10), 5, _H3_EDGES, ((2, 6), (3, 6), (5, 6))),
     "F4": _Exceptional((2, 6, 8, 12), 1, (
         (0, 1, _MINUS_1, _MINUS_1), (1, 2, _MINUS_1, _MINUS_2),
         (2, 3, _MINUS_1, _MINUS_1)),
         ((2, 24), (3, 8), (3, 8), (4, 12))),
+    "H4": _Exceptional((2, 12, 20, 30), 5,
+                       _H3_EDGES + ((2, 3, _MINUS_1, _MINUS_1),),
+                       ((2, 60), (3, 40), (5, 24)), default=False),
+    "E6": _Exceptional((2, 5, 6, 8, 9, 12), 1, _E6_EDGES,
+                       ((2, 90), (3, 60)), default=False),
+    "E7": _Exceptional((2, 6, 8, 10, 12, 14, 18), 1,
+                       _E6_EDGES + ((5, 6, _MINUS_1, _MINUS_1),),
+                       ((2, 210), (3, 112)), default=False),
 }
 
 
@@ -97,7 +110,8 @@ _SPEC_RE = re.compile(r"^([ABD])(\d+)$")
 
 
 def parse_spec(text: str) -> GroupSpec:
-    """Parse the CLI grammar: A3, B4, D4, I2:7, G:3,3,4, H3, F4."""
+    """Parse the CLI grammar: A3, B4, D4, I2:7, G:3,3,4, and a row of the
+    exceptional table: H3, F4, H4, E6, E7."""
     text = text.strip()
     if text in _EXCEPTIONAL:
         return GroupSpec(text, len(_EXCEPTIONAL[text].degrees))
@@ -205,5 +219,5 @@ def catalog_specs() -> list[GroupSpec]:
     specs += [GroupSpec("I2", 2, e) for e in range(3, 13)]
     specs += [GroupSpec("G", 3, 3), GroupSpec("G", 3, 4), GroupSpec("G", 4, 3)]
     specs += [GroupSpec(f, len(row.degrees))
-              for f, row in _EXCEPTIONAL.items()]
+              for f, row in _EXCEPTIONAL.items() if row.default]
     return specs

@@ -4,12 +4,16 @@
 `ncpforge verify --format json`, `csv` and `text` over the default
 catalog, and `tests/data/verify_B5_G3-3-5.json` that of
 `ncpforge verify --group B5 --group G:3,3,5 --format json`, two groups
-outside it.  Every value in them is a count, a boolean or an (r, u) list,
+outside it, and `tests/data/verify_H4_E6.json` that of
+`ncpforge verify --order-cap 60000 --group H4 --group E6 --format json`,
+two exceptional groups off the default catalog.  Every value in them is a count, a boolean or an (r, u) list,
 so a refactor that changes no result leaves them unchanged.  Regenerate
 them only when a check is added or removed on purpose.
 """
 
 from pathlib import Path
+
+import json
 
 import pytest
 
@@ -40,3 +44,30 @@ def test_groups_outside_the_catalog_match_golden(tmp_path):
                  "--format", "json", "--output", str(target)])
     assert code == 0
     assert target.read_bytes() == (DATA / "verify_B5_G3-3-5.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def h4_e6_report(tmp_path_factory):
+    target = tmp_path_factory.mktemp("h4_e6") / "report.json"
+    code = main(["verify", "--order-cap", "60000", "--group", "H4",
+                 "--group", "E6", "--format", "json", "--output", str(target)])
+    assert code == 0
+    return target.read_bytes()
+
+
+def test_h4_and_e6_match_golden(h4_e6_report):
+    assert h4_e6_report == (DATA / "verify_H4_E6.json").read_bytes()
+
+
+def test_h4_and_e6_reproduce_the_papers_table(h4_e6_report):
+    """Literals from the paper's table, not from any formula in the code:
+    |NCP| = 280 and 833, |Red(c)| = 1350 and 41472, and for E6 the
+    number of factorisations of c into 5 blocks, 86400."""
+    groups = {g["group"]: g for g in json.loads(h4_e6_report)["groups"]}
+    computed = {(label, check["check_id"]): check["computed"]
+                for label, g in groups.items() for check in g["checks"]}
+    assert groups["H4"]["ncp_size"] == 280
+    assert groups["E6"]["ncp_size"] == 833
+    assert computed["H4", "red"] == 1350
+    assert computed["E6", "red"] == 41472
+    assert computed["E6", "fact_5"] == 86400

@@ -75,14 +75,21 @@ def test_f4_build_invariants():
 
 @pytest.mark.parametrize("text,label", [
     ("A3", "A3"), ("B4", "B4"), ("D4", "D4"), ("I2:7", "I2(7)"),
-    ("G:3,3,4", "G(3,3,4)"), ("H3", "H3"), ("F4", "F4"),
+    ("G:3,3,4", "G(3,3,4)"), ("H3", "H3"), ("F4", "F4"), ("H4", "H4"),
+    ("E6", "E6"), ("E7", "E7"),
 ])
 def test_parse_spec_grammar(text, label):
     assert parse_spec(text).label == label
 
 
+def test_large_exceptional_groups_are_off_the_default_catalog():
+    labels = [s.label for s in catalog_specs()]
+    assert "H3" in labels and "F4" in labels
+    assert not {"H4", "E6", "E7"} & set(labels)
+
+
 @pytest.mark.parametrize("bad", ["A0", "B1", "D3", "I2:2", "G:2,3,4",
-                                 "G:2,2,2", "E6", "x", "I2:x"])
+                                 "G:2,2,2", "E8", "x", "I2:x"])
 def test_parse_spec_rejects(bad):
     with pytest.raises(ConfigError):
         parse_spec(bad)
