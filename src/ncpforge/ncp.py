@@ -16,10 +16,6 @@ from .errors import (
 )
 from .group import ReflectionGroup
 
-# pairs per chunk of `missing_meets_joins`; each of its temporaries takes
-# this many rows of |NCP| / 8 bytes (4.3 MB on E7's 4160 members), however
-# many pairs there are
-_PAIR_CHUNK = 1 << 13
 # _LOWEST_BIT[b]: position of the lowest set bit of the byte b (0 for b = 0)
 _LOWEST_BIT = np.array([max((b & -b).bit_length() - 1, 0) for b in range(256)],
                        dtype=np.intp)
@@ -47,7 +43,10 @@ class NcpLattice:
     and `position` (element index -> member position, -1 outside NCP).
     On member positions: `rank`, the order `leq` and three int32 product
     tables, -1 off their domain: q[x, y] = x^{-1} y and rq[x, y] = y x^{-1}
-    for x <= y, and prod[x, a] = x a for x <= x a."""
+    for x <= y, and prod[x, a] = x a for x <= x a.  `leq` is the closure
+    of the covers x < x r, r a reflection, rank x r = rank x + 1: bounded
+    by 1 and c, with every cover raising the rank by one, as the lattice
+    check by Bjoerner-Edelman-Ziegler's Lemma 2.1 needs."""
 
     def __init__(self, group: ReflectionGroup):
         self.group = group
@@ -57,25 +56,35 @@ class NcpLattice:
         quot = group.mult[inv, c]  # quot[w] = w^{-1} c
         member_mask = length + length[quot] == lc
         # element indices are canonical (code order), so is this order
-        self.members = np.flatnonzero(member_mask).astype(np.int32)
+        self.members = members = np.flatnonzero(member_mask).astype(np.int32)
         expected = fuss_catalan(group.degrees, 1)
         if len(self.members) != expected:
             raise CatalanMismatch(
                 f"{group.spec.label}: |NCP| = {len(self.members)}, "
                 f"formula gives {expected}")
-        self.size = len(self.members)
+        self.size = size = len(self.members)
         self.position = np.full(group.size, -1, dtype=np.int32)
-        self.position[self.members] = np.arange(self.size, dtype=np.int32)
-        self.rank = length[self.members].astype(np.int32)
+        self.position[self.members] = np.arange(size, dtype=np.int32)
+        self.rank = rank = length[self.members].astype(np.int32)
         self.bottom = int(self.position[group.identity])
         self.top = int(self.position[c])
 
-        # quotients[x, y] = members[x]^{-1} members[y] (element indices)
-        quotients = group.mult[np.ix_(inv[self.members], self.members)]
-        self.leq = ((self.rank[:, None] + length[quotients])
-                    == self.rank[None, :])
-        self.q, self.prod, self.rq = order_tables(
-            self.position[quotients], self.leq, group.spec.label)
+        # covers low < high = low r by lower end, then up-sets as bits, each
+        # its member and the up-sets of its covers, from the top rank down
+        xr = self.position[group.mult[members[:, None], group.reflections]]
+        low, col = np.nonzero((xr >= 0) & (rank[xr] == rank[:, None] + 1))
+        high = xr[low, col]
+        up = np.packbits(np.eye(size, dtype=bool), axis=1, bitorder="little")
+        for k in range(lc - 1, -1, -1):
+            lo, hi = low[rank[low] == k], high[rank[low] == k]
+            first = np.flatnonzero(np.diff(lo, prepend=-1))
+            up[lo[first]] |= np.bitwise_or.reduceat(up[hi], first)
+        self.leq = np.unpackbits(up, axis=1, count=size,
+                                 bitorder="little").view(bool)
+        x, y = np.nonzero(self.leq)
+        a = self.position[group.mult[inv[members[x]], members[y]]]
+        self.q, self.prod, self.rq = order_tables(x, y, a, size,
+                                                  group.spec.label)
 
     # -- order structure ---------------------------------------------------
 
@@ -115,39 +124,29 @@ class NcpLattice:
             f"{self.group.spec.label}: no {what} for the pair")
 
     def missing_meets_joins(self) -> int:
-        """Number of member pairs i <= j without a meet, counted as `meet`
-        would find them: the candidate is the first common lower bound of
-        greatest rank, and the pair is missing when there is no bound or
-        some bound is not below the candidate.
-
-        The down-sets are packed as bits in (-rank, index) order, so the
-        first set bit of two members' common down-set is exactly the
-        candidate that `meet` picks.  All pairs are checked at once, a
-        fixed chunk at a time.
-
-        No join is checked: a finite meet-semilattice with a greatest
-        element is a lattice, and under strict grading the join of two
-        members is their only common upper bound of least rank, so it is
-        the candidate that `join` picks.  Every NcpLattice has both
-        premises by construction: c lies above every member, since
-        membership is l(w) + l(w^-1 c) = l(c), and x <= y means
-        rank x + l(x^-1 y) = rank y, where only the identity has length
-        0."""
-        size, rank = self.size, self.rank
-        order = np.argsort(-rank, kind="stable")
-        # bit p of bits[k] is set iff order[p] <= k
-        bits = np.packbits(self.leq.T[:, order], axis=1, bitorder="little")
-        row_len = np.arange(size, 0, -1)
-        row_start = np.cumsum(row_len) - row_len
-        pairs = size * (size + 1) // 2
-        missing = 0
-        # pair t of row i is row_start[i] + j - i
-        for start in range(0, pairs, _PAIR_CHUNK):
-            t = np.arange(start, min(start + _PAIR_CHUNK, pairs))
-            i = np.searchsorted(row_start, t, side="right") - 1
-            j = i + t - row_start[i]
-            missing += int(np.count_nonzero(_no_extreme(bits, order, i, j)))
-        return missing
+        """The lattice check, on `leq` and `rank` alone: the members not
+        above the first member of least rank or not below the last of
+        greatest rank, plus the pairs of distinct upper covers of one
+        member without a join.  A finite bounded poset in which any two
+        elements covering a common one have a join is a lattice (Lemma 2.1
+        of Bjoerner, Edelman and Ziegler, Discrete Comput. Geom. 5, 1990).
+        So the count is 0 exactly on a lattice if every cover raises the
+        rank by one, as in every NcpLattice: then a join is the common upper
+        bound of least rank, first among up-set bits in (rank, index) order."""
+        leq, rank = self.leq, self.rank
+        order = np.argsort(rank, kind="stable")
+        # bit p of bits[k] is set iff k <= order[p]
+        bits = np.packbits(leq[:, order], axis=1, bitorder="little")
+        low, high = np.nonzero(leq & (rank[:, None] + 1 == rank))
+        # cover t pairs with the later[t] covers after it of its lower end
+        later = np.searchsorted(low, low, "right") - 1 - np.arange(len(low))
+        first = np.repeat(np.arange(len(low)), later)
+        second = first + 1 + np.arange(len(first)) - np.repeat(
+            np.cumsum(later) - later, later)
+        return int(np.count_nonzero(~leq[order[0]])
+                   + np.count_nonzero(~leq[:, order[-1]])
+                   + np.count_nonzero(_no_extreme(bits, order, high[first],
+                                                  high[second])))
 
     # -- counting ----------------------------------------------------------
 
@@ -179,20 +178,18 @@ class NcpLattice:
         return f"NcpLattice({self.group.spec.label}, size={self.size})"
 
 
-def order_tables(quotients: np.ndarray, leq: np.ndarray, label: str):
-    """q, prod and rq (see `NcpLattice`) scattered over the pairs x <= y of
-    `leq` from the positions a = `quotients[x, y]` of x^{-1} y: q[x, y] = a,
-    prod[x, a] = y and rq[a, y] = x.  Each a is a divisor of c below y, and
-    x -> a permutes the members below y, so q and rq are defined on exactly
-    the pairs of the order (every strong conjugate y x^{-1} is a member)
-    and prod on |leq| entries; otherwise ClassificationMismatch."""
-    x, y = np.nonzero(leq)
-    a = quotients[x, y]
-    q, prod, rq = np.full((3,) + leq.shape, -1, dtype=np.int32)
+def order_tables(x, y, a, size: int, label: str):
+    """q, prod and rq (see `NcpLattice`) scattered over the pairs x <= y
+    of the order from the positions a of x^{-1} y: q[x, y] = a,
+    prod[x, a] = y and rq[a, y] = x.  Each a is a divisor of c below y,
+    and x -> a permutes the members below y, so q, prod and rq are each
+    defined on as many entries, rq on the given pairs (every strong
+    conjugate y x^{-1} is a member); otherwise ClassificationMismatch."""
+    q, prod, rq = np.full((3, size, size), -1, dtype=np.int32)
     if (a >= 0).all():  # else a -1 would index the last member
         q[x, y], prod[x, a], rq[a, y] = a, y, x
-    if not (np.array_equal(rq >= 0, leq)
-            and np.count_nonzero(prod >= 0) == len(x)):
+    if not ((rq[x, y] >= 0).all() and np.count_nonzero(rq >= 0)
+            == np.count_nonzero(prod >= 0) == len(x)):
         raise ClassificationMismatch(
             f"{label}: a quotient or a strong conjugate of NCP members "
             f"lies outside NCP, or two products coincide")
@@ -203,12 +200,13 @@ def _no_extreme(bits, order, i, j) -> np.ndarray:
     """For each pair (i[k], j[k]): whether the common set bits[i] & bits[j]
     is empty or has a member outside the set of its first member, the
     member order[p] of its lowest set bit p."""
-    common = bits[i] & bits[j]
-    nonzero = common != 0
-    first = np.argmax(nonzero, axis=1)
-    rows = np.arange(len(i))
-    best = order[8 * first + _LOWEST_BIT[common[rows, first]]]
-    return ~nonzero[rows, first] | (common & ~bits[best]).any(axis=1)
+    common = bits[i]
+    common &= bits[j]
+    first = np.argmax(common != 0, axis=1)
+    head = common[np.arange(len(i)), first]  # 0 only if the set is empty
+    outside = ~bits[order[8 * first + _LOWEST_BIT[head]]]
+    outside &= common
+    return (head == 0) | outside.any(axis=1)
 
 
 def build_ncp(group: ReflectionGroup) -> NcpLattice:

@@ -175,24 +175,25 @@ def test_strong_conjugacy_matches_reference_loop(spec, reflections_only):
 def test_strong_conjugate_outside_ncp_is_a_mismatch(b3_ncp):
     """The lattice build refuses quotients that leave NCP, and quotients
     under which some strong conjugate y x^{-1} is no member."""
-    leq = b3_ncp.leq
-    # the B3 quotients themselves rebuild the B3 tables
-    tables = order_tables(b3_ncp.q, leq, "B3")
+    size = b3_ncp.size
+    x, y = np.nonzero(b3_ncp.leq)
+    a = b3_ncp.q[x, y]
+    # the B3 quotients on the pairs of the order rebuild the B3 tables
+    tables = order_tables(x, y, a, size, "B3")
     assert all(np.array_equal(t, u) for t, u in
                zip(tables, (b3_ncp.q, b3_ncp.prod, b3_ncp.rq)))
     # drop one reflection: the quotients that land on it read -1
     dropped = int(np.nonzero(b3_ncp.rank == 1)[0][0])
     with pytest.raises(ClassificationMismatch):
-        order_tables(np.where(b3_ncp.q == dropped, -1, b3_ncp.q), leq, "B3")
+        order_tables(x, y, np.where(a == dropped, -1, a), size, "B3")
     # two members below y with one quotient: for one of the members x
     # below y, no member z has z^{-1} y = x, so y x^{-1} is missing
-    y = b3_ncp.top
-    x1, x2 = np.nonzero(leq[:, y])[0][:2]
-    quotients = b3_ncp.q.copy()
-    quotients[x1, y] = quotients[x2, y]
-    assert (quotients[leq] >= 0).all()
+    pair1, pair2 = np.flatnonzero(y == b3_ncp.top)[:2]
+    quotients = a.copy()
+    quotients[pair1] = quotients[pair2]
+    assert (quotients >= 0).all()
     with pytest.raises(ClassificationMismatch, match="strong conjugate"):
-        order_tables(quotients, leq, "B3")
+        order_tables(x, y, quotients, size, "B3")
 
 
 def test_s6_counterexample():

@@ -220,30 +220,12 @@ def row_pass_missing(ncp, joins=True) -> int:
 
 
 @pytest.mark.parametrize(
-    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3),
+                               GroupSpec("H4", 4), GroupSpec("E6", 6)],
     ids=lambda s: s.label)
 def test_packed_lattice_check_matches_row_pass(spec):
-    ncp = build_ncp(build_group(spec))
+    ncp = build_ncp(build_group(spec, order_cap=60000))
     assert ncp.missing_meets_joins() == row_pass_missing(ncp) == 0
-
-
-@pytest.mark.parametrize(
-    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
-    ids=lambda s: s.label)
-def test_packed_lattice_check_in_tiny_chunks_matches_row_pass(
-        spec, monkeypatch):
-    ncp = build_ncp(build_group(spec))
-    monkeypatch.setattr(ncp_module, "_PAIR_CHUNK", 7)
-    assert ncp.missing_meets_joins() == row_pass_missing(ncp) == 0
-
-
-def test_bowtie_in_tiny_chunks(monkeypatch):
-    monkeypatch.setattr(ncp_module, "_PAIR_CHUNK", 2)
-    bowtie = hand_built_order(
-        [0, 1, 1, 2, 2, 3],
-        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
-    assert bowtie.missing_meets_joins() \
-        == row_pass_missing(bowtie, joins=False) == 1
 
 
 def hand_built_order(rank, covers) -> NcpLattice:
@@ -267,19 +249,20 @@ def hand_built_order(rank, covers) -> NcpLattice:
 
 def test_missing_meets_joins_detects_a_bowtie():
     # bottom 0; a = 1 and b = 2 both below c = 3 and d = 4; top 5: a and b
-    # have no join, c and d no meet.  The count is of meets: the missing
-    # join cannot occur without a missing meet (see the theorem test)
+    # have no join, c and d no meet.  The count is of pairs of covers: a
+    # and b cover 0 and have no join; c and d cover both a and b, and 5 is
+    # their join
     bowtie = hand_built_order(
         [0, 1, 1, 2, 2, 3],
         [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
-    assert graded_with_top(bowtie)
-    assert bowtie.missing_meets_joins() \
-        == per_pair_missing(bowtie, joins=False) == 1
+    assert bounded_and_graded(bowtie)
+    assert bowtie.missing_meets_joins() == 1
     assert per_pair_missing(bowtie) == 2
 
 
 def test_meet_without_lower_bound_is_missing():
-    # two minimal elements and no bottom: the candidate set is empty
+    # two minimal elements and no bottom: the candidate set is empty, and
+    # the count finds the second minimal member not above the first
     vee = hand_built_order([0, 0, 1], [(0, 2), (1, 2)])
     with pytest.raises(MeetJoinMissing):
         vee.meet(0, 1)
@@ -287,27 +270,14 @@ def test_meet_without_lower_bound_is_missing():
     assert vee.missing_meets_joins() == per_pair_missing(vee) == 1
 
 
-@st.composite
-def ranked_orders(draw):
-    """A hand-built order on up to 20 members (so up to three bytes of
-    bits, with padding), ranks drawn freely, so that members of equal rank
-    are often incomparable, and covers (a, b) only where (rank, index)
-    increases, so that equal-rank members can also be comparable."""
-    size = draw(st.integers(1, 20))
-    rank = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
-    pairs = draw(st.lists(st.tuples(st.integers(0, size - 1),
-                                     st.integers(0, size - 1)),
-                          max_size=3 * size))
-    covers = [(a, b) for a, b in pairs if (rank[a], a) < (rank[b], b)]
-    return hand_built_order(rank, covers)
-
-
-@settings(max_examples=300, deadline=None)
-@given(ranked_orders())
-def test_packed_lattice_check_matches_references_on_any_order(order):
-    assert order.missing_meets_joins() \
-        == row_pass_missing(order, joins=False) \
-        == per_pair_missing(order, joins=False)
+def test_members_not_below_the_top_are_counted():
+    # a bottom 0 under two maximal members 1 and 2: the covers 1 and 2 of
+    # 0 have no common upper bound, and 1 is not below the last member of
+    # greatest rank, 2
+    wedge = hand_built_order([0, 1, 1], [(0, 1), (0, 2)])
+    with pytest.raises(MeetJoinMissing):
+        wedge.join(1, 2)
+    assert wedge.missing_meets_joins() == 2
 
 
 def prime_factor_count(number: int) -> int:
@@ -323,12 +293,13 @@ def prime_factor_count(number: int) -> int:
 
 
 @st.composite
-def graded_orders_with_top(draw):
-    """A hand-built order in which rank strictly increases along every
-    strict relation and one member lies above all: either the divisors of
-    a number under divisibility, ranked by the number of prime factors (a
-    lattice), or covers drawn only where rank increases under an added
-    top (often no lattice)."""
+def bounded_graded_orders(draw):
+    """A hand-built order with a bottom and a top in which every cover
+    raises the rank by one: either the divisors of a number under
+    divisibility, ranked by the number of prime factors (a lattice), or
+    layers of 1 to 4 members between a bottom and a top, each member
+    with upper covers drawn in the next layer, and one more added to any
+    member without a lower cover (often no lattice)."""
     if draw(st.booleans()):
         number = draw(st.integers(1, 720))
         divisors = [d for d in range(1, number + 1) if number % d == 0]
@@ -336,37 +307,44 @@ def graded_orders_with_top(draw):
         covers = [(a, b) for a, x in enumerate(divisors)
                   for b, y in enumerate(divisors) if x != y and y % x == 0]
         return hand_built_order(rank, covers)
-    size = draw(st.integers(1, 18))
-    rank = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
-    pairs = draw(st.lists(st.tuples(st.integers(0, size - 1),
-                                     st.integers(0, size - 1)),
-                          max_size=3 * size))
-    covers = [(a, b) for a, b in pairs if rank[a] < rank[b]]
-    covers += [(a, size) for a in range(size)]
-    return hand_built_order(rank + [5], covers)
+    widths = [1] + draw(st.lists(st.integers(1, 4), min_size=1,
+                                 max_size=4)) + [1]
+    rank = [r for r, width in enumerate(widths) for _ in range(width)]
+    layers = [[m for m, r in enumerate(rank) if r == k]
+              for k in range(len(widths))]
+    covers = set()
+    for lower, upper in zip(layers, layers[1:]):
+        for a in lower:
+            covers |= {(a, b) for b in draw(st.lists(st.sampled_from(upper),
+                                                     min_size=1))}
+        covers |= {(lower[0], b) for b in upper
+                   if all(c[1] != b for c in covers)}
+    return hand_built_order(rank, sorted(covers))
 
 
-def graded_with_top(order) -> bool:
-    """Whether some member lies above all, and rank x < rank y for every
-    x <= y other than x = y: the premises under which a pass over the
-    meets alone decides the lattice property."""
+def covers_of(order) -> np.ndarray:
+    """covers[x, y]: x < y with no z strictly between, from `leq` alone."""
+    strict = (order.leq & ~np.eye(order.size, dtype=bool)).astype(np.int64)
+    return (strict > 0) & (strict @ strict == 0)
+
+
+def bounded_and_graded(order) -> bool:
+    """Whether some member lies below all and some above all, and every
+    cover x < y has rank y = rank x + 1: the premises under which the
+    pass over pairs of covers decides the lattice property."""
     leq, rank = order.leq, order.rank
-    strict = np.count_nonzero(leq & (rank[:, None] < rank))
-    return (bool(leq.all(axis=0).any())
-            and strict + np.count_nonzero(leq.diagonal())
-            == np.count_nonzero(leq))
+    return (bool(leq.all(axis=1).any()) and bool(leq.all(axis=0).any())
+            and bool((rank[:, None] + 1 == rank)[covers_of(order)].all()))
 
 
 @settings(max_examples=300, deadline=None)
-@given(graded_orders_with_top())
-def test_meet_pass_alone_matches_references_on_graded_orders(order):
-    """A finite meet-semilattice with a top is a lattice: on a strictly
-    graded order with a top, no meet is missing exactly when no meet and
-    no join is, and the count is that of the missing meets."""
-    assert graded_with_top(order)
+@given(bounded_graded_orders())
+def test_cover_pass_is_zero_exactly_when_references_are(order):
+    """On a bounded order whose covers raise the rank by one, no pair of
+    covers of one member lacks a join exactly when no pair of members
+    lacks a meet or a join."""
+    assert bounded_and_graded(order)
     count = order.missing_meets_joins()
-    assert count == row_pass_missing(order, joins=False) \
-        == per_pair_missing(order, joins=False)
     assert (count == 0) == (row_pass_missing(order) == 0) \
         == (per_pair_missing(order) == 0)
 
@@ -375,51 +353,53 @@ def test_meet_pass_alone_matches_references_on_graded_orders(order):
     "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
     ids=lambda s: s.label)
 def test_every_ncp_lattice_is_graded_with_a_top(spec):
-    """The premises of the meet-only check hold on every built lattice:
-    c lies above all members, and rank strictly increases along every
-    strict relation."""
+    """The premises of the lattice check hold on every built lattice: 1
+    lies below and c above all members, and every cover raises the rank
+    by one."""
     ncp = build_ncp(build_group(spec))
-    assert graded_with_top(ncp)
-    assert ncp.leq[:, ncp.top].all()
+    assert bounded_and_graded(ncp)
+    assert ncp.leq[ncp.bottom].all() and ncp.leq[:, ncp.top].all()
 
 
 def test_a_cleared_order_entry_is_counted_as_missing_meets(b3_ncp):
     """A copy of B3's lattice with the bottom no longer below one atom:
-    that atom and each other atom have no common lower bound, so their
-    meets go missing and the count finds exactly the reference's pairs."""
+    that atom and each other atom have no common lower bound, and the
+    count finds the atom outside the bottom's up-set."""
     broken = copy.copy(b3_ncp)
     broken.leq = b3_ncp.leq.copy()
     atom = int(np.flatnonzero(b3_ncp.rank == 1)[0])
     broken.leq[b3_ncp.bottom, atom] = False
-    count = broken.missing_meets_joins()
-    assert count > 0
-    assert count == per_pair_missing(broken, joins=False) \
-        == row_pass_missing(broken, joins=False)
+    assert broken.missing_meets_joins() > 0
+    assert per_pair_missing(broken) > 0 and row_pass_missing(broken) > 0
     assert b3_ncp.missing_meets_joins() == 0
 
 
-def count_no_extreme_calls(order, monkeypatch) -> int:
+def no_extreme_pairs(order, monkeypatch) -> list[int]:
+    """The number of pairs of each `_no_extreme` call of the check."""
     calls = []
     real = ncp_module._no_extreme
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(bits, order, i, j):
+        calls.append(len(i))
+        return real(bits, order, i, j)
 
     monkeypatch.setattr(ncp_module, "_no_extreme", counted)
     order.missing_meets_joins()
     monkeypatch.setattr(ncp_module, "_no_extreme", real)
-    return len(calls)
+    return calls
 
 
 @pytest.mark.parametrize(
     "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
     ids=lambda s: s.label)
-def test_lattice_check_on_ncp_is_the_meet_pass_alone(spec, monkeypatch):
+def test_lattice_check_evaluates_pairs_of_upper_covers_only(
+        spec, monkeypatch):
+    """One pass over sum_z C(#upper covers of z, 2) pairs, not over all
+    |NCP|^2 member pairs."""
     ncp = build_ncp(build_group(spec))
-    pairs = ncp.size * (ncp.size + 1) // 2
-    chunks = -(-pairs // ncp_module._PAIR_CHUNK)
-    assert count_no_extreme_calls(ncp, monkeypatch) == chunks
+    k = np.count_nonzero(covers_of(ncp), axis=1)
+    pairs = int((k * (k - 1) // 2).sum())
+    assert no_extreme_pairs(ncp, monkeypatch) == [pairs]
 
 
 def test_lattice_is_cached_on_its_group_and_freed_with_it():
