@@ -79,8 +79,7 @@ class NcpLattice:
             lo, hi = low[rank[low] == k], high[rank[low] == k]
             first = np.flatnonzero(np.diff(lo, prepend=-1))
             up[lo[first]] |= np.bitwise_or.reduceat(up[hi], first)
-        self.leq = np.unpackbits(up, axis=1, count=size,
-                                 bitorder="little").view(bool)
+        self.leq = np.unpackbits(up, 1, size, "little").view(bool)
         x, y = np.nonzero(self.leq)
         a = self.position[group.mult[inv[members[x]], members[y]]]
         self.q, self.prod, self.rq = order_tables(x, y, a, size,
@@ -129,24 +128,26 @@ class NcpLattice:
         greatest rank, plus the pairs of distinct upper covers of one
         member without a join.  A finite bounded poset in which any two
         elements covering a common one have a join is a lattice (Lemma 2.1
-        of Bjoerner, Edelman and Ziegler, Discrete Comput. Geom. 5, 1990).
-        So the count is 0 exactly on a lattice if every cover raises the
-        rank by one, as in every NcpLattice: then a join is the common upper
-        bound of least rank, first among up-set bits in (rank, index) order."""
+        of Bjoerner, Edelman and Ziegler, Discrete Comput. Geom. 5, 1990),
+        so the count is 0 exactly on a lattice if every cover raises the
+        rank by one, as in every NcpLattice."""
         leq, rank = self.leq, self.rank
         order = np.argsort(rank, kind="stable")
-        # bit p of bits[k] is set iff k <= order[p]
-        bits = np.packbits(leq[:, order], axis=1, bitorder="little")
         low, high = np.nonzero(leq & (rank[:, None] + 1 == rank))
+        # a member that covers exactly one other is never a minimal common
+        # upper bound of two distinct members of one rank, so it gets no bit
+        cols = order[np.bincount(high, minlength=len(rank))[order] != 1]
+        # bit p of bits[k] is set iff k <= cols[p], in (rank, index) order,
+        # so a pair's first common bit is its join if it has one
+        bits = np.packbits(leq[:, cols], axis=1, bitorder="little")
         # cover t pairs with the later[t] covers after it of its lower end
         later = np.searchsorted(low, low, "right") - 1 - np.arange(len(low))
         first = np.repeat(np.arange(len(low)), later)
         second = first + 1 + np.arange(len(first)) - np.repeat(
             np.cumsum(later) - later, later)
-        return int(np.count_nonzero(~leq[order[0]])
-                   + np.count_nonzero(~leq[:, order[-1]])
-                   + np.count_nonzero(_no_extreme(bits, order, high[first],
-                                                  high[second])))
+        missing = _no_extreme(bits, cols, high[first], high[second])
+        return int(np.count_nonzero(missing)
+                   + np.count_nonzero(~(leq[order[0]] & leq[:, order[-1]])))
 
     # -- counting ----------------------------------------------------------
 
