@@ -38,19 +38,20 @@ images of a flat's spanning vectors under the elements, is an integer
 gather from `coords` and one sum, and so is the zeta_h-regularity check:
 the projector sum_k zeta_h^-k w^k onto the eigenspace, applied to the basis
 and moved by one reflection per orbit of conjugation by w, all at once, in
-the integer power basis of Z[zeta_lcm(m, h)].  An element's exact matrix
-over Q(zeta_m) is assembled from its columns only when asked for; the
-build asks once per class of reflections, to cross-check that its fixed
-space is a hyperplane.  The Coxeter element c is the product of the
-generators in order, found by lookups like any other product; it is
-checked to have order h, no fixed vector, reflection length n and a
-zeta_h-eigenvector off every reflecting hyperplane.
+the integer power basis of Z[zeta_lcm(m, h)].  The build does no
+arithmetic in Q(zeta_m): it cross-checks that one reflection r per class
+fixes a hyperplane by the 2x2 minors of r - 1, products in Z[zeta_m]
+reduced by the zeta_m table, and an element's exact matrix is assembled
+from its columns only when a caller asks for it.  The Coxeter element c
+is the product of the generators in order, composed from their basis
+images and found by one lookup; it is checked to have order h, no fixed
+vector, reflection length n and a zeta_h-eigenvector off every
+reflecting hyperplane.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 
@@ -63,7 +64,7 @@ from .catalog import (
     generators_of,
     order_of,
 )
-from .cyclo import CycNum, Matrix, Subspace, euler_phi, kernel, zeta_powers
+from .cyclo import euler_phi, zeta_powers
 from .errors import (
     CoxeterValidationFailed,
     ElementNotInGroup,
@@ -155,6 +156,10 @@ class ElementMatrices(Sequence):
         return len(self._perms)
 
     def __getitem__(self, w) -> Matrix:
+        from fractions import Fraction
+
+        from .cyclo import CycNum, Matrix
+
         n, m = self._coords.shape[1], self._conductor
         columns = self._coords[self._perms[w, :n]].tolist()
         return Matrix(n, m, [[CycNum(m, tuple(map(Fraction, x))) for x in row]
@@ -191,6 +196,14 @@ class ReflectionGroup:
                 f"{spec.label}: a coordinate {largest} times a table entry "
                 f"{entry} times |W| = {expected_order} times 2 phi(m) = "
                 f"{2 * phi} does not fit in 64 bits")
+        # each of the 2 phi - 1 convolution coefficients of a 2x2 minor of
+        # w - 1 is a difference of two sums of phi products of entries up
+        # to largest + 1, and their reduction sums them times table entries
+        entry = int(np.abs(_reduction_table(self.conductor)).max())
+        if 2 * (2 * phi - 1) * phi * (largest + 1) ** 2 * entry > _CODE_LIMIT:
+            raise OrderCapExceeded(
+                f"{spec.label}: 2x2 minors of entries up to {largest + 1} "
+                f"over Z[zeta_{self.conductor}] do not fit in 64 bits")
         self.coords = np.array(vectors, dtype=np.int64).reshape(
             len(vectors), self.n, -1)
         radix = len(vectors) ** np.arange(self.n, dtype=np.int64)
@@ -214,29 +227,32 @@ class ReflectionGroup:
         self.class_id, self.class_reps = self._conjugacy_classes()
 
         self.fixed_dim, self.class_order = self._fixed_dims()
-        self._fixed_spaces: dict[int, Subspace] = {}
+        self._fixed_spaces = {}
         # the identity fixes all n dimensions, so it is not among these
         self.reflections = np.flatnonzero(self.fixed_dim == self.n - 1)
         if len(self.reflections) != sum(d - 1 for d in self.degrees):
             raise CoxeterValidationFailed(
                 f"{spec.label}: found {len(self.reflections)} reflections, "
                 f"expected {sum(d - 1 for d in self.degrees)}")
-        # Fix(g r g^-1) = g Fix(r), so one exact kernel per class of
-        # reflections checks them all
-        for r in self.class_reps.tolist():
-            if self.fixed_dim[r] == self.n - 1 and \
-                    self.fixed_space(r).dim != self.n - 1:
-                raise CoxeterValidationFailed(
-                    f"{spec.label}: element {r} has character fixed "
-                    f"dimension {self.n - 1} but a fixed space of dimension "
-                    f"{self.fixed_space(r).dim}")
+        # r - 1 has rank 1 iff Fix(r) is a hyperplane, and Fix(g r g^-1) =
+        # g Fix(r), so one test per class of reflections checks them all
+        reps = self.class_reps[self.fixed_dim[self.class_reps] == self.n - 1]
+        bad = reps[~self._rank_one(reps)]
+        if bad.size:
+            raise CoxeterValidationFailed(
+                f"{spec.label}: element {int(bad[0])} has character fixed "
+                f"dimension {self.n - 1} but w - 1 is not of rank 1")
 
         self.length = self._reflection_lengths()
         if (self.length < 0).any():
             raise CoxeterValidationFailed(
                 f"{spec.label}: reflections do not generate the group")
 
-        self.coxeter = self.product(*self.generators)
+        # c = s_1 ... s_n sends e_j to s_1(...(s_n(e_j)))
+        images = np.arange(self.n)
+        for perm in gen_perms[::-1]:
+            images = perm[images]
+        self.coxeter = int(self.mult.locate(images))
         self._validate_coxeter()
 
     # -- construction ----------------------------------------------------
@@ -250,9 +266,14 @@ class ReflectionGroup:
         nonzero columns, so no coordinate wraps before the int64 guard."""
         phi = euler_phi(self.conductor)
         width = self.n * phi
-        columns = [[list(zip(np.flatnonzero(col).tolist(),
-                             col[col != 0].tolist())) for col in g.T]
-                   for g in gens]
+        columns = []
+        for g in gens:
+            cols = [[] for _ in range(width)]
+            rows, at = np.nonzero(g)
+            for row, col, c in zip(rows.tolist(), at.tolist(),
+                                   g[rows, at].tolist()):
+                cols[col].append((row, c))
+            columns.append(cols)
         vectors = [tuple(int(k == j * phi) for k in range(width))
                    for j in range(self.n)]
         index = {v: i for i, v in enumerate(vectors)}
@@ -290,18 +311,32 @@ class ReflectionGroup:
         deduplicated against the level before it alone.  Should a
         generator break that premise, elements recur and the closure
         overshoots: the hard cap or the check for a repeated code refuses
-        it, so a wrong group is never returned."""
+        it, so a wrong group is never returned.
+
+        A level's products are deduplicated by one stable sort of their
+        codes, which keeps the first product of each run of equal codes,
+        as `np.unique` would, and one search of those codes in the
+        previous level's, which are sorted already."""
         n = len(radix)
         frontier = np.arange(gen_perms.shape[1], dtype=gen_perms.dtype)[None]
-        previous, codes = radix[:0], frontier[:, :n].astype(np.int64) @ radix
+        # the level before the identity is empty; -1 stands below every code
+        previous = np.array([-1])
+        codes = frontier[:, :n].astype(np.int64) @ radix
         levels, level_codes = [frontier], [codes]
         total = 1
         while len(frontier):
             # product s * k + i is generator s composed with frontier[i]
             products = gen_perms[:, frontier[:, :n]].reshape(-1, n)
-            found, first = np.unique(products.astype(np.int64) @ radix,
-                                     return_index=True)
-            new = ~np.isin(found, previous, assume_unique=True)
+            code = products.astype(np.int64) @ radix
+            order = np.argsort(code, kind="stable")
+            code = code[order]
+            # the first of each run of equal codes, in product order
+            head = np.ones(len(code), dtype=bool)
+            head[1:] = code[1:] != code[:-1]
+            found, first = code[head], order[head]
+            # a code is new unless the search lands on an equal one
+            new = previous.take(np.searchsorted(previous, found),
+                                mode="clip") != found
             gen, row = np.divmod(first[new], len(frontier))
             frontier = gen_perms[gen[:, None], frontier[row]]
             previous, codes = codes, found[new]
@@ -358,6 +393,31 @@ class ReflectionGroup:
                 f"{int(reps[np.argmax(bad)])} is not a dimension in "
                 f"0..{self.n}")
         return dims.astype(np.int32)[self.class_id], orders
+
+    def _rank_one(self, ws: np.ndarray) -> np.ndarray:
+        """For each element w of the index array ws, whether w - 1 has rank
+        exactly 1 over Q(zeta_m), that is whether Fix(w) is a hyperplane:
+        w - 1 is not zero and all its 2x2 minors vanish, in exact integers.
+        Entry (i, j) is coordinate i of w(e_j) less delta_ij, phi(m)
+        power-basis coefficients; a product of two entries is their
+        convolution, 2 phi - 1 coefficients of powers of zeta_m, reduced by
+        one `_reduction_table`.  All C(n, 2)^2 minors of all elements are
+        formed at once."""
+        n, phi = self.n, self.coords.shape[-1]
+        # a[w, i, j] = coordinate i of w(e_j) - delta_ij
+        a = self.coords[self.mult.perms[ws, :n]].swapaxes(1, 2)
+        a[:, np.arange(n), np.arange(n), 0] -= 1
+        # minor (p, q) takes rows first[p] < second[p], columns first[q] <
+        # second[q]: a[i1, j1] a[i2, j2] - a[i1, j2] a[i2, j1]
+        first, second = np.triu_indices(n, 1)
+        i1, i2 = first[:, None], second[:, None]
+        x, y = a[:, i1, first], a[:, i2, second]
+        u, v = a[:, i1, second], a[:, i2, first]
+        conv = np.zeros(x.shape[:-1] + (2 * phi - 1,), dtype=np.int64)
+        for k in range(phi):
+            conv[..., k:k + phi] += x[..., k, None] * y - u[..., k, None] * v
+        minors = conv @ _reduction_table(self.conductor)
+        return a.any(axis=(1, 2, 3)) & ~minors.any(axis=(1, 2, 3))
 
     def _conjugacy_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Classes as the components of the graph joining each element w
@@ -479,8 +539,9 @@ class ReflectionGroup:
 
     def fixed_space(self, w: int) -> Subspace:
         """Ker(w - 1), exact; cached on the group, so the cache dies with it.
-        The build computes it for one reflection of each class, since
-        Fix(g r g^-1) = g Fix(r)."""
+        The build never asks for it: it tests hyperplanes by `_rank_one`."""
+        from .cyclo import kernel
+
         self._check_member(w)
         space = self._fixed_spaces.get(w)
         if space is None:
@@ -560,6 +621,15 @@ def _check_order_cap(spec: GroupSpec, order_cap: int) -> int:
         raise OrderCapExceeded(
             f"{spec.label}: order {order} exceeds cap {order_cap}")
     return order
+
+
+def _reduction_table(m: int) -> np.ndarray:
+    """Row k < 2 phi(m) - 1 holds the power-basis coefficients of zeta_m^k,
+    row k mod m of `zeta_powers(m)`: the powers that a product of two
+    power-basis vectors of Z[zeta_m] reaches."""
+    rows = zeta_powers(m)
+    return np.array([rows[k % m] for k in range(2 * len(rows[0]) - 1)],
+                    dtype=np.int64)
 
 
 def _projector(m: int, h: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ from ncpforge.errors import (
     ElementNotInGroup,
     OrderCapExceeded,
 )
+from ncpforge import cyclo as cyclo_module
 from ncpforge import group as group_module
 from ncpforge.group import ReflectionGroup, build_group
 from ncpforge.ncp import build_ncp
@@ -356,9 +357,9 @@ def test_regularity_check_refuses_a_conjugate_missing_from_the_reflections(
         g.coxeter_regularity_check()
 
 
-def test_build_runs_one_exact_kernel_per_reflection_class_and_no_apply(
+def test_build_runs_one_hyperplane_test_per_reflection_class_and_no_field_arithmetic(
         monkeypatch):
-    calls = {"kernel": 0, "apply": 0}
+    calls = {"kernel": 0, "CycNum": 0, "apply": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -366,19 +367,47 @@ def test_build_runs_one_exact_kernel_per_reflection_class_and_no_apply(
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(group_module, "kernel",
-                        counted("kernel", group_module.kernel))
+    monkeypatch.setattr(cyclo_module, "kernel",
+                        counted("kernel", cyclo_module.kernel))
+    monkeypatch.setattr(CycNum, "__init__",
+                        counted("CycNum", CycNum.__init__))
     monkeypatch.setattr(Matrix, "apply", counted("apply", Matrix.apply))
+    tested = []
+    rank_one = ReflectionGroup._rank_one
+
+    def recorded(self, ws):
+        tested.append(np.array(ws))
+        return rank_one(self, ws)
+
+    monkeypatch.setattr(ReflectionGroup, "_rank_one", recorded)
     classes = {}
     for spec in catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)]:
-        before = calls["kernel"]
+        del tested[:]
         g = ReflectionGroup(spec, order_cap=order_of(spec))
-        classes[spec.label] = sum(1 for w in g.class_reps
-                                  if g.fixed_dim[w] == g.n - 1)
-        assert calls["kernel"] - before == classes[spec.label], spec.label
-    assert calls["apply"] == 0
+        reps = g.class_reps[g.fixed_dim[g.class_reps] == g.n - 1]
+        assert len(tested) == 1, spec.label
+        assert np.array_equal(tested[0], reps), spec.label
+        classes[spec.label] = len(reps)
+    assert calls == {"kernel": 0, "CycNum": 0, "apply": 0}
     assert sum(classes[s.label] for s in catalog_specs()) == 33
     assert (classes["B5"], classes["G(3,3,5)"]) == (2, 1)
+
+
+ORACLE_SPECS = WIDE_SPECS + [parse_spec("I2:30"), parse_spec("H4")]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label)
+def test_rank_one_minors_match_the_exact_fixed_space(spec):
+    """w - 1 has rank 1 by its 2x2 minors exactly when Ker(w - 1) is a
+    hyperplane by the exact kernel, on every class representative: the
+    identity (rank 0), reflections, and elements of rank 2 or more."""
+    g = ReflectionGroup(spec, order_cap=order_of(spec))
+    reps = g.class_reps
+    got = g._rank_one(reps)
+    expected = [g.fixed_space(w).dim == g.n - 1 for w in reps.tolist()]
+    assert got.tolist() == expected
+    assert not got[reps == g.identity].any()
+    assert got.sum() == len(np.unique(g.class_id[g.reflections]))
 
 
 @pytest.mark.parametrize("spec", [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
@@ -667,6 +696,23 @@ def test_coordinates_too_large_for_the_regularity_sums_are_refused(
     largest = max(abs(c) for v in vectors for x in v for c in x.coeffs)
     limit = np.iinfo(np.int64).max
     assert largest * 6 <= limit < largest * 6 * 2
+    monkeypatch.setattr(group_module, "generators_of", lambda _: gens)
+    with pytest.raises(OrderCapExceeded, match="64 bits"):
+        ReflectionGroup(spec)
+
+
+def test_coordinates_too_large_for_the_hyperplane_minors_are_refused(
+        monkeypatch):
+    # coordinates of 33 bits pass the bounds of the codes and of the
+    # regularity sums, but a product of two of them, in a 2x2 minor of
+    # r - 1, does not fit in int64 (A2: phi(1) = 1, table entry 1)
+    spec = GroupSpec("A", 2)
+    gens = conjugated_generators(spec, 2 ** 16)
+    vectors, _ = exact_vector_orbit(
+        spec, [rational_matrix(g.tolist()) for g in gens])
+    largest = max(abs(c) for v in vectors for x in v for c in x.coeffs)
+    limit = np.iinfo(np.int64).max
+    assert largest * 6 * 2 <= limit < 2 * (largest + 1) ** 2
     monkeypatch.setattr(group_module, "generators_of", lambda _: gens)
     with pytest.raises(OrderCapExceeded, match="64 bits"):
         ReflectionGroup(spec)
