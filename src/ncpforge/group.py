@@ -190,6 +190,9 @@ class ReflectionGroup:
         largest = max(max(map(max, vectors)), -min(map(min, vectors)))
         exponents, zeta = _projector(self.conductor, self.h)
         entry = int(np.abs(zeta).max(axis=1)[exponents].max())
+        # h x phi(m) exponents and the zeta_M table, 38 MB on I2(3000):
+        # not held through the closure
+        del exponents, zeta
         phi = euler_phi(self.conductor)
         if largest * entry * expected_order * phi * 2 > _CODE_LIMIT:
             raise OrderCapExceeded(
