@@ -317,10 +317,10 @@ def cmd_orbits(args, out) -> int:
                              reverse=True))
     except ValueError:
         raise ConfigError(f"bad shape {args.shape!r}") from None
-    group = build_group(spec, order_cap=args.order_cap)
-    if any(p < 1 for p in shape) or sum(shape) != group.n:
+    if any(p < 1 for p in shape) or sum(shape) != spec.n:
         raise ConfigError(
-            f"shape {list(shape)} is not a partition of n = {group.n}")
+            f"shape {list(shape)} is not a partition of n = {spec.n}")
+    group = build_group(spec, order_cap=args.order_cap)
     ncp = build_ncp(group)
     tuples = GroupContext(group, ncp).with_shape(shape)
     orbits = orbit_decomposition(ncp, tuples, cap=args.orbit_cap)

@@ -20,9 +20,9 @@ alone.
 A product a*b is the row of a composed with the basis images of b; its
 code is found in the sorted `codes` array.  `mult` does this for index
 arrays of any shape, a fixed chunk of products at a time, so it reads
-like an |W| x |W| table that is never built; `product` and `inverse` are
-single-element lookups through `mult` and `inv`, and reject indices
-outside 0..|W|-1.
+like an |W| x |W| table that is never built; `product` (of single
+elements) and `inverse` (of an index array, from the preimages of the
+basis) are lookups through `mult`, and reject indices outside 0..|W|-1.
 
 Three traversals serve every search over W: `powers` lists the basis
 images of the powers of one element (read by the fixator and the
@@ -221,12 +221,6 @@ class ReflectionGroup:
 
         self.identity = int(self.mult.locate(np.arange(self.n)))
         self.generators = self.mult.locate(gen_perms[:, :self.n]).tolist()
-        # the basis images of w^-1: w sends position x to perms[w, x], so
-        # w^-1 sends e_j back to the x where perms[w, x] = j
-        rows, cols = np.nonzero(perms < self.n)
-        preimages = np.empty((self.size, self.n), dtype=perms.dtype)
-        preimages[rows, perms[rows, cols]] = cols
-        self.inv = self.mult.locate(preimages)
         self.class_id, self.class_reps = self._conjugacy_classes()
 
         self.fixed_dim, self.class_order = self._fixed_dims()
@@ -441,7 +435,7 @@ class ReflectionGroup:
         Only the n images of each x are gathered, not its whole row."""
         perms = self.mult.perms
         return self.mult.locate(
-            perms[g][perms[x[:, None], perms[self.inv[g], :self.n]]])
+            perms[g][perms[x[:, None], perms[self.inverse(g), :self.n]]])
 
     def _reflection_lengths(self) -> np.ndarray:
         """Reflection length of every element, -1 where the reflections do
@@ -492,9 +486,15 @@ class ReflectionGroup:
             acc = int(self.mult[acc, w])
         return acc
 
-    def inverse(self, w: int) -> int:
+    def inverse(self, w):
+        """Inverses of the elements of an index array (an int32 for an int):
+        w^-1 sends e_j to the x where perms[w, x] = j."""
         self._check_member(w)
-        return int(self.inv[w])
+        images = self.mult.perms[np.ravel(w)]
+        rows, cols = np.nonzero(images < self.n)
+        preimages = np.empty((len(images), self.n), dtype=images.dtype)
+        preimages[rows, images[rows, cols]] = cols
+        return self.mult.locate(preimages).reshape(np.shape(w))[()]
 
     def powers(self, w: int) -> list[list[int]]:
         """The basis images (positions in V) of w^0, w^1, ..., w^(o-1),
@@ -537,7 +537,7 @@ class ReflectionGroup:
         return int(self.length[w])
 
     def _check_member(self, w) -> None:
-        if not 0 <= int(w) < self.size:
+        if not np.all((0 <= w) & (w < self.size)):
             raise ElementNotInGroup(f"index {w} outside 0..{self.size - 1}")
 
     def fixed_space(self, w: int) -> Subspace:

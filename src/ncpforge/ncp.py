@@ -43,45 +43,54 @@ class NcpLattice:
     and `position` (element index -> member position, -1 outside NCP).
     On member positions: `rank`, the order `leq` and three int32 product
     tables, -1 off their domain: q[x, y] = x^{-1} y and rq[x, y] = y x^{-1}
-    for x <= y, and prod[x, a] = x a for x <= x a.  `leq` is the closure
-    of the covers x < x r, r a reflection, rank x r = rank x + 1: bounded
-    by 1 and c, with every cover raising the rank by one, as the lattice
-    check by Bjoerner-Edelman-Ziegler's Lemma 2.1 needs."""
+    for x <= y, and prod[x, a] = x a for x <= x a.  NCP grows from 1 by its
+    covers: for x of rank k and a reflection r, x r covers x iff
+    l(r^{-1} x^{-1} c) = l(c) - k - 1, as c = (x r)(r^{-1} x^{-1} c); r in
+    place of r^{-1} is wrong for a reflection of order above 2.  `leq` is
+    their closure: bounded by 1 and c, every cover raising the rank by one,
+    as the check by Bjoerner-Edelman-Ziegler's Lemma 2.1 needs."""
 
     def __init__(self, group: ReflectionGroup):
         self.group = group
         self.c = c = group.coxeter
-        inv, length = group.inv, group.length
+        length, inverses = group.length, group.inverse(group.reflections)
         lc = int(length[c])
-        quot = group.mult[inv, c]  # quot[w] = w^{-1} c
-        member_mask = length + length[quot] == lc
+        # position >= 0 marks a member found; layer is rank k, rest its x^-1 c
+        self.position = position = np.full(group.size, -1, dtype=np.int32)
+        position[group.identity] = 0
+        layer, rest, covers = np.array([group.identity]), np.array([c]), []
+        for k in range(lc):
+            after = group.mult[inverses, rest[:, None]]
+            row, col = np.nonzero(length[after] == lc - k - 1)
+            high = group.mult[layer[row], group.reflections[col]]
+            covers.append((layer[row], high))
+            # one cover per distinct upper end x r, with its complement
+            position[high] = np.arange(len(high))
+            first = position[high] == np.arange(len(high))
+            layer, rest = high[first], after[row, col][first]
         # element indices are canonical (code order), so is this order
-        self.members = members = np.flatnonzero(member_mask).astype(np.int32)
+        self.members = members = np.flatnonzero(position >= 0).astype(np.int32)
         expected = fuss_catalan(group.degrees, 1)
         if len(self.members) != expected:
             raise CatalanMismatch(
                 f"{group.spec.label}: |NCP| = {len(self.members)}, "
                 f"formula gives {expected}")
         self.size = size = len(self.members)
-        self.position = np.full(group.size, -1, dtype=np.int32)
-        self.position[self.members] = np.arange(size, dtype=np.int32)
-        self.rank = rank = length[self.members].astype(np.int32)
-        self.bottom = int(self.position[group.identity])
-        self.top = int(self.position[c])
+        position[members] = np.arange(size, dtype=np.int32)
+        self.rank = length[members].astype(np.int32)
+        self.bottom = int(position[group.identity])
+        self.top = int(position[c])
 
-        # covers low < high = low r by lower end, then up-sets as bits, each
-        # its member and the up-sets of its covers, from the top rank down
-        xr = self.position[group.mult[members[:, None], group.reflections]]
-        low, col = np.nonzero((xr >= 0) & (rank[xr] == rank[:, None] + 1))
-        high = xr[low, col]
+        # up-sets as bits, each its member and the up-sets of its covers,
+        # from the top rank down; a rank's covers come grouped by lower end
         up = np.packbits(np.eye(size, dtype=bool), axis=1, bitorder="little")
-        for k in range(lc - 1, -1, -1):
-            lo, hi = low[rank[low] == k], high[rank[low] == k]
-            first = np.flatnonzero(np.diff(lo, prepend=-1))
-            up[lo[first]] |= np.bitwise_or.reduceat(up[hi], first)
+        for low, high in reversed(covers):
+            low, high = position[low], position[high]
+            first = np.flatnonzero(np.diff(low, prepend=-1))
+            up[low[first]] |= np.bitwise_or.reduceat(up[high], first)
         self.leq = np.unpackbits(up, 1, size, "little").view(bool)
         x, y = np.nonzero(self.leq)
-        a = self.position[group.mult[inv[members[x]], members[y]]]
+        a = position[group.mult[group.inverse(members)[x], members[y]]]
         self.q, self.prod, self.rq = order_tables(x, y, a, size,
                                                   group.spec.label)
 

@@ -29,7 +29,7 @@ def unchunked_products(group, a, b) -> np.ndarray:
 
 def two_lookup_conjugates(group, g: int, x) -> np.ndarray:
     """g x g^-1 for each element of x by two `mult` lookups, g (x g^-1)."""
-    return group.mult[g, group.mult[x, group.inv[g]]]
+    return group.mult[g, group.mult[x, group.inverse(g)]]
 
 
 def two_lookup_classes(group) -> tuple[np.ndarray, np.ndarray]:
@@ -41,6 +41,40 @@ def two_lookup_classes(group) -> tuple[np.ndarray, np.ndarray]:
         for g in group.generators])
     reps, class_id = np.unique(label, return_inverse=True)
     return class_id.astype(np.int32), reps.astype(np.int32)
+
+
+def w_wide_lattice(group) -> dict[str, np.ndarray | int]:
+    """The arrays of `NcpLattice` by the earlier two passes: membership
+    l(w) + l(w^-1 c) = l(c) tested on every element of W, through |W|
+    inverses from `np.argsort(perms)`, then the covers x < x r among the
+    members and their closure, rank by rank, and the tables scattered
+    over the pairs of the order."""
+    perms, length, c = group.mult.perms, group.length, group.coxeter
+    inv = group.mult.locate(np.argsort(perms, axis=1)[:, :group.n])
+    lc = int(length[c])
+    members = np.flatnonzero(length + length[group.mult[inv, c]] == lc)
+    members = members.astype(np.int32)
+    size = len(members)
+    position = np.full(group.size, -1, dtype=np.int32)
+    position[members] = np.arange(size, dtype=np.int32)
+    rank = length[members].astype(np.int32)
+    xr = position[group.mult[members[:, None], group.reflections]]
+    low, col = np.nonzero((xr >= 0) & (rank[xr] == rank[:, None] + 1))
+    high = xr[low, col]
+    up = np.packbits(np.eye(size, dtype=bool), axis=1, bitorder="little")
+    for k in range(lc - 1, -1, -1):
+        lo, hi = low[rank[low] == k], high[rank[low] == k]
+        first = np.flatnonzero(np.diff(lo, prepend=-1))
+        up[lo[first]] |= np.bitwise_or.reduceat(up[hi], first)
+    leq = np.unpackbits(up, 1, size, "little").view(bool)
+    x, y = np.nonzero(leq)
+    a = position[group.mult[inv[members[x]], members[y]]]
+    q, prod, rq = np.full((3, size, size), -1, dtype=np.int32)
+    q[x, y], prod[x, a], rq[a, y] = a, y, x
+    return {"members": members, "position": position, "rank": rank,
+            "bottom": int(position[group.identity]),
+            "top": int(position[c]), "leq": leq, "q": q, "prod": prod,
+            "rq": rq}
 
 
 def mask_factorisations(ncp) -> dict[int, np.ndarray]:

@@ -194,7 +194,7 @@ def test_report_does_not_depend_on_the_choice_of_c(spec, monkeypatch):
                 for row in run_group(spec, list(SUITES), *caps).checks]
 
     at_c, c = triples(), group.coxeter
-    conjugates = [group.product(s, c, group.inv[s])
+    conjugates = [group.product(s, c, group.inverse(s))
                   for s in group.generators]
     assert group.n == 1 or any(w != c for w in conjugates)
     for w in conjugates:
@@ -233,7 +233,8 @@ def test_out_of_memory_is_a_resource_cap(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ("verify", "--group", "A1000000000", "--order-cap", "10"),
-    ("orbits", "--group", "B1000000000", "--shape", "1", "--order-cap", "10"),
+    ("orbits", "--group", "B1000000000", "--shape", "1000000000",
+     "--order-cap", "10"),
 ], ids=["verify", "orbits"])
 def test_huge_rank_hits_the_order_cap(capsys, no_huge_degrees, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -339,6 +340,24 @@ def test_orbits_bad_shape(capsys):
     assert code == 4
     code, _, err = run_cli(capsys, "orbits", "--group", "A2", "--shape", "x")
     assert code == 4
+
+
+@pytest.mark.parametrize("group", ["E6", "B5", "A1000000000"])
+def test_orbits_shape_is_checked_before_any_group_is_built(group, capsys,
+                                                           monkeypatch):
+    """A shape that is no partition of n is a configuration error (exit
+    4), found from the spec alone: E6 is past the default order cap, and
+    B5 would be built for nothing."""
+    import ncpforge.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("group built before --shape was checked")
+
+    monkeypatch.setattr(cli, "build_group", no_build)
+    code, out, err = run_cli(capsys, "orbits", "--group", group,
+                             "--shape", "1")
+    assert code == 4
+    assert out == "" and "is not a partition of n" in err
 
 
 def test_argparse_errors_use_config_exit_code(capsys):

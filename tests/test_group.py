@@ -197,7 +197,7 @@ def test_conjugacy_classes_partition(g333):
     assert (g333.class_id[reps] == np.arange(len(reps))).all()
     assert np.bincount(g333.class_id).sum() == g333.size
     for g in g333.generators:
-        conj = g333.mult[g, g333.mult[elements, g333.inv[g]]]
+        conj = g333.mult[g, g333.mult[elements, g333.inverse(g)]]
         assert (g333.class_id[conj] == g333.class_id).all()
 
 
@@ -416,10 +416,19 @@ def test_inverse_rows_match_argsort(spec):
     g = build_group(spec)
     # row w of argsort(perms) is the inverse permutation of w
     expected = g.mult.locate(np.argsort(g.mult.perms, axis=1)[:, :g.n])
-    assert g.inv.dtype == expected.dtype
-    assert np.array_equal(g.inv, expected)
-    assert np.array_equal(g.mult[np.arange(g.size), g.inv],
+    elements = np.arange(g.size)
+    inverses = g.inverse(elements)
+    assert inverses.dtype == expected.dtype
+    assert np.array_equal(inverses, expected)
+    assert np.array_equal(g.mult[elements, inverses],
                           np.full(g.size, g.identity))
+    # any shape in, the same shape out; an int gives one int32
+    assert np.array_equal(g.inverse(elements[:6].reshape(2, 3)),
+                          expected[:6].reshape(2, 3))
+    assert type(g.inverse(5)) is np.int32 and g.inverse(5) == expected[5]
+    with pytest.raises(ElementNotInGroup):
+        g.inverse(np.array([0, g.size]))
+    assert not hasattr(g, "inv")  # no |W| inverse table is kept
 
 
 @pytest.mark.parametrize("fixture", ["b3", "g333"])

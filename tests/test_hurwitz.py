@@ -350,16 +350,16 @@ def test_list_rows_act_like_array_rows(b3, b3_ncp):
 
 def reference_hurwitz_act(group, rows, gen):
     """sigma_i^{+-1} of every row of an index array by products in W."""
-    mult, inv = group.mult, group.inv
+    mult, inv = group.mult, group.inverse
     i = gen.index
     a, b = rows[:, i - 1], rows[:, i]
     out = rows.copy()
     if gen.inverse:
         # (a, b) -> (a b a^{-1}, a)
-        out[:, i - 1], out[:, i] = mult[mult[a, b], inv[a]], a
+        out[:, i - 1], out[:, i] = mult[mult[a, b], inv(a)], a
     else:
         # (a, b) -> (b, b^{-1} a b)
-        out[:, i - 1], out[:, i] = b, mult[mult[inv[b], a], b]
+        out[:, i - 1], out[:, i] = b, mult[mult[inv(b), a], b]
     return out
 
 

@@ -23,9 +23,15 @@ from ncpforge.errors import (
     OrderCapExceeded,
 )
 from ncpforge import ncp as ncp_module
-from ncpforge.group import ReflectionGroup, build_group
+from ncpforge.group import ProductView, ReflectionGroup, build_group
 from ncpforge.ncp import NcpLattice, build_ncp, fuss_catalan
 from conftest import fixed_spaces_meet_in
+from reference_scans import w_wide_lattice
+
+
+# the catalog and four groups off it, H4 and E6 beyond the default cap
+WIDE_SPECS = catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3),
+                                GroupSpec("H4", 4), GroupSpec("E6", 6)]
 
 
 def test_fuss_catalan_values():
@@ -219,13 +225,46 @@ def row_pass_missing(ncp, joins=True) -> int:
     return missing
 
 
-@pytest.mark.parametrize(
-    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3),
-                               GroupSpec("H4", 4), GroupSpec("E6", 6)],
-    ids=lambda s: s.label)
+@pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.label)
 def test_packed_lattice_check_matches_row_pass(spec):
     ncp = build_ncp(build_group(spec, order_cap=60000))
     assert ncp.missing_meets_joins() == row_pass_missing(ncp) == 0
+
+
+@pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.label)
+def test_lattice_matches_the_w_wide_passes(spec):
+    """The lattice grown from the identity by its covers is the one that
+    the membership test over all of W and the cover pass gave."""
+    group = build_group(spec, order_cap=60000)
+    ncp = build_ncp(group)
+    for name, expected in w_wide_lattice(group).items():
+        got = getattr(ncp, name)
+        assert np.asarray(got).dtype == np.asarray(expected).dtype, name
+        assert np.array_equal(got, expected), name
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("B", 5), GroupSpec("H4", 4),
+                                  GroupSpec("E6", 6)], ids=lambda s: s.label)
+def test_lattice_build_locates_few_codes(spec, monkeypatch):
+    """The build resolves at most |NCP| (|R| + 3) + |R| + #covers + |leq|
+    codes: one product per member and reflection, one per cover, the
+    inverses of the reflections and of the members, and one quotient per
+    pair of the order.  A membership pass over all of W takes |W| more."""
+    group = build_group(spec, order_cap=60000)
+    located = []
+    real = ProductView.locate
+
+    def counted(self, images):
+        located.append(np.asarray(images).size // group.n)
+        return real(self, images)
+
+    monkeypatch.setattr(ProductView, "locate", counted)
+    ncp = NcpLattice(group)
+    monkeypatch.setattr(ProductView, "locate", real)
+    covers = np.count_nonzero(ncp.leq & (ncp.rank[:, None] + 1 == ncp.rank))
+    bound = (ncp.size * (len(group.reflections) + 3)
+             + len(group.reflections) + covers + np.count_nonzero(ncp.leq))
+    assert sum(located) <= bound
 
 
 def hand_built_order(rank, covers) -> NcpLattice:
