@@ -368,7 +368,8 @@ def test_argparse_errors_use_config_exit_code(capsys):
 
 ORBIT_GOLDENS = [("A3", "2,1"), ("B3", "2,1"), ("H3", "2,1"),
                  ("D4", "2,1,1"), ("F4", "2,2"), ("G:3,3,4", "3,1"),
-                 ("B5", "2,1,1,1"), ("A5", "2,1,1,1"), ("F4", "3,1")]
+                 ("B5", "2,1,1,1"), ("A5", "2,1,1,1"), ("F4", "3,1"),
+                 ("H4", "2,1,1"), ("H4", "3,1"), ("E6", "2,1,1,1,1")]
 
 
 def golden_case(group: str, shape: str) -> str:
@@ -384,12 +385,14 @@ def test_orbits_json_matches_golden(tmp_path, group, shape):
     """Each orbit is described by class invariants of its factors and the
     orbits are sorted by (size, descriptor), so the output does not depend
     on how elements are numbered.  D4, F4, G(3,3,4) and B5 split into
-    several orbits, some of the same size."""
+    several orbits, some of the same size; E6 (|W| = 51840) needs an
+    order cap above the default."""
     golden = (Path(__file__).parent / "data"
               / f"orbits_{golden_case(group, shape)}.json")
     target = tmp_path / "orbits.json"
-    code = main(["orbits", "--group", group, "--shape", shape,
-                 "--format", "json", "--output", str(target)])
+    code = main(["orbits", "--order-cap", "60000", "--group", group,
+                 "--shape", shape, "--format", "json",
+                 "--output", str(target)])
     assert code == 0
     assert target.read_bytes() == golden.read_bytes()
 
