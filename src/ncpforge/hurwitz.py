@@ -1,10 +1,11 @@
 """Hurwitz braid action on factorisation tuples; orbits and strong conjugacy.
 
 The standard braid generator sigma_i sends (..., g_i, g_{i+1}, ...) to
-(..., g_{i+1}, g_{i+1}^{-1} g_i g_{i+1}, ...); its inverse conjugates the
-other way.  Every factor divides c, so products are read from the tables
-of `NcpLattice`, never computed in W.  `hurwitz_act` applies a generator
-to one tuple or to every row of an index array at once.
+(..., g_{i+1}, g_{i+1}^{-1} g_i g_{i+1}, ...).  Every factor divides c, so
+products are read from the quotient table q and the Kreweras complement K
+of `NcpLattice`, never computed in W.  `hurwitz_act` applies sigma_i to
+one tuple or to every row of an index array at once.  sigma_i permutes
+the finite set of factorisations of c, so sigma_i^{-1} is a power of it.
 
 The suites check two theorems with this action: B_p acts transitively on
 Red(c), and the orbits of the primitive factorisations of shape
@@ -27,7 +28,6 @@ reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,40 +39,30 @@ from .ncp import NcpLattice
 DEFAULT_ORBIT_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class BraidGen:
-    index: int          # 1-based, 1 <= index <= p-1
-    inverse: bool = False
-
-
-def hurwitz_act(ncp: NcpLattice, factors, gen: BraidGen):
-    """sigma_i^{+-1} of a tuple, or of every row of a 2-D input, an index
-    array or a list of rows (one tuple per row), given back as an array; a
-    tuple is acted on as a 1-row array.  The two factors moved, and their
-    product, must divide c."""
+def hurwitz_act(ncp: NcpLattice, factors, i: int):
+    """sigma_i of a p-tuple (1 <= i < p), or of every row of a 2-D input,
+    an index array or a list of rows (one tuple per row), given back as
+    an array; a tuple is acted on as a 1-row array.  The two factors
+    moved, and their product, must divide c."""
     rows = np.atleast_2d(np.asarray(factors))
-    i = gen.index
     if rows.shape[1] < 2 or not 1 <= i <= rows.shape[1] - 1:
         raise IndexOutOfRange(
             f"generator index {i} for a {rows.shape[1]}-tuple")
     a, b = ncp.member_index(rows[:, i - 1]), ncp.member_index(rows[:, i])
-    y = ncp.prod[a, b]
-    if (y < 0).any():
+    k = ncp.q[b, ncp.kreweras[a]]  # K(a b) = b^{-1} K(a)
+    if (k < 0).any():
         raise NotADivisor("a product of adjacent factors does not divide c")
+    # (a, b) -> (b, b^{-1} a b) = (b, q[b, a b]), with a b = K^{-1}(k)
     out = rows.copy()
-    if gen.inverse:
-        # (a, b) -> (a b a^{-1}, a) = (y a^{-1}, a)
-        out[:, i - 1], out[:, i] = ncp.members[ncp.rq[a, y]], rows[:, i - 1]
-    else:
-        # (a, b) -> (b, b^{-1} a b) = (b, b^{-1} y)
-        out[:, i - 1], out[:, i] = rows[:, i], ncp.members[ncp.q[b, y]]
+    out[:, i - 1] = rows[:, i]
+    out[:, i] = ncp.members[ncp.q[b, ncp.kreweras_inverse[k]]]
     if np.ndim(factors) == 2:
         return out
     return tuple(out[0].tolist())
 
 
 class HurwitzOrbit:
-    """Closure of a tuple under all sigma_i^{+-1}: its members are the
+    """Closure of a tuple under the braid group: its members are the
     rows of `rows`, sorted; `seed` (the least) and `members` are tuple
     views of them."""
 
@@ -94,17 +84,15 @@ class HurwitzOrbit:
 
 def hurwitz_orbit(ncp: NcpLattice, seed: tuple[int, ...],
                   cap: int = DEFAULT_ORBIT_CAP) -> HurwitzOrbit:
-    """The orbit of one seed, closed by breadth-first search; the
-    per-seed reference for `orbit_decomposition`."""
+    """The orbit of one seed, closed under the sigma_i by breadth-first
+    search; the per-seed reference for `orbit_decomposition`."""
     seed = tuple(seed)
-    p = len(seed)
-    gens = [BraidGen(i, inv) for i in range(1, p) for inv in (False, True)]
     seen = {seed}
     queue = deque([seed])
     while queue:
         t = queue.popleft()
-        for g in gens:
-            u = hurwitz_act(ncp, t, g)
+        for i in range(1, len(seed)):
+            u = hurwitz_act(ncp, t, i)
             if u not in seen:
                 if len(seen) >= cap:
                     raise OrbitCapExceeded(f"orbit exceeded cap {cap}")
@@ -171,7 +159,7 @@ def _orbit_labels(ncp: NcpLattice, tuples, cap: int):
 
     nodes = np.arange(size)
     label = components(size, [
-        (nodes, locate(hurwitz_act(ncp, rows, BraidGen(i))))
+        (nodes, locate(hurwitz_act(ncp, rows, i)))
         for i in range(1, p)])
     # components labels each node by the least node of its orbit
     is_seed = label == nodes
@@ -225,15 +213,15 @@ def p2_orbit_formula(ncp: NcpLattice, u1: int, u2: int) -> set:
     """Closed form of a 2-block orbit:
     {(u1^{c^k}, u2^{c^k}), (u2^{c^{k+1}}, u1^{c^k})} over k in Z, where
     x^v denotes v x v^{-1} (the reading under which the second family
-    multiplies back to c).  Conjugation by c keeps NCP and is read from
-    the tables: c x c^{-1} = rq[rq[x, top], top]."""
-    rq, top = ncp.rq, ncp.top
+    multiplies back to c).  Conjugation by c^{-1} keeps NCP and is the
+    square of the Kreweras complement: K(K(x)) = c^{-1} x c."""
+    kreweras = ncp.kreweras
     turns = [ncp.member_index([u1, u2])]
     for _ in range(ncp.group.h):
-        turns.append(rq[rq[turns[-1], top], top])
-    conj = ncp.members[np.array(turns)].tolist()  # (u1, u2)^{c^k}, k = 0..h
+        turns.append(kreweras[kreweras[turns[-1]]])
+    conj = ncp.members[np.array(turns)].tolist()  # (u1, u2)^{c^-k}, k = 0..h
     return ({(v1, v2) for v1, v2 in conj[:-1]}
-            | {(v2, v1) for (v1, _), (_, v2) in zip(conj, conj[1:])})
+            | {(v2, v1) for (_, v2), (v1, _) in zip(conj, conj[1:])})
 
 
 # -- strong conjugacy --------------------------------------------------------
@@ -242,12 +230,13 @@ def strong_conjugacy_classes(ncp: NcpLattice) -> list[list[int]]:
     """Partition of NCP members under the closure of x w = w' x with
     x w in NCP and l(x w) = l(x) + l(w).
 
-    Such a pair is a pair x <= y = x w of the order, with w = q[x, y] and
-    w' = y x^{-1} = rq[x, y], so the classes are the components of the
-    graph with those edges over all of `leq`.
+    Such a pair is a pair x <= y = x w of the order, with w = x^{-1} y and
+    w' = y x^{-1}.  As x runs over the members below y, so does x' = q[x, y],
+    with q[x', y] = y^{-1} x y: so the edges (q[q[x, y], y], x) over all of
+    `leq` are the edges (w, w'), and the classes are their components.
     """
     x, y = np.nonzero(ncp.leq)
-    label = components(ncp.size, [(ncp.q[x, y], ncp.rq[x, y])])
+    label = components(ncp.size, [(ncp.q[ncp.q[x, y], y], x)])
     return _partition(ncp.members, label)
 
 

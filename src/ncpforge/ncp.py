@@ -41,9 +41,11 @@ def exact_quotient(num: int, den: int, what: str,
 class NcpLattice:
     """Divisors of the Coxeter element: `members` (element indices, int32)
     and `position` (element index -> member position, -1 outside NCP).
-    On member positions: `rank`, the order `leq` and three int32 product
-    tables, -1 off their domain: q[x, y] = x^{-1} y and rq[x, y] = y x^{-1}
-    for x <= y, and prod[x, a] = x a for x <= x a.  NCP grows from 1 by its
+    On member positions: `rank`, the order `leq`, the one product table
+    q[x, y] = x^{-1} y for x <= y (int32, -1 elsewhere), and the Kreweras
+    complement K(x) = x^{-1} c = q[x, top] and its inverse, `kreweras` and
+    `kreweras_inverse`: a b = K^{-1}(q[b, K(a)]) as K(a b) = b^{-1} K(a),
+    and K(K(x)) = c^{-1} x c.  NCP grows from 1 by its
     covers: for x of rank k and a reflection r, x r covers x iff
     l(r^{-1} x^{-1} c) = l(c) - k - 1, as c = (x r)(r^{-1} x^{-1} c); r in
     place of r^{-1} is wrong for a reflection of order above 2.  `leq` is
@@ -91,8 +93,11 @@ class NcpLattice:
         self.leq = np.unpackbits(up, 1, size, "little").view(bool)
         x, y = np.nonzero(self.leq)
         a = position[group.mult[group.inverse(members)[x], members[y]]]
-        self.q, self.prod, self.rq = order_tables(x, y, a, size,
-                                                  group.spec.label)
+        self.q = quotient_table(x, y, a, size, group.spec.label)
+        # K is a permutation: column top of q is one to one
+        self.kreweras = self.q[:, self.top]
+        self.kreweras_inverse = np.empty_like(self.kreweras)
+        self.kreweras_inverse[self.kreweras] = np.arange(size, dtype=np.int32)
 
     # -- order structure ---------------------------------------------------
 
@@ -188,22 +193,22 @@ class NcpLattice:
         return f"NcpLattice({self.group.spec.label}, size={self.size})"
 
 
-def order_tables(x, y, a, size: int, label: str):
-    """q, prod and rq (see `NcpLattice`) scattered over the pairs x <= y
-    of the order from the positions a of x^{-1} y: q[x, y] = a,
-    prod[x, a] = y and rq[a, y] = x.  Each a is a divisor of c below y,
-    and x -> a permutes the members below y, so q, prod and rq are each
-    defined on as many entries, rq on the given pairs (every strong
-    conjugate y x^{-1} is a member); otherwise ClassificationMismatch."""
-    q, prod, rq = np.full((3, size, size), -1, dtype=np.int32)
+def quotient_table(x, y, a, size: int, label: str) -> np.ndarray:
+    """q (see `NcpLattice`) scattered over the pairs x <= y of the order
+    from the positions a of x^{-1} y: q[x, y] = a.  Each a is a divisor of
+    c below y, and x -> a permutes the members below y, so every a is a
+    member, every (a, y) is a pair of the order and no two pairs of one
+    column y share their a; otherwise ClassificationMismatch."""
+    q = np.full((size, size), -1, dtype=np.int32)
+    hit = np.zeros((size, size), dtype=bool)
     if (a >= 0).all():  # else a -1 would index the last member
-        q[x, y], prod[x, a], rq[a, y] = a, y, x
-    if not ((rq[x, y] >= 0).all() and np.count_nonzero(rq >= 0)
-            == np.count_nonzero(prod >= 0) == len(x)):
+        q[x, y], hit[a, y] = a, True
+    if not ((q[a, y] >= 0).all() and np.count_nonzero(hit) == len(x)):
         raise ClassificationMismatch(
-            f"{label}: a quotient or a strong conjugate of NCP members "
-            f"lies outside NCP, or two products coincide")
-    return q, prod, rq
+            f"{label}: a quotient of NCP members lies outside NCP or not "
+            f"below its dividend, or two divisors of one member leave one "
+            f"quotient")
+    return q
 
 
 def _no_extreme(bits, order, i, j) -> np.ndarray:

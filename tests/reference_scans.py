@@ -16,8 +16,7 @@ from ncpforge.cyclo import CycNum
 from ncpforge.errors import (ClassificationMismatch, CoxeterValidationFailed,
                              ElementNotInGroup, OrbitCapExceeded)
 from ncpforge.group import _CODE_LIMIT, components
-from ncpforge.hurwitz import (DEFAULT_ORBIT_CAP, BraidGen, HurwitzOrbit,
-                              hurwitz_act)
+from ncpforge.hurwitz import DEFAULT_ORBIT_CAP, HurwitzOrbit, hurwitz_act
 
 
 def unchunked_products(group, a, b) -> np.ndarray:
@@ -171,7 +170,7 @@ def searched_orbit_decomposition(ncp, tuples, cap=DEFAULT_ORBIT_CAP):
 
     nodes = np.arange(size)
     label = components(size, [
-        (nodes, locate(hurwitz_act(ncp, rows, BraidGen(i))))
+        (nodes, locate(hurwitz_act(ncp, rows, i)))
         for i in range(1, p)])
     _, orbit_of, sizes = np.unique(label, return_inverse=True,
                                    return_counts=True)

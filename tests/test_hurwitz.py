@@ -16,8 +16,8 @@ from ncpforge.errors import (
 )
 from ncpforge.factorizations import factorisations, iter_fact_with_composition
 from ncpforge.group import build_group
+from ncpforge import hurwitz
 from ncpforge.hurwitz import (
-    BraidGen,
     classify_primitive_orbits,
     conjugacy_partition_on_ncp,
     hurwitz_act,
@@ -26,10 +26,10 @@ from ncpforge.hurwitz import (
     p2_orbit_formula,
     strong_conjugacy_classes,
 )
-from ncpforge.ncp import build_ncp, order_tables
+from ncpforge.ncp import build_ncp, quotient_table
 from conftest import element_of_permutation
 from reference_scans import (per_orbit_classification,
-                             searched_orbit_decomposition)
+                             searched_orbit_decomposition, w_wide_lattice)
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +38,8 @@ def a3_red(a3, a3_ncp):
 
 
 def apply_word(ncp, t, word):
-    for gen in word:
-        t = hurwitz_act(ncp, t, gen)
+    for i in word:
+        t = hurwitz_act(ncp, t, i)
     return t
 
 
@@ -48,13 +48,9 @@ def apply_word(ncp, t, word):
 def test_braid_relations(a3_ncp, a3_red, data):
     t = data.draw(st.sampled_from(a3_red))
     i = data.draw(st.integers(1, len(t) - 2))
-    s_i, s_j = BraidGen(i), BraidGen(i + 1)
-    braid_lhs = apply_word(a3_ncp, t, [s_i, s_j, s_i])
-    braid_rhs = apply_word(a3_ncp, t, [s_j, s_i, s_j])
+    braid_lhs = apply_word(a3_ncp, t, [i, i + 1, i])
+    braid_rhs = apply_word(a3_ncp, t, [i + 1, i, i + 1])
     assert braid_lhs == braid_rhs
-    # inverses really invert
-    assert apply_word(a3_ncp, t, [s_i, BraidGen(i, inverse=True)]) == t
-    assert apply_word(a3_ncp, t, [BraidGen(i, inverse=True), s_i]) == t
 
 
 @settings(max_examples=100, deadline=None)
@@ -62,8 +58,7 @@ def test_braid_relations(a3_ncp, a3_red, data):
 def test_action_preserves_product_and_lengths(a3, a3_ncp, a3_red, data):
     t = data.draw(st.sampled_from(a3_red))
     i = data.draw(st.integers(1, len(t) - 1))
-    inv = data.draw(st.booleans())
-    u = hurwitz_act(a3_ncp, t, BraidGen(i, inverse=inv))
+    u = hurwitz_act(a3_ncp, t, i)
     assert a3.product(*u) == a3.product(*t)
     assert sorted(a3.reflection_length(w) for w in u) == \
         sorted(a3.reflection_length(w) for w in t)
@@ -75,17 +70,17 @@ def test_commuting_generators(a3, a3_red):
     group = build_group(GroupSpec("B", 4))
     ncp = build_ncp(group)
     t = next(iter_fact_with_composition(ncp, (1, 1, 1, 1)))
-    far = apply_word(ncp, t, [BraidGen(1), BraidGen(3)])
-    far2 = apply_word(ncp, t, [BraidGen(3), BraidGen(1)])
+    far = apply_word(ncp, t, [1, 3])
+    far2 = apply_word(ncp, t, [3, 1])
     assert far == far2
 
 
 def test_generator_index_validation(a3_ncp, a3_red):
     t = a3_red[0]
     with pytest.raises(IndexOutOfRange):
-        hurwitz_act(a3_ncp, t, BraidGen(0))
+        hurwitz_act(a3_ncp, t, 0)
     with pytest.raises(IndexOutOfRange):
-        hurwitz_act(a3_ncp, t, BraidGen(len(t)))
+        hurwitz_act(a3_ncp, t, len(t))
 
 
 def test_orbit_cap(a3_ncp, a3_red):
@@ -172,28 +167,63 @@ def test_strong_conjugacy_matches_reference_loop(spec, reflections_only):
         reference_strong_conjugacy(ncp, reflections_only)
 
 
+def strong_conjugacy_edges(ncp, monkeypatch) -> set:
+    """The edges that `strong_conjugacy_classes` hands to `components`."""
+    edges = []
+    real = hurwitz.components
+
+    def recorded(size, pairs):
+        edges.extend(zip(*(np.concatenate(e).tolist() for e in zip(*pairs))))
+        return real(size, pairs)
+
+    monkeypatch.setattr(hurwitz, "components", recorded)
+    strong_conjugacy_classes(ncp)
+    monkeypatch.setattr(hurwitz, "components", real)
+    return set(edges)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("A", 3), GroupSpec("B", 3),
+                                  GroupSpec("D", 4), GroupSpec("H3", 3),
+                                  GroupSpec("G", 3, 3), GroupSpec("B", 5)],
+                         ids=lambda s: s.label)
+def test_strong_conjugacy_edges_are_the_pairs_of_the_order(
+        spec, monkeypatch):
+    """The edges read from q are the pairs (x^{-1} y, y x^{-1}) over
+    x <= y, with both products formed in W by the W-wide reference."""
+    group = build_group(spec)
+    ncp = build_ncp(group)
+    reference = w_wide_lattice(group)
+    x, y = np.nonzero(reference["leq"])
+    expected = set(zip(reference["q"][x, y].tolist(),
+                       reference["rq"][x, y].tolist()))
+    assert strong_conjugacy_edges(ncp, monkeypatch) == expected
+
+
 def test_strong_conjugate_outside_ncp_is_a_mismatch(b3_ncp):
-    """The lattice build refuses quotients that leave NCP, and quotients
-    under which some strong conjugate y x^{-1} is no member."""
+    """The lattice build refuses a quotient outside NCP, a quotient not
+    below its y, and one quotient for two pairs of one column y."""
     size = b3_ncp.size
     x, y = np.nonzero(b3_ncp.leq)
     a = b3_ncp.q[x, y]
-    # the B3 quotients on the pairs of the order rebuild the B3 tables
-    tables = order_tables(x, y, a, size, "B3")
-    assert all(np.array_equal(t, u) for t, u in
-               zip(tables, (b3_ncp.q, b3_ncp.prod, b3_ncp.rq)))
+    # the B3 quotients on the pairs of the order rebuild the B3 table
+    assert np.array_equal(quotient_table(x, y, a, size, "B3"), b3_ncp.q)
     # drop one reflection: the quotients that land on it read -1
     dropped = int(np.nonzero(b3_ncp.rank == 1)[0][0])
-    with pytest.raises(ClassificationMismatch):
-        order_tables(x, y, np.where(a == dropped, -1, a), size, "B3")
-    # two members below y with one quotient: for one of the members x
-    # below y, no member z has z^{-1} y = x, so y x^{-1} is missing
+    with pytest.raises(ClassificationMismatch, match="outside NCP"):
+        quotient_table(x, y, np.where(a == dropped, -1, a), size, "B3")
+    # c as the quotient of a pair whose y is not c: a member, and the
+    # only c in its column, but not below y
+    below_c = a.copy()
+    below_c[np.flatnonzero(y != b3_ncp.top)[0]] = b3_ncp.top
+    with pytest.raises(ClassificationMismatch, match="not below"):
+        quotient_table(x, y, below_c, size, "B3")
+    # two members below y with one quotient: each quotient is still a
+    # member below y, but x -> a is no longer one to one on the column
     pair1, pair2 = np.flatnonzero(y == b3_ncp.top)[:2]
     quotients = a.copy()
     quotients[pair1] = quotients[pair2]
-    assert (quotients >= 0).all()
-    with pytest.raises(ClassificationMismatch, match="strong conjugate"):
-        order_tables(x, y, quotients, size, "B3")
+    with pytest.raises(ClassificationMismatch, match="one quotient"):
+        quotient_table(x, y, quotients, size, "B3")
 
 
 def test_s6_counterexample():
@@ -328,12 +358,10 @@ def test_array_action_matches_tuple_action(b3, b3_ncp):
     red = GroupContext(b3, b3_ncp).red
     rows = np.array(red)
     for i in range(1, b3.n):
-        for inverse in (False, True):
-            gen = BraidGen(i, inverse)
-            images = hurwitz_act(b3_ncp, rows, gen)
-            assert images.shape == rows.shape
-            assert [tuple(r) for r in images.tolist()] == \
-                [hurwitz_act(b3_ncp, t, gen) for t in red]
+        images = hurwitz_act(b3_ncp, rows, i)
+        assert images.shape == rows.shape
+        assert [tuple(r) for r in images.tolist()] == \
+            [hurwitz_act(b3_ncp, t, i) for t in red]
 
 
 def test_list_rows_act_like_array_rows(b3, b3_ncp):
@@ -341,25 +369,18 @@ def test_list_rows_act_like_array_rows(b3, b3_ncp):
     does, and gives back an array."""
     red = GroupContext(b3, b3_ncp).red
     for i in range(1, b3.n):
-        for inverse in (False, True):
-            gen = BraidGen(i, inverse)
-            images = hurwitz_act(b3_ncp, red.tolist(), gen)
-            assert isinstance(images, np.ndarray)
-            assert np.array_equal(images, hurwitz_act(b3_ncp, red, gen))
+        images = hurwitz_act(b3_ncp, red.tolist(), i)
+        assert isinstance(images, np.ndarray)
+        assert np.array_equal(images, hurwitz_act(b3_ncp, red, i))
 
 
-def reference_hurwitz_act(group, rows, gen):
-    """sigma_i^{+-1} of every row of an index array by products in W."""
-    mult, inv = group.mult, group.inverse
-    i = gen.index
+def reference_hurwitz_act(group, rows, i):
+    """sigma_i of every row of an index array by products in W:
+    (a, b) -> (b, b^{-1} a b)."""
     a, b = rows[:, i - 1], rows[:, i]
     out = rows.copy()
-    if gen.inverse:
-        # (a, b) -> (a b a^{-1}, a)
-        out[:, i - 1], out[:, i] = mult[mult[a, b], inv(a)], a
-    else:
-        # (a, b) -> (b, b^{-1} a b)
-        out[:, i - 1], out[:, i] = b, mult[mult[inv(b), a], b]
+    out[:, i - 1] = b
+    out[:, i] = group.mult[group.mult[group.inverse(b), a], b]
     return out
 
 
@@ -367,30 +388,44 @@ def reference_hurwitz_act(group, rows, gen):
     "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
     ids=lambda s: s.label)
 def test_table_action_matches_products_in_w(spec):
-    """On every factorisation of c with at least two blocks, both ways."""
+    """K(x) = x^{-1} c permutes NCP with K(K(x)) = c^{-1} x c; for every
+    pair of members a and b, q[b, K(a)] is a member exactly where a b
+    divides c with l(a b) = l(a) + l(b), and then K^{-1} of it is a b (the
+    W-wide reference's `prod`); and sigma_i agrees with the products in W
+    on every factorisation of c with at least two blocks, which it
+    permutes."""
     group = build_group(spec)
     ncp = build_ncp(group)
+    members, kreweras, back = ncp.members, ncp.kreweras, ncp.kreweras_inverse
+    c = group.coxeter
+    assert np.array_equal(members[kreweras],
+                          group.mult[group.inverse(members), c])
+    assert np.array_equal(back[kreweras], np.arange(ncp.size))
+    assert np.array_equal(members[kreweras[kreweras]], group.mult[
+        group.inverse(c), group.mult[members, c]])
+    entry = ncp.q.T[kreweras]  # entry[a, b] = q[b, K(a)]
+    assert np.array_equal(np.where(entry >= 0, back[entry], -1),
+                          w_wide_lattice(group)["prod"])
     for p, rows in factorisations(ncp).items():
         for i in range(1, p):
-            for inverse in (False, True):
-                gen = BraidGen(i, inverse)
-                images = hurwitz_act(ncp, rows, gen)
-                assert images.dtype == np.int32
-                assert np.array_equal(
-                    images, reference_hurwitz_act(group, rows, gen))
+            images = hurwitz_act(ncp, rows, i)
+            assert images.dtype == np.int32
+            assert np.array_equal(images,
+                                  reference_hurwitz_act(group, rows, i))
+            assert sorted(map(tuple, images.tolist())) == \
+                sorted(map(tuple, rows.tolist()))
 
 
 def test_action_outside_ncp_is_refused(b3, b3_ncp):
     t = tuple(GroupContext(b3, b3_ncp).red[0].tolist())
     outside = next(w for w in range(b3.size) if b3_ncp.position[w] < 0)
-    for gen in (BraidGen(1), BraidGen(1, inverse=True)):
-        # an entry outside NCP, or no element index at all
-        for bad in (outside, -1, b3.size):
-            with pytest.raises(ElementNotInGroup):
-                hurwitz_act(b3_ncp, (bad,) + t[1:], gen)
-        # r r = 1: the lengths do not add, so r r is no product in NCP
-        with pytest.raises(NotADivisor):
-            hurwitz_act(b3_ncp, (t[1],) + t[1:], gen)
+    # an entry outside NCP, or no element index at all
+    for bad in (outside, -1, b3.size):
+        with pytest.raises(ElementNotInGroup):
+            hurwitz_act(b3_ncp, (bad,) + t[1:], 1)
+    # r r = 1: the lengths do not add, so r r is no product in NCP
+    with pytest.raises(NotADivisor):
+        hurwitz_act(b3_ncp, (t[1],) + t[1:], 1)
 
 
 def test_orbit_decomposition_refuses_entries_outside_ncp(b3, b3_ncp):

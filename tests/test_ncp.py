@@ -234,11 +234,13 @@ def test_packed_lattice_check_matches_row_pass(spec):
 @pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.label)
 def test_lattice_matches_the_w_wide_passes(spec):
     """The lattice grown from the identity by its covers is the one that
-    the membership test over all of W and the cover pass gave."""
+    the membership test over all of W and the cover pass gave (whose
+    tables `prod` and `rq` the lattice no longer keeps)."""
     group = build_group(spec, order_cap=60000)
     ncp = build_ncp(group)
-    for name, expected in w_wide_lattice(group).items():
-        got = getattr(ncp, name)
+    wide = w_wide_lattice(group)
+    for name in ("members", "position", "rank", "bottom", "top", "leq", "q"):
+        got, expected = getattr(ncp, name), wide[name]
         assert np.asarray(got).dtype == np.asarray(expected).dtype, name
         assert np.array_equal(got, expected), name
 
@@ -458,25 +460,46 @@ def test_lattice_is_cached_on_its_group_and_freed_with_it():
                                   GroupSpec("I2", 2, 5), GroupSpec("G", 3, 3)],
                          ids=lambda s: s.label)
 def test_tables_are_products_in_w(spec):
-    """q, prod and rq against one `group.product` per entry: q and rq hold
-    a member on exactly the pairs of the order and -1 off it, prod a
-    member exactly where the product divides c with lengths adding."""
+    """q, K and K^{-1} against one `group.product` per entry: q holds a
+    member on exactly the pairs of the order and -1 off it; K(x) is
+    x^{-1} c, K^{-1} inverts it and K(K(x)) = c^{-1} x c; and q[b, K(a)]
+    is a member exactly where a b divides c with lengths adding, and then
+    K^{-1} of it is a b."""
     group = build_group(spec)
     ncp = build_ncp(group)
     members = ncp.members.tolist()
     where = {w: k for k, w in enumerate(members)}
+    c, c_inv = group.coxeter, group.inverse(group.coxeter)
+    kreweras, back = ncp.kreweras, ncp.kreweras_inverse
 
     def length(w):
         return int(group.length[w])
 
     for x, u in enumerate(members):
+        assert kreweras[x] == where[group.product(group.inverse(u), c)]
+        assert back[kreweras[x]] == x
+        assert members[kreweras[kreweras[x]]] == group.product(c_inv, u, c)
         for y, v in enumerate(members):
             quotient = group.product(group.inverse(u), v)
             below = length(u) + length(quotient) == length(v)
             assert bool(ncp.leq[x, y]) == below
-            right = group.product(v, group.inverse(u))
             assert ncp.q[x, y] == (where[quotient] if below else -1)
-            assert ncp.rq[x, y] == (where[right] if below else -1)
             uv = group.product(u, v)
             adds = uv in where and length(uv) == length(u) + length(v)
-            assert ncp.prod[x, y] == (where[uv] if adds else -1)
+            entry = ncp.q[y, kreweras[x]]
+            assert (entry >= 0) == adds
+            if adds:
+                assert members[back[entry]] == uv
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("B", 3), GroupSpec("B", 5),
+                                  GroupSpec("H4", 4)], ids=lambda s: s.label)
+def test_q_is_the_only_square_product_table(spec):
+    """Every product is read from q and K, so the lattice keeps no other
+    int array of |NCP|^2 entries, and no `prod` or `rq`."""
+    ncp = build_ncp(build_group(spec, order_cap=60000))
+    square = [name for name, value in vars(ncp).items()
+              if isinstance(value, np.ndarray) and value.dtype.kind in "iu"
+              and value.size == ncp.size ** 2]
+    assert square == ["q"]
+    assert not hasattr(ncp, "prod") and not hasattr(ncp, "rq")
