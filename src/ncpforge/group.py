@@ -24,21 +24,22 @@ like an |W| x |W| table that is never built; `product` (of single
 elements) and `inverse` (of an index array, from the preimages of the
 basis) are lookups through `mult`, and reject indices outside 0..|W|-1.
 
-Three traversals serve every search over W: `powers` lists the basis
+Two traversals serve every search over W: `powers` lists the basis
 images of the powers of one element (read by the fixator and the
-regularity check), `word_lengths` is the breadth-first search from the
-identity (generated subgroups), and the module-level `components` labels
-connected components (conjugacy classes, Hurwitz orbits, strong
-conjugacy).  Element order, fixed-space dimension and reflection length
-are class functions, so the build finds them from one representative per
-class: orders and dimensions by one walk over the powers of all
-representatives at once, lengths by a breadth-first search over
-classes.  A sum of vectors of V, such as a trace or the
-images of a flat's spanning vectors under the elements, is an integer
-gather from `coords` and one sum, and so is the zeta_h-regularity check:
-the projector sum_k zeta_h^-k w^k onto the eigenspace, applied to the basis
-and moved by one reflection per orbit of conjugation by w, all at once, in
-the integer power basis of Z[zeta_lcm(m, h)].  The build does no
+regularity check), and the module-level `components` labels connected
+components (conjugacy classes, Hurwitz orbits, strong conjugacy).  A
+generated subgroup, such as a parabolic closure, is closed from its
+generators' rows by `_closure`, not searched for in W.  Element order,
+fixed-space dimension and reflection length are class functions, so the
+build finds them from one representative per class: orders and
+dimensions by one walk over the powers of all representatives at once,
+lengths by a breadth-first search over classes.  A sum of vectors of V,
+such as a trace or the images of a flat's spanning vectors under the
+elements, is an integer gather from `coords` and one sum, and so is the
+zeta_h-regularity check: the projector sum_k zeta_h^-k w^k onto the
+eigenspace, applied to the basis and moved by one reflection per orbit of
+conjugation by w, all at once, in the integer power basis of
+Z[zeta_lcm(m, h)].  The build does no
 arithmetic in Q(zeta_m): it cross-checks that one reflection r per class
 fixes a hyperplane by the 2x2 minors of r - 1, products in Z[zeta_m]
 reduced by the zeta_m table, and an element's exact matrix is assembled
@@ -512,25 +513,6 @@ class ReflectionGroup:
     def element_order(self, w: int) -> int:
         self._check_member(w)
         return int(self.class_order[self.class_id[w]])
-
-    def word_lengths(self, gens) -> np.ndarray:
-        """Distance of every element from the identity by left
-        multiplication with gens, breadth-first over whole frontiers; -1
-        where gens do not reach.  The elements reached form the subgroup
-        that gens generate; with gens the reflections this is the
-        reflection length, which the build reads from the classes."""
-        gens = np.flatnonzero(np.bincount(np.array(gens, dtype=np.int32),
-                                          minlength=self.size))
-        dist = np.full(self.size, -1, dtype=np.int32)
-        dist[self.identity] = 0
-        frontier = np.array([self.identity], dtype=np.int32)
-        d = 0
-        while frontier.size and gens.size:
-            d += 1
-            reached = self.mult[gens[:, None], frontier].ravel()
-            dist[reached[dist[reached] < 0]] = d
-            frontier = np.flatnonzero(dist == d)
-        return dist
 
     def reflection_length(self, w: int) -> int:
         self._check_member(w)

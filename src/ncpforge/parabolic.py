@@ -1,8 +1,10 @@
 """Parabolic subgroups, length-2 strata and the LL-data table.
 
-A parabolic subgroup is the pointwise fixator of a flat Ker(w - 1).  The
-length-2 members of NCP fall into W-conjugacy classes (strata); each
-stratum carries a ramification index r (the number of ordered 2-reflection
+A parabolic subgroup is the pointwise fixator of a flat Ker(w - 1),
+closed from one reduced decomposition of w and checked against the
+reflections that fix the flat, with no search over W.  The length-2
+members of NCP fall into W-conjugacy classes (strata); each stratum
+carries a ramification index r (the number of ordered 2-reflection
 factorisations of a member) and a degree u derived by inverting the
 submaximal counting formula.  The multiset {(r, u)} is compared against an
 embedded reference table evaluated exactly at the group's parameters.
@@ -42,30 +44,25 @@ class ParabolicSubgroup:
         return len(self.elements)
 
 
-def subgroup_closure(group: ReflectionGroup, gens) -> list[int]:
-    """Sorted element indices of the subgroup generated by gens."""
-    return np.nonzero(group.word_lengths(gens) >= 0)[0].tolist()
-
-
-def pointwise_fixator(group: ReflectionGroup, w: int) -> list[int]:
-    """All elements fixing every vector of the flat Ker(w - 1), in exact
-    integer sums.
+def pointwise_fixator(group: ReflectionGroup, w: int, among) -> list[int]:
+    """The elements of the sorted index array among that fix every vector
+    of the flat Ker(w - 1), in exact integer sums.
 
     With o the order of w, (1/o) sum_{k<o} w^k projects onto Ker(w - 1),
     so the sums s_j = sum_k w^k(e_j) span the flat, and g fixes it
     pointwise iff g(s_j) = s_j for every j.  Both sides are sums of
     vectors of V, compared as integer coordinates (`group.coords`).  The
-    columns j are tested one at a time, each on the elements that passed
+    columns j are tested one at a time, each on the candidates that passed
     the ones before, one power of w at a time; a column with s_j = 0 is
     fixed by every element and skipped."""
     perms, coords = group.mult.perms, group.coords
     powers = np.array(group.powers(w))
-    fixing = np.arange(group.size)
+    fixing = np.asarray(among)
     for j in range(group.n):
         target = coords[powers[:, j]].sum(axis=0)
         if not target.any():
             continue
-        # moved[g] = g(s_j) for the elements g still fixing
+        # moved[g] = g(s_j) for the candidates g still fixing
         moved = np.zeros((len(fixing), *target.shape), dtype=np.int64)
         for x in powers[:, j].tolist():
             moved += coords[perms[fixing, x]]
@@ -73,29 +70,45 @@ def pointwise_fixator(group: ReflectionGroup, w: int) -> list[int]:
     return fixing.tolist()
 
 
-def parabolic_of(ncp: NcpLattice, w: int) -> ParabolicSubgroup:
-    """The parabolic closure of an NCP member: the fixator of Ker(w - 1).
+def reduced_decomposition(ncp: NcpLattice, w: int) -> list[int]:
+    """Reflections r_1, ..., r_k with r_1 ... r_k = w and k = l(w): the
+    quotients q[x, y] along one maximal chain 1 < ... < w of NCP, walked
+    down from w by its first lower cover at each rank."""
+    y, decomposition = int(ncp.position[w]), []
+    while ncp.rank[y]:
+        x = int(np.argmax(ncp.leq[:, y] & (ncp.rank == ncp.rank[y] - 1)))
+        decomposition.append(int(ncp.members[ncp.q[x, y]]))
+        y = x
+    return decomposition[::-1]
 
-    Its rank is n - dim Ker(w - 1), read from `group.fixed_dim`.  Verifies
-    that the fixator is generated by its reflections and that its rank
-    equals the reflection length of w.
-    """
+
+def parabolic_of(ncp: NcpLattice, w: int) -> ParabolicSubgroup:
+    """The parabolic closure of an NCP member: the fixator of Ker(w - 1),
+    closed by the build's `_closure` from a reduced decomposition of w,
+    which generates it (Bessis 2003).  Its rank n - dim Ker(w - 1) must be
+    l(w), and its reflections those fixing Ker(w - 1) among the |R|: then
+    the closure lies in the fixator, which these reflections generate
+    (Steinberg 1964), so the two are equal."""
     group = ncp.group
     group._check_member(w)
     if ncp.position[w] < 0:
         raise NotADivisor(f"element {w} does not divide the Coxeter element")
-    elements = pointwise_fixator(group, w)
     rank = group.n - int(group.fixed_dim[w])
     if rank != int(group.length[w]):
         raise ClassificationMismatch(
             f"{group.spec.label}: parabolic rank {rank} differs from "
             f"reflection length {int(group.length[w])}")
-    reflections = [x for x in elements if group.fixed_dim[x] == group.n - 1]
-    if subgroup_closure(group, reflections) != elements:
+    gens = np.array(reduced_decomposition(ncp, w), dtype=np.intp)
+    rows, _ = ReflectionGroup._closure(group.mult.perms[gens],
+                                       group.mult.radix, group.size)
+    elements = group.mult.locate(rows[:, :group.n])
+    reflections = elements[group.fixed_dim[elements] == group.n - 1]
+    if reflections.tolist() != pointwise_fixator(group, w, group.reflections):
         raise ClassificationMismatch(
-            f"{group.spec.label}: fixator not generated by its reflections")
-    return ParabolicSubgroup(group=group, w=w, elements=elements,
-                             reflections=reflections, rank=rank)
+            f"{group.spec.label}: the closure of a reduced decomposition of "
+            f"{w} and the fixator of its flat have different reflections")
+    return ParabolicSubgroup(group=group, w=w, elements=elements.tolist(),
+                             reflections=reflections.tolist(), rank=rank)
 
 
 def rank2_degrees(order: int, num_reflections: int) -> tuple[int, int]:
@@ -161,7 +174,9 @@ def submax_counts(ncp: NcpLattice, strata: list[Stratum2], facts) -> int:
     each u and check the total; returns the total."""
     group = ncp.group
     n, h = group.n, group.h
-    rows, cols = np.nonzero(group.length[facts] == 2)
+    # one flat search and a divmod: half the time of a 2-D np.nonzero
+    rows, cols = np.divmod(np.flatnonzero(group.length[facts] == 2),
+                           facts.shape[1])
     classes = group.class_id[facts[rows, cols]]
     for s in strata:
         s.count = int(np.count_nonzero(classes == s.class_id))

@@ -92,9 +92,35 @@ def mask_factorisations(ncp) -> dict[int, np.ndarray]:
     return out
 
 
+def word_lengths(group, gens) -> np.ndarray:
+    """Distance of every element from the identity by left multiplication
+    with gens, breadth-first over whole frontiers; -1 where gens do not
+    reach.  The elements reached form the subgroup that gens generate;
+    with gens the reflections this is the reflection length, which the
+    build reads from the classes."""
+    gens = np.flatnonzero(np.bincount(np.array(gens, dtype=np.int32),
+                                      minlength=group.size))
+    dist = np.full(group.size, -1, dtype=np.int32)
+    dist[group.identity] = 0
+    frontier = np.array([group.identity], dtype=np.int32)
+    d = 0
+    while frontier.size and gens.size:
+        d += 1
+        reached = group.mult[gens[:, None], frontier].ravel()
+        dist[reached[dist[reached] < 0]] = d
+        frontier = np.flatnonzero(dist == d)
+    return dist
+
+
+def subgroup_closure(group, gens) -> list[int]:
+    """Sorted element indices of the subgroup generated by gens, by
+    `word_lengths` over all of W."""
+    return np.nonzero(word_lengths(group, gens) >= 0)[0].tolist()
+
+
 def full_scan_fixator(group, w) -> list[int]:
-    """`pointwise_fixator` by one (|W|, n, n, phi) sum over every element,
-    every column and every power of w."""
+    """`pointwise_fixator` among all of W by one (|W|, n, n, phi) sum over
+    every element, every column and every power of w."""
     perms, coords = group.mult.perms, group.coords
     target = np.zeros((group.n, *coords.shape[1:]), dtype=np.int64)
     moved = np.zeros((group.size, *target.shape), dtype=np.int64)

@@ -36,7 +36,7 @@ from conftest import element_of_permutation
 from reference_build import exact_generators, matmul_closure
 from reference_scans import (per_class_fixed_dims, product_integer_columns,
                              two_lookup_classes, two_lookup_conjugates,
-                             unchunked_products)
+                             unchunked_products, word_lengths)
 
 # the catalog, and two groups of order 3840 and 9720 with conductors 2, 3
 WIDE_SPECS = catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)]
@@ -553,9 +553,9 @@ def test_word_lengths_of_reflections_are_the_length_table(spec):
     # breadth-first search over elements
     g = build_group(spec)
     assert g.length.dtype == np.int32
-    assert (g.word_lengths(g.reflections) == g.length).all()
-    assert (g.word_lengths(g.generators) >= 0).all()
-    only_identity = g.word_lengths([])
+    assert (word_lengths(g, g.reflections) == g.length).all()
+    assert (word_lengths(g, g.generators) >= 0).all()
+    only_identity = word_lengths(g, [])
     assert only_identity[g.identity] == 0
     assert np.count_nonzero(only_identity >= 0) == 1
 
@@ -725,15 +725,6 @@ def test_coordinates_too_large_for_the_hyperplane_minors_are_refused(
     monkeypatch.setattr(group_module, "generators_of", lambda _: gens)
     with pytest.raises(OrderCapExceeded, match="64 bits"):
         ReflectionGroup(spec)
-
-
-def test_build_runs_no_element_search_for_lengths(monkeypatch):
-    def refuse(self, gens):
-        raise AssertionError("word_lengths called by the build")
-
-    monkeypatch.setattr(ReflectionGroup, "word_lengths", refuse)
-    g = ReflectionGroup(GroupSpec("B", 4))
-    assert int(g.length[g.coxeter]) == 4
 
 
 @pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.label)

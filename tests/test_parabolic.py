@@ -1,10 +1,15 @@
 """Parabolic closures, length-2 strata and the LL-data table."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
+import ncpforge.parabolic as parabolic
 from ncpforge.catalog import GroupSpec, catalog_specs
 from ncpforge.cli import GroupContext
 from ncpforge.errors import (
+    ClassificationMismatch,
     ElementNotInGroup,
     NonIntegralDegree,
     NotADivisor,
@@ -18,13 +23,13 @@ from ncpforge.parabolic import (
     parabolic_of,
     pointwise_fixator,
     rank2_degrees,
+    reduced_decomposition,
     reference_row,
     submax_counts,
-    subgroup_closure,
     submax_total_formula,
     table_a1_verify,
 )
-from reference_scans import full_scan_fixator
+from reference_scans import full_scan_fixator, subgroup_closure
 
 
 def test_parabolic_of_extremes(a3, a3_ncp):
@@ -59,7 +64,7 @@ def test_pointwise_fixator_matches_full_scan(spec, strata_only):
         flat = group.fixed_space(w)
         full = [i for i, mat in enumerate(group.matrices)
                 if all(mat.apply(v) == tuple(v) for v in flat.basis)]
-        assert pointwise_fixator(group, w) == full
+        assert pointwise_fixator(group, w, np.arange(group.size)) == full
 
 
 def test_parabolic_of_rejects_non_divisors(a3, a3_ncp):
@@ -90,6 +95,8 @@ def test_every_member_is_parabolic_coxeter(fixture, request):
     for w in ncp.members:
         p = parabolic_of(ncp, w)
         assert p.rank == group.reflection_length(w)
+        assert len(reduced_decomposition(ncp, w)) == p.rank
+        assert group.product(*reduced_decomposition(ncp, w)) == w
         decompositions = {t[:p.rank] for t in red_c
                           if group.product(*t[:p.rank]) == w}
         assert decompositions
@@ -200,13 +207,51 @@ def test_stratum_degree_and_fiber_are_checked_in_integers(a3):
 def test_pruned_fixator_matches_full_scan(spec):
     """Every member (of rank <= 2 on the two large groups) and every class
     representative, with w = c (all of W) and w = 1 (only 1) among
-    them."""
+    them.  On the members, the closure of one reduced decomposition is
+    that fixator too; G(3,3,3), G(4,4,3) and G(3,3,4) have members whose
+    fixator holds more reflections than there are atoms below them."""
     group = build_group(spec)
     ncp = build_ncp(group)
     members = ncp.members if group.size < 3000 else \
         ncp.members[ncp.rank <= 2]
     elements = set(members.tolist()) | set(group.class_reps.tolist())
-    assert pointwise_fixator(group, group.coxeter) == list(range(group.size))
-    assert pointwise_fixator(group, group.identity) == [group.identity]
+    everything = np.arange(group.size)
+    assert (pointwise_fixator(group, group.coxeter, everything)
+            == list(range(group.size)))
+    assert (pointwise_fixator(group, group.identity, everything)
+            == [group.identity])
     for w in sorted(elements | {group.coxeter, group.identity}):
-        assert pointwise_fixator(group, w) == full_scan_fixator(group, w)
+        full = full_scan_fixator(group, w)
+        assert pointwise_fixator(group, w, everything) == full
+        if w in members:
+            assert parabolic_of(ncp, w).elements == full
+
+
+def test_closure_of_too_few_generators_is_refused(monkeypatch, b3):
+    """One atom below a rank-2 member closes to a group of order 2, whose
+    one reflection is not every reflection fixing the flat."""
+    ncp = build_ncp(b3)
+    w = int(ncp.members[np.argmax(ncp.rank == 2)])
+    monkeypatch.setattr(parabolic, "reduced_decomposition",
+                        lambda ncp, w: reduced_decomposition(ncp, w)[:1])
+    with pytest.raises(ClassificationMismatch, match="different reflections"):
+        parabolic_of(ncp, w)
+    with pytest.raises(ClassificationMismatch, match="different reflections"):
+        length2_strata(ncp)
+
+
+def test_strata_allocate_nothing_of_the_size_of_w():
+    """On a warm G(3,3,5) the strata's traced peak stays below 8 bytes per
+    element of W: the closures are the size of a rank-2 parabolic, and the
+    fixator runs over the reflections alone."""
+    group = build_group(GroupSpec("G", 5, 3))
+    ncp = build_ncp(group)
+    expected = length2_strata(ncp)
+    tracemalloc.start()
+    try:
+        strata = length2_strata(ncp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert strata == expected
+    assert peak < 8 * group.size
