@@ -102,7 +102,7 @@ class GroupContext:
         equal the partition `shape` of n.  Counted, not sorted: a first
         `np.sort` pages in about 0.2 MB of sort kernels."""
         rows = self.by_blocks[len(shape)]
-        lengths = self.group.length[rows]
+        lengths = self.ncp.rank[rows]
         return rows[np.all([(lengths == part).sum(axis=1) == shape.count(part)
                             for part in set(shape)], axis=0)]
 
@@ -298,15 +298,14 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 
 
-def _orbit_descriptor(group, orbit) -> list[list[int]]:
+def _orbit_descriptor(ncp, orbit) -> list[list[int]]:
     """The least, over the orbit's tuples, of the per-factor
     [order, reflection length, class size]: invariants of the factors'
     conjugacy classes, so the descriptor does not depend on how elements
     are numbered."""
-    of_class = np.column_stack((group.class_order,
-                                group.length[group.class_reps],
-                                np.bincount(group.class_id)))
-    return min(of_class[group.class_id[orbit.rows]].tolist())
+    group, cid = ncp.group, ncp.class_id[orbit.rows]
+    return min(np.stack((group.class_order[cid], ncp.rank[orbit.rows],
+                         np.bincount(group.class_id)[cid]), -1).tolist())
 
 
 def cmd_orbits(args, out) -> int:
@@ -324,7 +323,7 @@ def cmd_orbits(args, out) -> int:
     ncp = build_ncp(group)
     tuples = GroupContext(group, ncp).with_shape(shape)
     orbits = orbit_decomposition(ncp, tuples, cap=args.orbit_cap)
-    described = sorted((o.size, _orbit_descriptor(group, o)) for o in orbits)
+    described = sorted((o.size, _orbit_descriptor(ncp, o)) for o in orbits)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "group": spec.label,

@@ -1,11 +1,11 @@
 """Block factorisations of the Coxeter element and their exact counts.
 
-A factorisation is an ordered tuple of nontrivial element indices whose
-product is c and whose reflection lengths add up to n.  The p-block
-factorisations are the strict chains 1 = x_0 < x_1 < ... < x_p = c of
-NCP_W(c), with blocks x_{i-1}^{-1} x_i; `factorisations` lists them as one
-(count, p) int32 array per block count p, one whole-array step per block
-over each member's list of strict successors.
+A factorisation is an ordered tuple of nontrivial divisors of c, held as
+member positions of NCP_W(c), whose product is c and whose reflection
+lengths add up to n.  The p-block factorisations are the strict chains
+1 = x_0 < ... < x_p = c of NCP_W(c), with blocks q[x_{i-1}, x_i];
+`factorisations` lists them as one (count, p) int32 array per block count
+p, one whole-array step per block over each member's strict successors.
 Counts are computed three independent ways, all in integers: the lengths
 of those arrays, the finite differences of the Fuss-Catalan numbers (the
 values of the zeta polynomial at the integers), and the closed
@@ -32,10 +32,10 @@ def red_count_formula(group: ReflectionGroup) -> int:
 
 
 def factorisations(ncp: NcpLattice) -> dict[int, np.ndarray]:
-    """The block factorisations of c as one (count, p) int32 array per
-    block count p = 0..n, one factorisation per row.  Each step extends
-    every strict chain from 1 by all members strictly above its end, and
-    the chains that reach c are read off as rows of blocks.
+    """The block factorisations of c as one (count, p) int32 array of
+    member positions per block count p = 0..n, one factorisation per row.
+    Each step extends every strict chain from 1 by each member strictly
+    above its end; the chains that reach c are read off as rows of blocks.
 
     The strict successors of member x are dst[indptr[x]:indptr[x + 1]],
     ascending, so each step repeats every chain once per successor of its
@@ -44,11 +44,11 @@ def factorisations(ncp: NcpLattice) -> dict[int, np.ndarray]:
     rank, q = ncp.rank, ncp.q
     src, dst = np.nonzero(ncp.leq & (rank[:, None] < rank))
     indptr = np.searchsorted(src, np.arange(ncp.size + 1))
-    chains = np.array([[ncp.bottom]])
+    dst, chains = dst.astype(np.int32), np.array([[ncp.bottom]], np.int32)
     out = {}
     for p in range(ncp.group.n + 1):
         done = chains[:, -1] == ncp.top
-        out[p] = ncp.members[q[chains[done, :-1], chains[done, 1:]]]
+        out[p] = q[chains[done, :-1], chains[done, 1:]]
         chains = chains[~done]
         start, stop = indptr[chains[:, -1]], indptr[chains[:, -1] + 1]
         count = stop - start
@@ -61,8 +61,8 @@ def factorisations(ncp: NcpLattice) -> dict[int, np.ndarray]:
 
 
 def iter_factorisations(ncp: NcpLattice):
-    """All block factorisations of c as tuples, by block count; a view of
-    `factorisations`."""
+    """All block factorisations of c as tuples of member positions, by
+    block count; a view of `factorisations`."""
     return (tuple(t) for rows in factorisations(ncp).values()
             for t in rows.tolist())
 
@@ -70,21 +70,19 @@ def iter_factorisations(ncp: NcpLattice):
 def iter_fact_with_composition(ncp: NcpLattice, mu: tuple[int, ...]):
     """Factorisations of c with the exact composition mu of l(c), in the
     order of `iter_factorisations`."""
-    if sum(mu) != int(ncp.group.length[ncp.c]) or any(p < 1 for p in mu):
+    if sum(mu) != int(ncp.rank[ncp.top]) or any(p < 1 for p in mu):
         raise ValueError(f"{mu} is not a composition of l(c)")
     rows = factorisations(ncp)[len(mu)]
-    rows = rows[(ncp.group.length[rows] == mu).all(axis=1)]
+    rows = rows[(ncp.rank[rows] == mu).all(axis=1)]
     return (tuple(t) for t in rows.tolist())
 
 
-def two_reflection_factorisations(ncp: NcpLattice, w: int) -> list[tuple[int, int]]:
-    """Pairs (r1, r2) of reflections with r1 r2 = w (w of length 2): r1
-    runs over the rank-1 members below w, and r2 = q[r1, w]."""
-    y = ncp.member_index(w)
+def two_reflection_factorisations(ncp: NcpLattice, y: int) -> list[tuple[int, int]]:
+    """Pairs (r1, r2) of reflections with r1 r2 = y (member positions, y
+    of rank 2): r1 runs over the rank-1 members below y; r2 = q[r1, y]."""
     r1 = np.flatnonzero(ncp.leq[:, y] & (ncp.rank == 1))
     r2 = ncp.q[r1, y]
-    pairs = np.stack((r1, r2))[:, ncp.rank[r2] == 1]
-    return list(zip(*ncp.members[pairs].tolist()))
+    return list(zip(*np.stack((r1, r2))[:, ncp.rank[r2] == 1].tolist()))
 
 
 # -- closed-form counts ----------------------------------------------------

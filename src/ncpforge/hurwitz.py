@@ -2,27 +2,27 @@
 
 The standard braid generator sigma_i sends (..., g_i, g_{i+1}, ...) to
 (..., g_{i+1}, g_{i+1}^{-1} g_i g_{i+1}, ...).  Every factor divides c, so
-products are read from the quotient table q and the Kreweras complement K
-of `NcpLattice`, never computed in W.  `hurwitz_act` applies sigma_i to
-one tuple or to every row of an index array at once.  sigma_i permutes
-the finite set of factorisations of c, so sigma_i^{-1} is a power of it.
+a tuple holds member positions of NCP, as a row of `factorisations` does,
+and products are read from the quotient table q and the Kreweras
+complement K, never computed in W.  `hurwitz_act` applies sigma_i to one
+tuple or to every row of an array at once.  sigma_i permutes the finite
+set of factorisations of c, so sigma_i^{-1} is a power of it.
 
 The suites check two theorems with this action: B_p acts transitively on
 Red(c), and the orbits of the primitive factorisations of shape
 k 1^(n-k) biject with the conjugacy classes of the length-k divisors of
 c, each orbit holding the long factors of one class.
 `orbit_decomposition` partitions a set of tuples, given as the rows of an
-index array (a block count's array from `factorisations`), into Hurwitz
-orbits: the `group.components` of the graph joining each tuple to its
-image under each sigma_i, with one whole-array `hurwitz_act` per position.
-Tuples are coded in member positions of NCP (ranked among the positions
-the set uses), so each image is found by one gather and one search among
-the codes.  `classify_primitive_orbits` reads the bijection off the
-(orbit, class) pairs of all rows at once.  `hurwitz_orbit` closes a
-single seed by BFS and is the per-seed reference.  Strong conjugacy
-classes are the components of the graph joining w to x w x^-1, found the
-same way.  An orbit keeps its members as sorted rows, so listings are
-reproducible.
+array (a block count's array from `factorisations`), into Hurwitz orbits:
+the `group.components` of the graph joining each tuple to its image under
+each sigma_i, with one whole-array `hurwitz_act` per generator.  Tuples are
+coded by the ranks of their entries among the positions the set uses, so
+each image is found by one gather and one search among the codes.
+`classify_primitive_orbits` reads the bijection off the (orbit, class)
+pairs of all rows at once.  `hurwitz_orbit` closes a single seed by BFS and
+is the per-seed reference.  Strong conjugacy classes are the components of
+the graph joining w to x w x^-1, found the same way.  An orbit keeps its
+members as sorted rows, so listings are reproducible.
 """
 
 from __future__ import annotations
@@ -31,34 +31,39 @@ from collections import deque
 
 import numpy as np
 
-from .errors import (ClassificationMismatch, IndexOutOfRange, NotADivisor,
-                     OrbitCapExceeded)
+from .errors import (ClassificationMismatch, ElementNotInGroup,
+                     IndexOutOfRange, NotADivisor, OrbitCapExceeded)
 from .group import _CODE_LIMIT, components
 from .ncp import NcpLattice
 
 DEFAULT_ORBIT_CAP = 10_000_000
 
 
+def _positions(ncp: NcpLattice, positions: np.ndarray) -> np.ndarray:
+    """The array; an entry outside 0..|NCP|-1 (so -1 too) is refused."""
+    if positions.size and (positions.min() < 0 or positions.max() >= ncp.size):
+        raise ElementNotInGroup("an entry is not a member position of NCP")
+    return positions
+
+
 def hurwitz_act(ncp: NcpLattice, factors, i: int):
-    """sigma_i of a p-tuple (1 <= i < p), or of every row of a 2-D input,
-    an index array or a list of rows (one tuple per row), given back as
-    an array; a tuple is acted on as a 1-row array.  The two factors
-    moved, and their product, must divide c."""
-    rows = np.atleast_2d(np.asarray(factors))
+    """sigma_i of a p-tuple of member positions (1 <= i < p), or of every
+    row of a 2-D input, an array or a list of rows (one tuple per row),
+    given back as an array; a tuple is acted on as a 1-row array.
+    The two factors moved, and their product, must divide c."""
+    rows = _positions(ncp, np.atleast_2d(np.asarray(factors)))
     if rows.shape[1] < 2 or not 1 <= i <= rows.shape[1] - 1:
         raise IndexOutOfRange(
             f"generator index {i} for a {rows.shape[1]}-tuple")
-    a, b = ncp.member_index(rows[:, i - 1]), ncp.member_index(rows[:, i])
+    a, b = rows[:, i - 1], rows[:, i]
     k = ncp.q[b, ncp.kreweras[a]]  # K(a b) = b^{-1} K(a)
     if (k < 0).any():
         raise NotADivisor("a product of adjacent factors does not divide c")
     # (a, b) -> (b, b^{-1} a b) = (b, q[b, a b]), with a b = K^{-1}(k)
     out = rows.copy()
-    out[:, i - 1] = rows[:, i]
-    out[:, i] = ncp.members[ncp.q[b, ncp.kreweras_inverse[k]]]
-    if np.ndim(factors) == 2:
-        return out
-    return tuple(out[0].tolist())
+    out[:, i - 1] = b
+    out[:, i] = ncp.q[b, ncp.kreweras_inverse[k]]
+    return out if np.ndim(factors) == 2 else tuple(out[0].tolist())
 
 
 class HurwitzOrbit:
@@ -104,7 +109,7 @@ def hurwitz_orbit(ncp: NcpLattice, seed: tuple[int, ...],
 def orbit_decomposition(ncp: NcpLattice, tuples,
                         cap: int = DEFAULT_ORBIT_CAP) -> list[HurwitzOrbit]:
     """Partition a set of factorisation tuples, all of one length (the
-    rows of an index array, or a list of tuples), into Hurwitz orbits: the
+    rows of an array, or a list of tuples), into Hurwitz orbits: the
     connected components of the braid action on it.  Orbits come in order
     of their least members, which are their seeds."""
     return _orbits(*_orbit_labels(ncp, tuples, cap))
@@ -124,18 +129,16 @@ def _orbit_labels(ncp: NcpLattice, tuples, cap: int):
     (orbits numbered by their least rows) and the orbit sizes.
 
     Each tuple is coded by the mixed-radix number of the ranks of its
-    entries' member positions among the set's distinct ones, so the sorted
-    codes list the distinct tuples in order.  Each sigma_i maps all of
-    them at once and its images are looked up among the codes; the edges
-    are undirected, so sigma_i^{-1} adds nothing."""
-    given = np.asarray(tuples)
+    entries among the set's distinct positions, so the sorted codes list
+    the distinct tuples in order.  Each sigma_i maps all of them at once
+    and its images are looked up among the codes; the edges are
+    undirected, so sigma_i^{-1} adds nothing."""
+    given = _positions(ncp, np.asarray(tuples))
     if not len(given):
         empty = np.zeros(0, dtype=np.intp)
         return np.zeros((0, 0), dtype=np.intp), empty, empty
-    # refuses every entry outside NCP
-    position = ncp.member_index(given)
     present = np.zeros(ncp.size, dtype=bool)
-    present[position] = True
+    present[given] = True
     entry_rank = np.cumsum(present) - 1
     entries = int(entry_rank[-1]) + 1
     p = given.shape[1]
@@ -143,15 +146,14 @@ def _orbit_labels(ncp: NcpLattice, tuples, cap: int):
         raise OrbitCapExceeded(
             f"codes of {entries}^{p} tuples do not fit in 64 bits")
     radix = entries ** np.arange(p - 1, -1, -1, dtype=np.int64)
-    codes, first = np.unique(entry_rank[position] @ radix, return_index=True)
+    codes, first = np.unique(entry_rank[given] @ radix, return_index=True)
     rows = given[first]
     size = len(rows)
 
     def locate(images: np.ndarray) -> np.ndarray:
-        image_position = ncp.position[images]
-        code = entry_rank[image_position] @ radix
+        code = entry_rank[images] @ radix
         pos = np.minimum(np.searchsorted(codes, code), size - 1)
-        if not (present[image_position].all()
+        if not (present[images].all()
                 and np.array_equal(codes[pos], code)):
             raise ClassificationMismatch(
                 "orbit left the supplied tuple set; invariants violated")
@@ -175,7 +177,7 @@ def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
     """Orbit decomposition of the primitive shape k 1^(n-k), with the
     orbit <-> long-factor-conjugacy-class bijection enforced; tuples are
     all factorisations of c of that shape, the long factor anywhere, as
-    the rows of an index array.
+    the rows of an array.
     "divisor_classes" is the set of conjugacy classes of the length-k
     divisors of c.
 
@@ -187,15 +189,14 @@ def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
     if k < 2 or k > group.n:
         raise ValueError("primitive shapes need 2 <= k <= n")
     rows, orbit_of, sizes = _orbit_labels(ncp, tuples, cap)
-    row, col = np.nonzero(group.length[rows] == k)
+    row, col = np.nonzero(ncp.rank[rows] == k)
     classes = len(group.class_reps)
-    codes = orbit_of[row] * classes + group.class_id[rows[row, col]]
+    codes = orbit_of[row] * classes + ncp.class_id[rows[row, col]]
     # a stable argsort, as np.unique's, pages in no further sort kernel
     codes = codes[np.argsort(codes, kind="stable")]
     pairs = codes[np.diff(codes, prepend=-1) != 0]
     orbit_numbers, class_of_orbit = np.divmod(pairs, classes)
-    expected_classes = set(
-        group.class_id[ncp.members[ncp.rank == k]].tolist())
+    expected_classes = set(ncp.class_id[ncp.rank == k].tolist())
     if not (np.array_equal(orbit_numbers, np.arange(len(sizes)))
             and sorted(class_of_orbit.tolist()) == sorted(expected_classes)):
         raise ClassificationMismatch(
@@ -210,16 +211,16 @@ def classify_primitive_orbits(ncp: NcpLattice, k: int, tuples,
 
 
 def p2_orbit_formula(ncp: NcpLattice, u1: int, u2: int) -> set:
-    """Closed form of a 2-block orbit:
+    """Closed form of a 2-block orbit, in member positions:
     {(u1^{c^k}, u2^{c^k}), (u2^{c^{k+1}}, u1^{c^k})} over k in Z, where
     x^v denotes v x v^{-1} (the reading under which the second family
     multiplies back to c).  Conjugation by c^{-1} keeps NCP and is the
     square of the Kreweras complement: K(K(x)) = c^{-1} x c."""
     kreweras = ncp.kreweras
-    turns = [ncp.member_index([u1, u2])]
+    turns = [_positions(ncp, np.array([u1, u2]))]
     for _ in range(ncp.group.h):
         turns.append(kreweras[kreweras[turns[-1]]])
-    conj = ncp.members[np.array(turns)].tolist()  # (u1, u2)^{c^-k}, k = 0..h
+    conj = np.array(turns).tolist()  # (u1, u2)^{c^-k}, k = 0..h
     return ({(v1, v2) for v1, v2 in conj[:-1]}
             | {(v2, v1) for (_, v2), (v1, _) in zip(conj, conj[1:])})
 
@@ -242,7 +243,7 @@ def strong_conjugacy_classes(ncp: NcpLattice) -> list[list[int]]:
 
 def conjugacy_partition_on_ncp(ncp: NcpLattice) -> list[list[int]]:
     """Ordinary W-conjugacy classes, restricted to the NCP members."""
-    return _partition(ncp.members, ncp.group.class_id[ncp.members])
+    return _partition(ncp.members, ncp.class_id)
 
 
 def _partition(members: np.ndarray, labels: np.ndarray) -> list[list[int]]:

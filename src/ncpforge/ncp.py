@@ -39,14 +39,14 @@ def exact_quotient(num: int, den: int, what: str,
 
 
 class NcpLattice:
-    """Divisors of the Coxeter element: `members` (element indices, int32)
-    and `position` (element index -> member position, -1 outside NCP).
-    On member positions: `rank`, the order `leq`, the one product table
-    q[x, y] = x^{-1} y for x <= y (int32, -1 elsewhere), and the Kreweras
-    complement K(x) = x^{-1} c = q[x, top] and its inverse, `kreweras` and
-    `kreweras_inverse`: a b = K^{-1}(q[b, K(a)]) as K(a b) = b^{-1} K(a),
-    and K(K(x)) = c^{-1} x c.  NCP grows from 1 by its
-    covers: for x of rank k and a reflection r, x r covers x iff
+    """Divisors of the Coxeter element: `members` (element indices, int32,
+    ascending) and `position` (element index -> member position, -1 outside
+    NCP).  On member positions: `rank`, `class_id`, the order `leq`, the
+    one product table q[x, y] = x^{-1} y for x <= y (int32, -1 elsewhere),
+    and the Kreweras complement K(x) = x^{-1} c = q[x, top] and its
+    inverse, `kreweras` and `kreweras_inverse`: a b = K^{-1}(q[b, K(a)]) as
+    K(a b) = b^{-1} K(a), and K(K(x)) = c^{-1} x c.  NCP grows from 1 by
+    its covers: for x of rank k and a reflection r, x r covers x iff
     l(r^{-1} x^{-1} c) = l(c) - k - 1, as c = (x r)(r^{-1} x^{-1} c); r in
     place of r^{-1} is wrong for a reflection of order above 2.  `leq` is
     their closure: bounded by 1 and c, every cover raising the rank by one,
@@ -80,6 +80,7 @@ class NcpLattice:
         self.size = size = len(self.members)
         position[members] = np.arange(size, dtype=np.int32)
         self.rank = length[members].astype(np.int32)
+        self.class_id = group.class_id[members]
         self.bottom = int(position[group.identity])
         self.top = int(position[c])
 

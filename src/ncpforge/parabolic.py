@@ -141,11 +141,12 @@ def length2_strata(ncp: NcpLattice) -> list[Stratum2]:
     """W-conjugacy classes of length-2 NCP members, with ramification data."""
     group = ncp.group
     reps: dict[int, int] = {}
-    for w in ncp.members[ncp.rank == 2].tolist():
-        reps.setdefault(int(group.class_id[w]), w)
+    for y in np.flatnonzero(ncp.rank == 2).tolist():
+        reps.setdefault(int(ncp.class_id[y]), y)
     strata = []
-    for cid, rep in sorted(reps.items(), key=lambda item: item[1]):
-        r = len(two_reflection_factorisations(ncp, rep))
+    for cid, y in reps.items():  # each class's least position, ascending
+        rep = int(ncp.members[y])
+        r = len(two_reflection_factorisations(ncp, y))
         if r < 2:
             raise ClassificationMismatch(
                 f"{group.spec.label}: stratum of {rep} has r = {r} < 2")
@@ -170,14 +171,14 @@ def submax_total_formula(group: ReflectionGroup) -> int:
 
 def submax_counts(ncp: NcpLattice, strata: list[Stratum2], facts) -> int:
     """Classify fact_{n-1} (facts: the factorisations of c with n-1
-    blocks, one per row) by the stratum of the length-2 factor, derive
-    each u and check the total; returns the total."""
+    blocks, in member positions, one per row) by the stratum of the
+    length-2 factor, derive each u and check the total; returns it."""
     group = ncp.group
     n, h = group.n, group.h
     # one flat search and a divmod: half the time of a 2-D np.nonzero
-    rows, cols = np.divmod(np.flatnonzero(group.length[facts] == 2),
+    rows, cols = np.divmod(np.flatnonzero(ncp.rank[facts] == 2),
                            facts.shape[1])
-    classes = group.class_id[facts[rows, cols]]
+    classes = ncp.class_id[facts[rows, cols]]
     for s in strata:
         s.count = int(np.count_nonzero(classes == s.class_id))
         s.fiber = int(np.count_nonzero(classes[cols == 0] == s.class_id))

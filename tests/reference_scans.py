@@ -4,8 +4,8 @@ working sets or with fewer passes, kept as oracles for the tests.
 Each function is the earlier package code.  Most allocate a temporary of
 the size of W (or of chains x |NCP|) where the package loops over chunks,
 classes, columns or successor lists; the Hurwitz references look entries
-up among element indices where the package ranks member positions, and
-classify each orbit on its own.
+up by `searchsorted` where the package ranks them by a cumulative sum,
+and classify each orbit on its own, reading its classes in W.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def mask_factorisations(ncp) -> dict[int, np.ndarray]:
     out = {}
     for p in range(ncp.group.n + 1):
         done = chains[:, -1] == ncp.top
-        out[p] = ncp.members[q[chains[done, :-1], chains[done, 1:]]]
+        out[p] = q[chains[done, :-1], chains[done, 1:]]
         chains = chains[~done]
         end = chains[:, -1]
         rows, nxt = np.nonzero(leq[end] & (rank > rank[end, None]))
@@ -166,7 +166,7 @@ def per_class_fixed_dims(group) -> np.ndarray:
 
 def searched_orbit_decomposition(ncp, tuples, cap=DEFAULT_ORBIT_CAP):
     """`orbit_decomposition` with the entries ranked among the distinct
-    element indices by `searchsorted`, images located the same way, and
+    member positions by `searchsorted`, images located the same way, and
     orbits numbered by `np.unique` of the component labels."""
     given = np.asarray(tuples)
     if not len(given):
@@ -209,14 +209,16 @@ def searched_orbit_decomposition(ncp, tuples, cap=DEFAULT_ORBIT_CAP):
 
 def per_orbit_classification(ncp, k, tuples, cap=DEFAULT_ORBIT_CAP) -> dict:
     """`classify_primitive_orbits` by one `bincount` of the classes of
-    the length-k factors per orbit of `searched_orbit_decomposition`."""
+    the length-k factors per orbit of `searched_orbit_decomposition`, with
+    lengths and classes read off the factors' element indices."""
     group = ncp.group
     if k < 2 or k > group.n:
         raise ValueError("primitive shapes need 2 <= k <= n")
     orbits = searched_orbit_decomposition(ncp, tuples, cap=cap)
+    factors = [ncp.members[o.rows] for o in orbits]
     found = [np.flatnonzero(np.bincount(
-        group.class_id[o.rows[group.length[o.rows] == k]]))
-             for o in orbits]
+        group.class_id[elements[group.length[elements] == k]]))
+             for elements in factors]
     class_of_orbit = [int(c[0]) for c in found if len(c) == 1]
     expected_classes = set(
         group.class_id[ncp.members[ncp.rank == k]].tolist())

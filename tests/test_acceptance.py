@@ -162,6 +162,7 @@ def test_criterion_06_s6_counterexample():
           and group.class_id[u1] == group.class_id[v1]
           and group.class_id[u2] == group.class_id[v2])
     ncp = build_ncp(group)
+    u1, u2, v1, v2 = ncp.position[[u1, u2, v1, v2]].tolist()
     o1 = hurwitz_orbit(ncp, (u1, u2))
     o2 = hurwitz_orbit(ncp, (v1, v2))
     ok &= set(o1.members).isdisjoint(o2.members)

@@ -175,6 +175,39 @@ def test_each_suite_alone_matches_all_suites(label):
         assert alone and alone == [r for r in together if r.suite == suite]
 
 
+class _Unreadable:
+    """Stands for a table of W that must not be read: any use raises."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError(f"group.{self.name} read after the lattice")
+
+    __getattr__ = __getitem__ = __array__ = __len__ = __iter__ = _refuse
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = _refuse
+
+
+@pytest.mark.parametrize(
+    "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
+    ids=lambda s: s.label)
+def test_counts_chapoton_and_hurwitz_read_only_the_lattice(spec,
+                                                           monkeypatch):
+    """Once the group and its lattice are built, the counts, Chapoton and
+    Hurwitz suites read NcpLattice alone: with `group.mult`, `length`,
+    `class_id` and `fixed_dim` raising on any use, they give the same
+    section.  The ncp, strata and table-a1 suites are left out by design:
+    `length_is_codim` compares ranks with `fixed_dim` in W, and each
+    stratum's parabolic closure is closed and checked in W."""
+    caps = (DEFAULT_ORDER_CAP, DEFAULT_ORBIT_CAP, DEFAULT_NMAX)
+    suites = ["counts", "chapoton", "hurwitz"]
+    expected = run_group(spec, suites, *caps)  # builds group and lattice
+    group = build_group(spec)
+    for name in ("mult", "length", "class_id", "fixed_dim"):
+        monkeypatch.setattr(group, name, _Unreadable(name))
+    assert run_group(spec, suites, *caps) == expected
+
+
 @pytest.mark.parametrize(
     "spec", catalog_specs() + [GroupSpec("B", 5), GroupSpec("G", 5, 3)],
     ids=lambda s: s.label)

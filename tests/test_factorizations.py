@@ -57,6 +57,7 @@ def test_enumerate_red_agrees_with_formula(a3_ncp, b3_ncp):
 
 def test_every_enumerated_tuple_is_a_factorisation(a3_ncp, a3):
     for fact in iter_factorisations(a3_ncp):
+        fact = a3_ncp.members[list(fact)].tolist()
         assert a3.identity not in fact
         assert a3.product(*fact) == a3.coxeter
         assert sum(a3.reflection_length(w) for w in fact) == a3.n
@@ -90,7 +91,7 @@ def test_factorisations_match_brute_force(spec):
     by_blocks = factorisations(ncp)
     assert sorted(by_blocks) == list(range(ncp.group.n + 1))
     for p, rows in by_blocks.items():
-        found = [tuple(t) for t in rows.tolist()]
+        found = [tuple(t) for t in ncp.members[rows].tolist()]
         assert rows.dtype == np.int32 and rows.shape == (len(found), p)
         assert len(set(found)) == len(found)
         assert set(found) == set(brute_force_factorisations(ncp, p))
@@ -194,7 +195,8 @@ def test_by_composition_marginals(b3):
     facts = list(iter_factorisations(ncp))
     by_composition = {}
     for fact in facts:
-        comp = tuple(b3.reflection_length(w) for w in fact)
+        comp = tuple(b3.reflection_length(w)
+                     for w in ncp.members[list(fact)].tolist())
         by_composition.setdefault(comp, []).append(fact)
     totals = {}
     for comp, group_facts in by_composition.items():
@@ -206,10 +208,13 @@ def test_by_composition_marginals(b3):
 
 
 def test_two_reflection_factorisations_of_short_elements(a3_ncp, a3):
-    length2 = [w for w in a3_ncp.members if a3.reflection_length(w) == 2]
-    for w in length2:
-        pairs = two_reflection_factorisations(a3_ncp, w)
-        assert all(a3.product(r1, r2) == w for r1, r2 in pairs)
+    members = a3_ncp.members.tolist()
+    length2 = [y for y, w in enumerate(members)
+               if a3.reflection_length(w) == 2]
+    for y in length2:
+        pairs = two_reflection_factorisations(a3_ncp, y)
+        assert all(a3.product(members[r1], members[r2]) == members[y]
+                   for r1, r2 in pairs)
         assert len(pairs) in (2, 3)   # (2,2)-type or 3-cycle type
 
 

@@ -91,7 +91,8 @@ def test_every_member_is_parabolic_coxeter(fixture, request):
     # Every reduced decomposition of w <= c extends to one of c by a reduced
     # decomposition of w^{-1} c, so those of w are the length-l(w) prefixes
     # of Red(c) whose product is w.
-    red_c = list(iter_fact_with_composition(ncp, (1,) * group.n))
+    red_c = [tuple(ncp.members[list(t)].tolist())
+             for t in iter_fact_with_composition(ncp, (1,) * group.n)]
     for w in ncp.members:
         p = parabolic_of(ncp, w)
         assert p.rank == group.reflection_length(w)
